@@ -9,8 +9,7 @@ inequalities and sharpness equalities at desk scale.
 from .parameters import Aggregates, ExponentSet, TheoremMode, derive_aggregates, validate
 from .weights import HomogeneousWeight, product_weight, sphere_mass_unit
 from .profiles import (PowerLaw, RadialProfile, SampledProfile, ScaledProfile,
-                       SumProfile, TruncatedPowerLaw, evaluate, extremal_herz,
-                       extremal_morrey_herz)
+                       SumProfile, TruncatedPowerLaw, extremal_herz, extremal_morrey_herz)
 from .quadrature import (CurveCallback, IntegralResult, IntegralStatus, KernelSpec,
                          MinPower, PowerBeta, PowerCurve, ProductPowerBeta,
                          PsiCallback, beta_closed_form, integrate_unit_cube,
@@ -29,7 +28,7 @@ __all__ = [
     "Aggregates", "ExponentSet", "TheoremMode", "derive_aggregates", "validate",
     "HomogeneousWeight", "product_weight", "sphere_mass_unit",
     "PowerLaw", "RadialProfile", "SampledProfile", "ScaledProfile", "SumProfile",
-    "TruncatedPowerLaw", "evaluate", "extremal_herz", "extremal_morrey_herz",
+    "TruncatedPowerLaw", "extremal_herz", "extremal_morrey_herz",
     "CurveCallback", "IntegralResult", "IntegralStatus", "KernelSpec", "MinPower",
     "PowerBeta", "PowerCurve", "ProductPowerBeta", "PsiCallback",
     "beta_closed_form", "integrate_unit_cube", "kernel_power_integral",

@@ -167,6 +167,14 @@ def _controls(cfg: dict, overrides: dict):
     return {"tol": tol, "window": window, "grid": grid, "seed": seed, "jobs": jobs}
 
 
+def _integrator_tol(ctl: dict) -> float:
+    """controls.tol for jobs that hand it to the numeric integrator."""
+    tol = ctl["tol"]
+    if not 1e-14 <= tol <= 1e-2:
+        raise ConfigError("controls.tol", f"tolerance must lie in [1e-14, 1e-2], got {tol}")
+    return tol
+
+
 # --------------------------------------------------------------------------
 # job runners: each returns (header, rows, exit_code)
 
@@ -192,7 +200,7 @@ def _run_constant(cfg: dict, ctl: dict):
         raise ConfigError("config.kind", f"unknown constant kind {kind_name!r}")
     kernel = _build_kernel(_get(cfg, "kernel", "config"), "config.kernel")
     res = kernel_constant(_KERNEL_KINDS[kind_name], exponents, kernel,
-                          tol=min(ctl["tol"], 1e-8))
+                          tol=_integrator_tol(ctl))
     return header, [[kind_name, phash, res.value, res.status.value, res.abs_error]], 0
 
 
@@ -227,10 +235,11 @@ def _run_operator_eval(cfg: dict, ctl: dict):
     grid = log2_grid(float(gcfg.get("start", -8)), float(gcfg.get("stop", 8)),
                      int(gcfg.get("per_octave", 4)))
     from .operators import apply_hardy_cesaro
+    tol = _integrator_tol(ctl)
     header = ["log2_r", "r", "value", "abs_error", "status"]
     rows = []
     for u in grid:
-        res = apply_hardy_cesaro(spec, profiles, float(2.0 ** u), min(ctl["tol"], 1e-8))
+        res = apply_hardy_cesaro(spec, profiles, float(2.0 ** u), tol)
         rows.append([float(u), float(2.0 ** u), res.value, res.abs_error,
                      res.status.value])
     return header, rows, 0

@@ -72,6 +72,30 @@ def _kind_exponents(kind: ConstantKind, e: ExponentSet) -> list:
     raise ValueError(f"unknown kind {kind!r}")  # pragma: no cover
 
 
+def _weighted_power_integral(kernel: KernelSpec, e, tol: float, factor,
+                             reflected_factor, shift) -> IntegralResult:
+    """int prod |s_i|**e_i * psi * factor over the cube.
+
+    ``reflected_factor(u)`` is factor(1 - u), used where the kernel is
+    evaluated in reflected coordinates; ``shift`` holds one (at0, at1) pair
+    per coordinate that the factor adds to the declared endpoint orders.
+    """
+    integrand, reflected, endexp = power_law_integrand(kernel, e)
+
+    def weighted(t):
+        return integrand(t) * factor(t)
+
+    weighted_reflected = None
+    if reflected is not None:
+        def weighted_reflected(u):
+            return reflected(u) * reflected_factor(u)
+
+    endexp = [(at0 + s0, at1 + s1) for (at0, at1), (s0, s1) in zip(endexp, shift)]
+    return integrate_unit_cube(weighted, kernel.n, tol, endexp,
+                               detect_growth=kernel.has_callback(),
+                               reflected=weighted_reflected)
+
+
 def kernel_constant(kind: ConstantKind, exponents: ExponentSet,
                     kernel: KernelSpec, tol: float = 1e-10) -> IntegralResult:
     """Evaluate the kind's kernel integral; Divergent is a valid verdict."""
@@ -92,20 +116,8 @@ def kernel_constant(kind: ConstantKind, exponents: ExponentSet,
             folded = KernelSpec(1, PowerBeta(kernel.psi.c, kernel.psi.e + 1.0,
                                              kernel.psi.scale), kernel.curves)
             return kernel_power_integral(folded, e, tol)
-        integrand, reflected, endexp = power_law_integrand(kernel, e)
-
-        def with_cutoff(t):
-            return integrand(t) * (1.0 - t)
-
-        refl = None
-        if reflected is not None:
-            def refl(u):
-                return reflected(u) * u
-
-        endexp = [(endexp[0][0], endexp[0][1] + 1.0)]
-        return integrate_unit_cube(with_cutoff, kernel.n, tol, endexp,
-                                   detect_growth=kernel.has_callback(),
-                                   reflected=refl)
+        return _weighted_power_integral(kernel, e, tol, lambda t: 1.0 - t,
+                                        lambda u: u, [(0.0, 1.0)])
 
     if kind is ConstantKind.COMMUTATOR_MH:
         if exponents.beta_i is None:
@@ -116,7 +128,6 @@ def kernel_constant(kind: ConstantKind, exponents: ExponentSet,
                                              kernel.psi.e + fsum(betas),
                                              kernel.psi.scale), kernel.curves)
             return kernel_power_integral(folded, e, tol)
-        integrand, reflected, endexp = power_law_integrand(kernel, e)
 
         def commutator_factor(t, u=None):
             # |1 - s_i(t)|**beta_i; for power curves near t = 1 the base is
@@ -131,42 +142,19 @@ def kernel_constant(kind: ConstantKind, exponents: ExponentSet,
                 out = out * base ** beta
             return out
 
-        def with_commutator_factor(t):
-            return integrand(t) * commutator_factor(t)
-
-        refl = None
-        if reflected is not None:
-            def refl(u):
-                return reflected(u) * commutator_factor(1.0 - u, u)
-
-        adj = []
-        for j in range(kernel.n):
-            at0, at1 = endexp[j]
-            extra1 = fsum(b for i, b in enumerate(betas)
-                          if kernel.curve_tends_to_one_at_face(i, j))
-            extra0 = fsum(b * kernel.curve_zero_exponents(i)[j]
-                          for i, b in enumerate(betas)
-                          if kernel.curve_zero_exponents(i)[j] < 0)
-            adj.append((at0 + extra0, at1 + extra1))
-        return integrate_unit_cube(with_commutator_factor, kernel.n, tol, adj,
-                                   detect_growth=kernel.has_callback(),
-                                   reflected=refl)
+        shift = [(fsum(b * kernel.curve_zero_exponents(i)[j]
+                       for i, b in enumerate(betas)
+                       if kernel.curve_zero_exponents(i)[j] < 0),
+                  fsum(b for i, b in enumerate(betas)
+                       if kernel.curve_tends_to_one_at_face(i, j)))
+                 for j in range(kernel.n)]
+        return _weighted_power_integral(kernel, e, tol, commutator_factor,
+                                        lambda u: commutator_factor(1.0 - u, u), shift)
 
     if kind is ConstantKind.XIAO_LOG:
-        integrand, reflected, endexp = power_law_integrand(kernel, e)
-
-        def with_log(t):
-            tt = t if t.ndim == 1 else t[:, 0]
-            return integrand(t) * np.log(2.0 / tt)
-
-        refl = None
-        if reflected is not None:
-            def refl(u):
-                return reflected(u) * np.log(2.0 / (1.0 - u))
-
-        return integrate_unit_cube(with_log, kernel.n, tol, endexp,
-                                   detect_growth=kernel.has_callback(),
-                                   reflected=refl)
+        return _weighted_power_integral(
+            kernel, e, tol, lambda t: np.log(2.0 / (t if t.ndim == 1 else t[:, 0])),
+            lambda u: np.log(2.0 / (1.0 - u)), [(0.0, 0.0)] * kernel.n)
 
     # XIAO
     return kernel_power_integral(kernel, e, tol)

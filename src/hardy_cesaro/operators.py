@@ -69,10 +69,6 @@ class PowerSymbol:
             raise ValueError(f"beta must lie in (0,1), got {self.beta}")
 
     @property
-    def lipschitz_order(self) -> float:
-        return self.beta
-
-    @property
     def lipschitz_constant(self) -> float:
         return abs(self.coefficient)
 
@@ -177,7 +173,7 @@ def _local_exponent_for_curve(profile: RadialProfile, z: float) -> Optional[floa
 
 
 def _operator_integrand(spec: OperatorSpec, profiles, r: float,
-                        symbols: Optional[Sequence[PowerSymbol]]):
+                        symbols: Sequence[PowerSymbol]):
     kernel = spec.kernel
 
     def factors(t, u=None):
@@ -188,7 +184,7 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
             if np.any(s == 0.0):
                 raise ValueError("curve vanished at a quadrature node")
             term = f.evaluate(s * r)
-            if symbols is not None:
+            if symbols:
                 sym = symbols[k]
                 curve = kernel.curves[k]
                 if u is not None and isinstance(curve, PowerCurve):
@@ -219,10 +215,10 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
                 vanishes = True
                 break
             at0 += contrib
-            if symbols is not None and z < 0:
+            if symbols and z < 0:
                 at0 += symbols[k].beta * z
         at1 = pe[j][1]
-        if symbols is not None:
+        if symbols:
             for k in range(spec.m):
                 if kernel.curve_tends_to_one_at_face(k, j):
                     at1 += 1.0
@@ -246,6 +242,53 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
 
 # --------------------------------------------------------------------------
 # operator application
+#
+# The commutator integrand prod_k f_k(s_k r) (b_k(r) - b_k(s_k r)) psi
+# expands into 2^m signed power integrals, one per subset of the symbols;
+# with no symbols the single empty subset is the operator itself.
+
+
+def _expansion(fast: dict, symbols, r: float, integral) -> IntegralResult:
+    """Power-shaped value at radius r: the signed sum over subsets S of the
+    symbols of integral(c + sum_k a_k b_k + sum_{k in S} beta_k b_k).
+
+    A term that is not converged makes the sum not converged; a divergent
+    term is returned as it is.
+    """
+    coeff = math.prod(fast["coeffs"]) * math.prod(s.coefficient for s in symbols)
+    if coeff == 0.0:
+        return IntegralResult(0.0, 0.0, IntegralStatus.CONVERGED, 0)
+    a_sum = fsum(fast["exps"]) + fsum(s.beta for s in symbols)
+    A = fast["c"] + fsum(a * b for a, b in zip(fast["exps"], fast["bs"]))
+    value = 0.0
+    err = 0.0
+    evals = 0
+    status = IntegralStatus.CONVERGED
+    for subset in itertools.product((0, 1), repeat=len(symbols)):
+        shift = fsum(sym.beta * b for sym, b, bit in zip(symbols, fast["bs"], subset) if bit)
+        term = integral(A + shift)
+        if term.status is IntegralStatus.DIVERGENT:
+            return term
+        if term.status is not IntegralStatus.CONVERGED:
+            status = term.status
+        value += (-1.0 if sum(subset) % 2 else 1.0) * term.value
+        err += term.abs_error
+        evals += term.evaluations
+    return _scaled_result(IntegralResult(value, err, status, evals),
+                          fast["scale"] * coeff * r ** a_sum)
+
+
+def _evaluate(spec: OperatorSpec, profiles, symbols, r: float,
+              tol: float) -> IntegralResult:
+    """Pointwise commutator value at |x| = r; ``symbols = ()`` gives U."""
+    fast = _fast_setup(spec, profiles)
+    if fast is None:
+        integrand, reflected, endexp, brks = _operator_integrand(spec, profiles, r, symbols)
+        return integrate_unit_cube(integrand, spec.n, tol, endexp, breakpoints=brks,
+                                   detect_growth=spec.kernel.has_callback(),
+                                   reflected=reflected)
+    t0 = _t_lower(fast, r)
+    return _expansion(fast, symbols, r, lambda a: tail_power_beta(a, fast["e"], t0, tol))
 
 
 def apply_hardy_cesaro(spec: OperatorSpec, profiles: Sequence[RadialProfile],
@@ -255,21 +298,7 @@ def apply_hardy_cesaro(spec: OperatorSpec, profiles: Sequence[RadialProfile],
         raise ValueError(f"expected {spec.m} profiles, got {len(profiles)}")
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
-
-    fast = _fast_setup(spec, profiles)
-    if fast is not None:
-        coeff = math.prod(fast["coeffs"])
-        if coeff == 0.0:
-            return IntegralResult(0.0, 0.0, IntegralStatus.CONVERGED, 0)
-        a_sum = fsum(fast["exps"])
-        A = fast["c"] + fsum(a * b for a, b in zip(fast["exps"], fast["bs"]))
-        base = tail_power_beta(A, fast["e"], _t_lower(fast, r), tol)
-        return _scaled_result(base, fast["scale"] * coeff * r ** a_sum)
-
-    integrand, reflected, endexp, brks = _operator_integrand(spec, profiles, r, None)
-    return integrate_unit_cube(integrand, spec.n, tol, endexp, breakpoints=brks,
-                               detect_growth=spec.kernel.has_callback(),
-                               reflected=reflected)
+    return _evaluate(spec, profiles, (), r, tol)
 
 
 def apply_commutator(spec: OperatorSpec, profiles: Sequence[RadialProfile],
@@ -280,43 +309,7 @@ def apply_commutator(spec: OperatorSpec, profiles: Sequence[RadialProfile],
         raise ValueError(f"expected {spec.m} profiles and symbols")
     if not r > 0:
         raise ValueError(f"radius must be positive, got {r}")
-
-    fast = _fast_setup(spec, profiles)
-    if fast is not None:
-        coeff = math.prod(fast["coeffs"]) * math.prod(s.coefficient for s in symbols)
-        if coeff == 0.0:
-            return IntegralResult(0.0, 0.0, IntegralStatus.CONVERGED, 0)
-        a_sum = fsum(fast["exps"]) + fsum(s.beta for s in symbols)
-        A = fast["c"] + fsum(a * b for a, b in zip(fast["exps"], fast["bs"]))
-        value = 0.0
-        err = 0.0
-        evals = 0
-        t0 = _t_lower(fast, r)
-        for subset in itertools.product((0, 1), repeat=spec.m):
-            shift = fsum(symbols[k].beta * fast["bs"][k]
-                         for k in range(spec.m) if subset[k])
-            term = tail_power_beta(A + shift, fast["e"], t0, tol)
-            if term.status is IntegralStatus.DIVERGENT:
-                return term
-            sign = -1.0 if sum(subset) % 2 else 1.0
-            value += sign * term.value
-            err += term.abs_error
-            evals += term.evaluations
-        return _scaled_result(
-            IntegralResult(value, err, IntegralStatus.CONVERGED, evals),
-            fast["scale"] * coeff * r ** a_sum)
-
-    integrand, reflected, endexp, brks = _operator_integrand(spec, profiles, r, list(symbols))
-    return integrate_unit_cube(integrand, spec.n, tol, endexp, breakpoints=brks,
-                               detect_growth=spec.kernel.has_callback(),
-                               reflected=reflected)
-
-
-def _pure_power_inputs(spec: OperatorSpec, profiles) -> Optional[dict]:
-    fast = _fast_setup(spec, profiles)
-    if fast is None or any(R > 0 for R in fast["radii"]):
-        return None
-    return fast
+    return _evaluate(spec, profiles, symbols, r, tol)
 
 
 def log2_grid(start: float, stop: float, per_octave: int = 8) -> np.ndarray:
@@ -325,6 +318,39 @@ def log2_grid(start: float, stop: float, per_octave: int = 8) -> np.ndarray:
         raise ValueError(f"empty grid range [{start}, {stop}]")
     count = int(round((stop - start) * per_octave)) + 1
     return np.linspace(start, stop, count)
+
+
+def _sample(spec: OperatorSpec, profiles, symbols, grid, point) -> RadialProfile:
+    """|output| as a radial profile; ``point(r)`` is the pointwise value.
+
+    Pure power-law inputs with power-shaped kernels give the exact output
+    PowerLaw; otherwise |point(2**u)| is sampled on the log2-radius grid.
+    Any divergent value rejects the profile.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("grid must be nonempty")
+    what = "commutator" if symbols else "operator"
+
+    fast = _fast_setup(spec, profiles)
+    if fast is not None and not any(R > 0 for R in fast["radii"]):
+        # a homogeneous output: the power law with its value at r = 1
+        res = _expansion(fast, symbols, 1.0, lambda a: beta_closed_form(a, fast["e"]))
+        if res.status is IntegralStatus.DIVERGENT:
+            raise OperatorDivergenceError(
+                f"{what} output is divergent for these power-law inputs")
+        a_sum = fsum(fast["exps"]) + fsum(s.beta for s in symbols)
+        if res.value == 0.0:
+            return ScaledProfile(PowerLaw(a_sum, 1.0), 0.0)
+        return PowerLaw(a_sum, abs(res.value))
+
+    values = []
+    for u in grid:
+        res = point(float(2.0 ** u))
+        if res.status is IntegralStatus.DIVERGENT:
+            raise OperatorDivergenceError(f"{what} output is divergent at log2 radius {u}")
+        values.append(abs(res.value))
+    return SampledProfile(tuple(grid.tolist()), tuple(values))
 
 
 def apply_to_profile(spec: OperatorSpec, profiles: Sequence[RadialProfile],
@@ -336,32 +362,10 @@ def apply_to_profile(spec: OperatorSpec, profiles: Sequence[RadialProfile],
     otherwise the output is sampled on the log2-radius ``grid``.  Any
     pointwise divergent value rejects the profile.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-
-    pure = _pure_power_inputs(spec, profiles)
-    if pure is not None:
-        coeff = math.prod(pure["coeffs"])
-        a_sum = fsum(pure["exps"])
-        A = pure["c"] + fsum(a * b for a, b in zip(pure["exps"], pure["bs"]))
-        base = beta_closed_form(A, pure["e"])
-        if base.status is IntegralStatus.DIVERGENT:
-            raise OperatorDivergenceError(
-                "operator output is divergent for these power-law inputs")
-        total = pure["scale"] * coeff * base.value
-        if total == 0.0:
-            return ScaledProfile(PowerLaw(a_sum, 1.0), 0.0)
-        return PowerLaw(a_sum, total)
-
-    values = []
-    for u in grid:
-        res = apply_hardy_cesaro(spec, profiles, float(2.0 ** u), tol)
-        if res.status is IntegralStatus.DIVERGENT:
-            raise OperatorDivergenceError(
-                f"operator output is divergent at log2 radius {u}")
-        values.append(res.value)
-    return SampledProfile(tuple(grid.tolist()), tuple(values))
+    if len(profiles) != spec.m:
+        raise ValueError(f"expected {spec.m} profiles, got {len(profiles)}")
+    return _sample(spec, profiles, (), grid,
+                   lambda r: apply_hardy_cesaro(spec, profiles, r, tol))
 
 
 def commutator_to_profile(spec: OperatorSpec, profiles: Sequence[RadialProfile],
@@ -373,34 +377,7 @@ def commutator_to_profile(spec: OperatorSpec, profiles: Sequence[RadialProfile],
     magnitudes; the exact power-law path returns the magnitude-coefficient
     PowerLaw.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be nonempty")
-
-    pure = _pure_power_inputs(spec, profiles)
-    if pure is not None:
-        coeff = math.prod(pure["coeffs"]) * math.prod(s.coefficient for s in symbols)
-        a_sum = fsum(pure["exps"]) + fsum(s.beta for s in symbols)
-        A = pure["c"] + fsum(a * b for a, b in zip(pure["exps"], pure["bs"]))
-        total = 0.0
-        for subset in itertools.product((0, 1), repeat=spec.m):
-            shift = fsum(symbols[k].beta * pure["bs"][k]
-                         for k in range(spec.m) if subset[k])
-            term = beta_closed_form(A + shift, pure["e"])
-            if term.status is IntegralStatus.DIVERGENT:
-                raise OperatorDivergenceError(
-                    "commutator output is divergent for these power-law inputs")
-            total += (-1.0 if sum(subset) % 2 else 1.0) * term.value
-        total *= pure["scale"] * coeff
-        if total == 0.0:
-            return ScaledProfile(PowerLaw(a_sum, 1.0), 0.0)
-        return PowerLaw(a_sum, abs(total))
-
-    values = []
-    for u in grid:
-        res = apply_commutator(spec, profiles, symbols, float(2.0 ** u), tol)
-        if res.status is IntegralStatus.DIVERGENT:
-            raise OperatorDivergenceError(
-                f"commutator output is divergent at log2 radius {u}")
-        values.append(abs(res.value))
-    return SampledProfile(tuple(grid.tolist()), tuple(values))
+    if len(profiles) != spec.m or len(symbols) != spec.m:
+        raise ValueError(f"expected {spec.m} profiles and symbols")
+    return _sample(spec, profiles, symbols, grid,
+                   lambda r: apply_commutator(spec, profiles, symbols, r, tol))

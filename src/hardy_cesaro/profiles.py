@@ -234,11 +234,6 @@ class ScaledProfile(RadialProfile):
         return self.base.log2_breakpoints()
 
 
-def evaluate(profile: RadialProfile, r):
-    """Pointwise value of ``profile`` at radius r > 0."""
-    return profile.evaluate(r)
-
-
 def extremal_morrey_herz(exponents, i: int) -> PowerLaw:
     """Power-law input attaining the Morrey-Herz sharp constant for factor i.
 

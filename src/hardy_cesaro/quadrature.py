@@ -161,112 +161,111 @@ def _overflow_verdict(values, evaluations, detect_growth) -> IntegralResult:
 
 # --------------------------------------------------------------------------
 # integration
+#
+# Each case supplies a per-level mesh builder, level(depth) ->
+# (npts, miss, value): the level's point count (checked against the budget
+# before anything is evaluated), the unresolved endpoint mass of its
+# innermost cells, and a thunk that evaluates the level sum.
 
 
-def _integrate_line(integrand, reflected, tol, exps, anchors, detect_growth,
-                    budget) -> IntegralResult:
+def _line_mesh(integrand, reflected, exps, anchors):
+    """n = 1: the halves [0, 1/2] in t and, mirrored, [0, 1/2] in u = 1 - t.
+
+    The right half goes through ``reflected`` when given (exact grading
+    toward t = 1); otherwise through ``integrand`` at 1 - u, kept below 1.
+    """
     at0, at1 = exps
     left_anchors = [a for a in anchors if 0.0 < a < 0.5]
     right_anchors = [1.0 - a for a in anchors if 0.5 < a < 1.0]
 
-    depth = 8
-    values: list = []
-    evaluations = 0
-    miss = math.inf
-    err = math.inf
-    while True:
+    graded_right = reflected is not None
+    if reflected is None:
+        def reflected(u):
+            return integrand(np.minimum(1.0 - u, 1.0 - 2.0 * _EPS))
+
+    def level(depth):
         maxw = 4.0 / depth
         lb = _compose_axis(left_anchors, depth, maxw, 0.0, 0.5, deep_lo=True)
-        rb = _compose_axis(right_anchors, depth, maxw, 0.0, 0.5,
-                           deep_lo=reflected is not None)
+        rb = _compose_axis(right_anchors, depth, maxw, 0.0, 0.5, deep_lo=graded_right)
         xl, wl = _axis_nodes(lb)
         xu, wu = _axis_nodes(rb)
-        npts = xl.size + xu.size
+        miss = max(_unresolved_mass(float(lb[1] - lb[0]), at0),
+                   _unresolved_mass(float(rb[1] - rb[0]), at1))
+
+        def value():
+            return (float(np.dot(wl, np.asarray(integrand(xl), dtype=float)))
+                    + float(np.dot(wu, np.asarray(reflected(xu), dtype=float))))
+
+        return xl.size + xu.size, miss, value
+
+    return level
+
+
+def _cube_mesh(integrand, exps, brks):
+    """n >= 2: tensor product of per-axis meshes graded toward t_j = 0."""
+    def level(depth):
+        maxw = 4.0 / depth
+        breaks = [_compose_axis(b, depth, maxw, 0.0, 1.0, deep_lo=True) for b in brks]
+        axes = [_axis_nodes(b) for b in breaks]
+        miss = max(max(_unresolved_mass(float(b[1] - b[0]), at0),
+                       _unresolved_mass(float(b[-1] - b[-2]), at1))
+                   for b, (at0, at1) in zip(breaks, exps))
+
+        def value():
+            grids = np.meshgrid(*[np.minimum(x, 1.0 - 2.0 * _EPS) for x, _ in axes],
+                                indexing="ij")
+            pts = np.stack([g.ravel() for g in grids], axis=-1)
+            w = axes[0][1]
+            for _, wj in axes[1:]:
+                w = np.multiply.outer(w, wj)
+            return float(np.dot(w.ravel(), np.asarray(integrand(pts), dtype=float)))
+
+        return math.prod(x.size for x, _ in axes), miss, value
+
+    return level
+
+
+def _refine(level, depth, tol, detect_growth, budget) -> IntegralResult:
+    """Double the grading depth until two successive level differences and
+    the unresolved endpoint mass are all within tolerance.
+
+    ``abs_error`` is the largest of the last two level differences and the
+    unresolved mass (times max(1, |value|)).
+    """
+    values: list = []
+    diffs: list = []
+    evaluations = 0
+    miss = math.inf
+    while True:
+        npts, level_miss, level_value = level(depth)
         if evaluations + npts > budget:
             break
-        v_left = float(np.dot(wl, np.asarray(integrand(xl), dtype=float)))
-        if reflected is not None:
-            v_right = float(np.dot(wu, np.asarray(reflected(xu), dtype=float)))
-        else:
-            tr = np.minimum(1.0 - xu, 1.0 - 2.0 * _EPS)
-            v_right = float(np.dot(wu, np.asarray(integrand(tr), dtype=float)))
-        v = v_left + v_right
+        v = level_value()
         evaluations += npts
         values.append(v)
         if not math.isfinite(v):
             return _overflow_verdict(values, evaluations, detect_growth)
-        miss = max(_unresolved_mass(float(lb[1] - lb[0]), at0),
-                   _unresolved_mass(float(rb[1] - rb[0]), at1))
+        miss = level_miss
         if len(values) >= 2:
-            err = abs(values[-1] - values[-2])
+            diffs.append(abs(values[-1] - values[-2]))
             scale = max(1.0, abs(v))
             # two consecutive small diffs guard against meshes that share
             # unresolved interior structure
-            settled = (len(values) >= 3
-                       and abs(values[-2] - values[-3]) <= tol * scale)
-            if err <= tol * scale and settled and miss <= tol:
-                return IntegralResult(v, max(err, miss * scale),
+            settled = len(diffs) >= 2 and diffs[-2] <= tol * scale
+            if diffs[-1] <= tol * scale and settled and miss <= tol:
+                return IntegralResult(v, max(*diffs[-2:], miss * scale),
                                       IntegralStatus.CONVERGED, evaluations)
             if detect_growth and len(values) >= _GROWTH_STEPS + 1 and _looks_divergent(values):
-                return IntegralResult(math.inf, math.inf, IntegralStatus.DIVERGENT,
-                                      evaluations)
+                return _divergent(evaluations)
         if depth >= 4 * _MAX_ZERO_DEPTH:
             break  # grading saturated: no further refinement can help
         depth *= 2
 
-    value = values[-1] if values else math.nan
-    scale = max(1.0, abs(value)) if values else 1.0
-    abs_error = max(err, miss * scale) if values else math.inf
-    return IntegralResult(value, abs_error, IntegralStatus.INCONCLUSIVE, evaluations)
-
-
-def _integrate_cube(integrand, n, tol, exps, brks, detect_growth, budget) -> IntegralResult:
-    depth = 4
-    values: list = []
-    evaluations = 0
-    miss = math.inf
-    err = math.inf
-    while True:
-        maxw = 4.0 / depth
-        breaks = [_compose_axis(brks[j], depth, maxw, 0.0, 1.0, deep_lo=True)
-                  for j in range(n)]
-        axes = [_axis_nodes(b) for b in breaks]
-        npts = math.prod(a[0].size for a in axes)
-        if evaluations + npts > budget:
-            break
-        grids = np.meshgrid(*[np.minimum(a[0], 1.0 - 2.0 * _EPS) for a in axes],
-                            indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        w = axes[0][1]
-        for a in axes[1:]:
-            w = np.multiply.outer(w, a[1])
-        v = float(np.dot(w.ravel(), np.asarray(integrand(pts), dtype=float)))
-        evaluations += npts
-        values.append(v)
-        if not math.isfinite(v):
-            return _overflow_verdict(values, evaluations, detect_growth)
-        miss = max(max(_unresolved_mass(float(b[1] - b[0]), exps[j][0]),
-                       _unresolved_mass(float(b[-1] - b[-2]), exps[j][1]))
-                   for j, b in enumerate(breaks))
-        if len(values) >= 2:
-            err = abs(values[-1] - values[-2])
-            scale = max(1.0, abs(v))
-            settled = (len(values) >= 3
-                       and abs(values[-2] - values[-3]) <= tol * scale)
-            if err <= tol * scale and settled and miss <= tol:
-                return IntegralResult(v, max(err, miss * scale),
-                                      IntegralStatus.CONVERGED, evaluations)
-            if detect_growth and len(values) >= _GROWTH_STEPS + 1 and _looks_divergent(values):
-                return IntegralResult(math.inf, math.inf, IntegralStatus.DIVERGENT,
-                                      evaluations)
-        if depth >= 4 * _MAX_ZERO_DEPTH:
-            break
-        depth *= 2
-
-    value = values[-1] if values else math.nan
-    scale = max(1.0, abs(value)) if values else 1.0
-    abs_error = max(err, miss * scale) if values else math.inf
-    return IntegralResult(value, abs_error, IntegralStatus.INCONCLUSIVE, evaluations)
+    if not values:
+        return IntegralResult(math.nan, math.inf, IntegralStatus.INCONCLUSIVE, evaluations)
+    scale = max(1.0, abs(values[-1]))
+    abs_error = max(max(diffs[-2:], default=math.inf), miss * scale)
+    return IntegralResult(values[-1], abs_error, IntegralStatus.INCONCLUSIVE, evaluations)
 
 
 def integrate_unit_cube(integrand: Callable, n: int, tol: float,
@@ -320,30 +319,11 @@ def integrate_unit_cube(integrand: Callable, n: int, tol: float,
             raise ValueError(f"expected {n} breakpoint sequences, got {len(brks)}")
 
     if n == 1:
-        return _integrate_line(integrand, reflected, tol, exps[0], brks[0],
-                               detect_growth, budget)
+        return _refine(_line_mesh(integrand, reflected, exps[0], brks[0]), 8, tol,
+                       detect_growth, budget)
     if reflected is not None:
         raise ValueError("reflected evaluators are only supported for n == 1")
-    return _integrate_cube(integrand, n, tol, exps, brks, detect_growth, budget)
-
-
-def integrate_interval(integrand: Callable, lo: float, hi: float, tol: float,
-                       *, budget: int = DEFAULT_BUDGET) -> IntegralResult:
-    """1-d integral over [lo, hi], graded toward both endpoints.
-
-    The integrand must be vectorized and integrable on the open interval;
-    structural divergence checks are the caller's responsibility.
-    """
-    if not hi > lo:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
-    span = hi - lo
-
-    def mapped(t):
-        return integrand(lo + span * t)
-
-    res = integrate_unit_cube(mapped, 1, tol, [(0.0, 0.0)], budget=budget)
-    return IntegralResult(res.value * span, res.abs_error * span, res.status,
-                          res.evaluations)
+    return _refine(_cube_mesh(integrand, exps, brks), 4, tol, detect_growth, budget)
 
 
 def beta_closed_form(a: float, e: float) -> IntegralResult:

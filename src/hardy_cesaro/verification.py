@@ -363,10 +363,18 @@ def verify_commutator(exponents: ExponentSet, kernel: KernelSpec,
 # randomized families for the property suites (seeded, rejection-sampled so
 # that every norm in play is comfortably classifiable inside the window)
 
+# Attempts per draw before a family gives up.  For m = 1 and 2 the families
+# need at most a few dozen; for larger m their ranges may admit no case at
+# all (sample_upper_case with m >= 3 always has aggregate q < 1).
+_MAX_ATTEMPTS = 1000
+
 
 def sample_upper_case(rng: np.random.Generator, m: int, low_p: bool = False):
-    """Random (exponents, kernel, profiles, weights) for the T31 upper suite."""
-    while True:
+    """Random (exponents, kernel, profiles, weights) for the T31 upper suite.
+
+    Raises ValueError when no admissible case turns up for this m.
+    """
+    for _ in range(_MAX_ATTEMPTS):
         d = int(rng.integers(1, 3))
         q_i = rng.uniform(1.0, 2.5, m)
         if low_p:
@@ -403,11 +411,16 @@ def sample_upper_case(rng: np.random.Generator, m: int, low_p: bool = False):
         weights = [HomogeneousWeight.power(float(g), float(rng.uniform(0.5, 2.0)), d)
                    for g in gamma_i]
         return exponents, kernel, profiles, weights
+    raise ValueError(f"no admissible T31 upper case for m = {m} "
+                     f"in {_MAX_ATTEMPTS} attempts")
 
 
 def sample_commutator_case(rng: np.random.Generator, m: int):
-    """Random (exponents, kernel, symbols, profiles, weights) for the T41 suite."""
-    while True:
+    """Random (exponents, kernel, symbols, profiles, weights) for the T41 suite.
+
+    Raises ValueError when no admissible case turns up for this m.
+    """
+    for _ in range(_MAX_ATTEMPTS):
         d = int(rng.integers(1, 3))
         q_i = rng.uniform(1.5, 3.0, m) if m == 1 else rng.uniform(3.0, 5.0, m)
         r_i = np.where(rng.random(m) < 0.5, np.inf, rng.uniform(4.0, 9.0, m))
@@ -444,3 +457,5 @@ def sample_commutator_case(rng: np.random.Generator, m: int):
         weights = [HomogeneousWeight.power(float(g), float(rng.uniform(0.5, 2.0)), d)
                    for g in gamma_i]
         return exponents, kernel, symbols, profiles, weights
+    raise ValueError(f"no admissible T41 commutator case for m = {m} "
+                     f"in {_MAX_ATTEMPTS} attempts")

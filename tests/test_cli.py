@@ -1,14 +1,24 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import hardy_cesaro
 from hardy_cesaro.cli import main
 
 KERNEL = {"n": 1, "psi": {"kind": "power_beta", "c": 0, "e": 0},
           "curves": [{"kind": "power", "b": 1}]}
 XIAO_EXP = {"m": 1, "n": 1, "d": 1, "alpha_i": [0], "p_i": [2], "q_i": [2],
             "lambda_i": [0], "gamma_i": [0]}
+
+
+def child_env():
+    """Environment in which a child interpreter imports this package."""
+    src = str(Path(hardy_cesaro.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -206,6 +216,50 @@ def test_console_entry_point(tmp_path):
            "kernel": KERNEL, "output": str(out)}
     path = write_config(tmp_path, cfg)
     proc = subprocess.run([sys.executable, "-m", "hardy_cesaro.cli",
-                           "--config", str(path)], capture_output=True, text=True)
+                           "--config", str(path)], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_verify_family_without_admissible_case_exit_2(tmp_path):
+    # the T31 family draws q_i <= 2.5, so for m = 3 the aggregate q is
+    # always below 1 and no case is admissible: a config error, not a hang
+    exps = {"m": 3, "n": 1, "d": 1, "alpha_i": [0, 0, 0], "p_i": [6, 6, 6],
+            "q_i": [6, 6, 6], "lambda_i": [0, 0, 0], "gamma_i": [0, 0, 0]}
+    cfg = {"job": "verify", "theorem": "T31_upper", "cases": 2, "exponents": exps,
+           "kernel": KERNEL, "weights": [{"degree": 0}],
+           "output": str(tmp_path / "fam.csv")}
+    path = write_config(tmp_path, cfg)
+    proc = subprocess.run([sys.executable, "-m", "hardy_cesaro.cli", "--config", str(path)],
+                          capture_output=True, text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 2
+    assert "no admissible" in proc.stderr
+
+
+MIN_POWER_A1 = {
+    "job": "constant", "kind": "A1",
+    "exponents": {"m": 1, "n": 2, "d": 1, "alpha_i": [0.1], "p_i": [2], "q_i": [2],
+                  "lambda_i": [0.39], "gamma_i": [0]},
+    "kernel": {"n": 2, "psi": {"kind": "product_power_beta",
+                               "factors": [[0.15, 0.33], [-0.22, -0.17]]},
+               "curves": [{"kind": "min_power", "beta": 1.24}]},
+}
+
+
+def test_constant_job_uses_configured_tol(tmp_path):
+    out = tmp_path / "a1.csv"
+    cfg = dict(MIN_POWER_A1, controls={"tol": 1e-4}, output=str(out))
+    assert main(["--config", str(write_config(tmp_path, cfg))]) == 0
+    fields = out.read_text().splitlines()[1].split(",")
+    assert fields[3] == "converged"
+    assert math.isclose(float(fields[2]), 1.5621908, rel_tol=1e-4)
+
+
+def test_tol_outside_integrator_range_exit_2(tmp_path):
+    for job in (MIN_POWER_A1,
+                {"job": "operator-eval", "kernel": KERNEL,
+                 "profiles": [{"kind": "power", "a": -0.5}]}):
+        for tol in (0.1, 1e-15):
+            cfg = dict(job, controls={"tol": tol}, output=str(tmp_path / "x.csv"))
+            assert main(["--config", str(write_config(tmp_path, cfg))]) == 2

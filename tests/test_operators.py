@@ -32,6 +32,8 @@ def test_apply_rejects_bad_inputs():
         apply_hardy_cesaro(spec, [PowerLaw(0.0)], -1.0)
     with pytest.raises(ValueError):
         apply_hardy_cesaro(spec, [PowerLaw(0.0), PowerLaw(0.0)], 1.0)
+    with pytest.raises(ValueError):
+        commutator_to_profile(spec, [PowerLaw(0.0)], [], log2_grid(-2, 2))
 
 
 def test_operator_spec_consistency():
@@ -146,6 +148,18 @@ def test_commutator_distributivity():
         rhs = r ** beta * (apply_hardy_cesaro(spec, [f], r).value
                            - apply_hardy_cesaro(spec_shift, [f], r).value)
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def test_commutator_status_follows_its_terms():
+    # the a <= -1 tail fallback cannot resolve psi ~ (1-t)^-0.97 here: every
+    # subset term is NaN and inconclusive, and so must be their sum
+    spec = OperatorSpec(1, 1, KernelSpec(1, PowerBeta(0.0, -0.97), (PowerCurve(1.0),)))
+    f = [TruncatedPowerLaw(-1.5, 1.0, 1.0)]
+    with np.errstate(all="ignore"):
+        plain = apply_hardy_cesaro(spec, f, 2.0)
+        comm = apply_commutator(spec, f, [PowerSymbol(0.5, 1.0)], 2.0)
+    assert plain.status is IntegralStatus.INCONCLUSIVE
+    assert comm.status is IntegralStatus.INCONCLUSIVE
 
 
 def test_commutator_profile_closed_case():

@@ -3,21 +3,21 @@ import pytest
 
 from hardy_cesaro.parameters import ExponentSet
 from hardy_cesaro.profiles import (PowerLaw, SampledProfile, ScaledProfile,
-                                   SumProfile, TruncatedPowerLaw, evaluate,
+                                   SumProfile, TruncatedPowerLaw,
                                    extremal_herz, extremal_morrey_herz)
 
 
 def test_eval_examples():
-    assert evaluate(PowerLaw(0.0, 1.0), 7.3) == 1.0
-    assert evaluate(PowerLaw(-0.5, 2.0), 4.0) == pytest.approx(1.0, rel=1e-15)
-    assert evaluate(TruncatedPowerLaw(-2.0, 1.0, 1.0), 0.5) == 0.0
+    assert PowerLaw(0.0, 1.0).evaluate(7.3) == 1.0
+    assert PowerLaw(-0.5, 2.0).evaluate(4.0) == pytest.approx(1.0, rel=1e-15)
+    assert TruncatedPowerLaw(-2.0, 1.0, 1.0).evaluate(0.5) == 0.0
 
 
 def test_eval_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
-        evaluate(PowerLaw(1.0), 0.0)
+        PowerLaw(1.0).evaluate(0.0)
     with pytest.raises(ValueError):
-        evaluate(PowerLaw(1.0), np.array([1.0, -2.0]))
+        PowerLaw(1.0).evaluate(np.array([1.0, -2.0]))
 
 
 def test_power_law_dyadic_ratio_exact():

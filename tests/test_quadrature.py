@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -129,6 +130,32 @@ def test_min_power_two_dimensional():
     res = kernel_power_integral(k, [1.0], tol=1e-4)
     assert res.status is IntegralStatus.CONVERGED
     assert res.value == pytest.approx(1.0 / 3.0, rel=1e-4)
+
+
+def _min_kernel_reference(c1, e1, c2, e2, power):
+    """int over [0,1]^2 of min(t1, t2)**power t1^c1 (1-t1)^e1 t2^c2 (1-t2)^e2.
+
+    By the symmetry of min this is int_0^1 m^power [phi_1 Phi_2 + phi_2 Phi_1] dm
+    with phi_j(m) = m^c_j (1-m)^e_j and Phi_j(m) = int_m^1 phi_j.
+    """
+    with mpmath.workdps(20):
+        def f(m):
+            tail1 = mpmath.betainc(c1 + 1, e1 + 1, m, 1)
+            tail2 = mpmath.betainc(c2 + 1, e2 + 1, m, 1)
+            return m ** power * (m ** c1 * (1 - m) ** e1 * tail2
+                                 + m ** c2 * (1 - m) ** e2 * tail1)
+        return mpmath.quad(f, [0, 0.5, 1])
+
+
+def test_abs_error_covers_third_level_min_power_constant():
+    # converges on the third refinement level, where the last level
+    # difference alone is below the true error
+    (c1, e1), (c2, e2) = factors = ((0.15, 0.33), (-0.22, -0.17))
+    k = KernelSpec(2, ProductPowerBeta(factors), (MinPower(1.24),))
+    res = kernel_power_integral(k, [-0.21], tol=1e-4)
+    assert res.status is IntegralStatus.CONVERGED
+    exact = _min_kernel_reference(c1, e1, c2, e2, 1.24 * -0.21)
+    assert abs(res.value - exact) <= res.abs_error
 
 
 def test_callback_psi_self_test():
