@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .numerics import LN2, one_minus_pow2_over, pow2m1
-from .profiles import (PowerLaw, RadialProfile, ScaledProfile,
+from .profiles import (PowerLaw, RadialProfile, SampledProfile, ScaledProfile,
                        TruncatedPowerLaw)
 from .weights import HomogeneousWeight
 
@@ -84,6 +84,8 @@ def _closed_shell_integral(profile: RadialProfile, q: float, gamma: float,
         E = profile.exponent * q + gamma + d - 1.0
         lo_override = None if lo == 2.0 ** (k - 1) else lo
         return profile.coefficient ** q * _power_segment_integral(E, k, lo_override)
+    if isinstance(profile, SampledProfile):
+        return profile.power_integral(q, gamma + d, k - 1.0, float(k))
     if isinstance(profile, ScaledProfile):
         inner = _closed_shell_integral(profile.base, q, gamma, d, k)
         if inner is None:
@@ -129,8 +131,9 @@ def shell_norm(profile: RadialProfile, weight: HomogeneousWeight, q: float,
                k: int, d: int = 1) -> float:
     """||f chi_k||_{q,w} on the shell 2^(k-1) < |x| <= 2^k.
 
-    Closed-form for (scaled) power laws and truncated power laws; sampled
-    and composite profiles are integrated per smooth piece in log-radius.
+    Closed-form for (scaled) power laws, truncated power laws and sampled
+    profiles (``SampledProfile.power_integral``); sum profiles are
+    integrated numerically per smooth piece in log-radius.
     """
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")

@@ -11,10 +11,15 @@ c_k r**beta_k (1 - |s_k(t)|**beta_k).
 
 Power-shaped instances are evaluated in closed form: pure power-law
 inputs with PowerBeta/PowerCurve kernels produce exact power-law outputs
-(Beta-function coefficients), and truncated power laws reduce to
-incomplete-Beta tail integrals.  Everything else goes through the graded
-cube integrator with endpoint orders and support breakpoints derived from
-the profiles and the kernel.
+(Beta-function coefficients), and truncated power laws reduce to tail
+integrals int_{t0}^1 t^a (1-t)^e dt, given by the incomplete Beta
+function for a > -1 and by hypergeometric series for a <= -1
+(``tail_power_beta``, with graded quadrature beyond the series' range);
+a whole log2-radius grid is one array pass per term.  Inputs with no
+closed form (sampled or sum profiles, callback kernels, n >= 2) go
+through the graded cube integrator, radius by radius, with endpoint
+orders and support breakpoints derived from the profiles and the
+kernel.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from scipy.special import betainc
 
+from .numerics import LN2
 from .profiles import (PowerLaw, RadialProfile, SampledProfile, ScaledProfile,
                        TruncatedPowerLaw)
 from .quadrature import (IntegralResult, IntegralStatus, KernelSpec, PowerBeta,
@@ -112,34 +118,171 @@ def _fast_setup(spec: OperatorSpec, profiles: Sequence[RadialProfile]):
     }
 
 
-def _t_lower(fast: dict, r: float) -> float:
-    t0 = 0.0
+def _t_lower(fast: dict, r):
+    """Lower integration limit at radius r (a scalar or an array of radii)."""
+    t0 = np.zeros(np.shape(r))
     for b, R in zip(fast["bs"], fast["radii"]):
         if R > 0.0:
-            t0 = max(t0, (R / r) ** (1.0 / b))
+            t0 = np.maximum(t0, (R / r) ** (1.0 / b))
     return t0
 
 
-def tail_power_beta(a: float, e: float, t0: float, tol: float = 1e-10) -> IntegralResult:
+# Terms of a series in _binomial_series beyond which tail_power_beta
+# integrates numerically instead; 2000 terms serve e up to about 150 and
+# a down to about -560.
+_MAX_TERMS = 2000
+# Largest error bound, relative to the value, accepted from the series.
+_SERIES_RTOL = 1e-10
+_LOG2_EPS = math.log2(_EPS)
+
+
+def _split(e: float) -> float:
+    """Split point h of the a <= -1 tail: on [t0, h] the binomial series of
+    (1-t)**e cancels by at most ((1+h)/(1-h))**e <= 2**8; h = 1/2 for
+    e <= 5."""
+    return 0.5 if e <= 0.0 else min(0.5, math.tanh(4.0 * LN2 / e))
+
+
+def _term_count(p: float, q: float, hi: float) -> Optional[int]:
+    """Terms K after which the series of _binomial_series has a remainder
+    below eps/4 of its value for every upper limit up to hi < 1, with
+    p + K + 1 > 0.
+
+    Consecutive terms shrink at least by r_k = hi |k - q| / (k + 1), and
+    the value is at least (1 - hi)**max(q, 0) times the first term; the
+    bound is kept in log2.  None when more than _MAX_TERMS terms would be
+    needed.
+    """
+    log_bound = -max(q, 0.0) * math.log2(1.0 - hi)    # log2 of |term k| / value, at most
+    for k in range(_MAX_TERMS):
+        # from k >= q on, rho bounds every later r_j
+        rho = hi * max(1.0, abs(k - q) / (k + 1.0))
+        if k >= q and rho < 1.0 and log_bound + math.log2(rho / (1.0 - rho)) <= _LOG2_EPS - 2.0:
+            count = max(k + 1, math.floor(-p))
+            return count if count <= _MAX_TERMS else None
+        step = hi * abs(k - q) / (k + 1.0)
+        log_bound += math.log2(step) if step > 0.0 else -math.inf
+    return None
+
+
+def _binomial_series(p: float, q: float, lo, hi, count: int):
+    """int_lo^hi t**p (1-t)**q dt for 0 <= lo <= hi < 1, with an error bound.
+
+    The binomial series of (1-t)**q integrated term by term,
+
+        sum_k (-q)_k / k! * int_lo^hi t**(p+k) dt,
+
+    which is the Gauss series of 2F1(-q, p+1; p+2; .) (DLMF 15.2.1)
+    between the two limits.  A power p + k = -1 contributes log(hi/lo),
+    so integer p needs no special case.  ``lo`` and ``hi`` broadcast;
+    every element sums the same ``count`` terms, so its value does not
+    depend on the array it arrives in.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    span = np.where(hi > lo, np.log1p((hi - lo) / lo), 0.0)   # log(hi/lo); inf at lo = 0
+    finite_span = np.where(np.isfinite(span), span, 0.0)
+    pow_lo, pow_hi = lo ** (p + 1.0), hi ** (p + 1.0)
+    # per-term relative error, in eps: 3 roundings per step of the
+    # coefficient recursion and 1 of the power recursion, 10 for the term
+    # itself, and the rounding of s = p + k + 1 magnified by the logarithms
+    # it multiplies
+    magnify_lo = np.abs(np.log(lo)) + finite_span
+    magnify_hi = np.abs(np.log(hi)) + finite_span
+    value = mass = err = 0.0
+    coef = 1.0
+    for k in range(count):
+        s = p + k + 1.0
+        if s > 0.0:
+            term = coef * pow_hi * (-np.expm1(-s * span) / s)
+            magnify = magnify_hi
+        elif s < 0.0:
+            term = coef * pow_lo * (-np.expm1(s * span) / -s)
+            magnify = magnify_lo
+        else:
+            term = coef * span
+            magnify = magnify_lo
+        size = np.abs(term)
+        value = value + term
+        mass = mass + size
+        err = err + size * (4.0 * k + 10.0 + abs(s) * magnify)
+        pow_lo, pow_hi = pow_lo * lo, pow_hi * hi
+        coef *= (k - q) / (k + 1.0)
+    # the terms left out, from the first one on, shrink geometrically by at
+    # most rho (count >= q, and s > 0 from count >= -p - 1 on)
+    rho = hi * max(1.0, (count - q) / (count + 1.0))
+    s = p + count + 1.0
+    rest = np.abs(coef) * pow_hi * (-np.expm1(-s * span) / s) / (1.0 - rho)
+    return value, _EPS * (err + count * mass) + rest
+
+
+def _unwrap(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def tail_power_beta(a: float, e: float, t0) -> IntegralResult:
     """int_{t0}^{1} t**a (1-t)**e dt for t0 in [0, 1].
 
-    t0 = 0 is the complete Beta function; t0 > 0 with a > -1 uses the
-    regularized incomplete Beta; a <= -1 with t0 > 0 substitutes u = 1 - t
-    (the singularity then sits at u = 0, fully resolvable by grading).
+    ``t0`` may be an array; value and abs_error then are arrays of its
+    shape, and each element equals the scalar call on it bit for bit.
+
+    - t0 = 0 is the complete Beta function; t0 > 0 with a > -1 uses the
+      regularized incomplete Beta.
+    - a <= -1 with t0 > 0 (DLMF 8.17.7 and 15.8), with h = ``_split(e)``:
+      for t0 > h the integral is
+      x**(e+1)/(e+1) * 2F1(-a, e+1; e+2; x) with x = 1 - t0 (exact in
+      floating point); for t0 <= h it is that value at x = 1 - h plus
+      int_{t0}^{h}, the difference of
+      t**(a+1)/(a+1) * 2F1(a+1, -e; a+2; t) between the limits, which
+      stays finite where a is an integer (a = -1 is the log case).
+      Both are summed term by term in ``_binomial_series``; abs_error
+      bounds the rounding and the truncation of those sums.
+    - Where the series would need more than _MAX_TERMS terms (e above
+      about 150, a below about -560), or its bound exceeds _SERIES_RTOL of
+      a finite value, that element is integrated numerically instead
+      (``_numeric_tail``), and the result takes the worst status of its
+      elements.
+    - Divergent when e <= -1, or a <= -1 and t0 = 0.
     """
-    if t0 >= 1.0:
-        return IntegralResult(0.0, 0.0, IntegralStatus.CONVERGED, 0)
-    if e <= -1.0:
-        return IntegralResult(math.inf, math.inf, IntegralStatus.DIVERGENT, 0)
-    if t0 <= 0.0:
-        return beta_closed_form(a, e)
+    t = np.clip(np.asarray(t0, dtype=float), 0.0, 1.0)
+    inside = t < 1.0
+    diverges = inside & ((e <= -1.0) | ((a <= -1.0) & (t == 0.0)))
+    if np.any(diverges):
+        return IntegralResult(_unwrap(np.where(diverges, math.inf, 0.0)), math.inf,
+                              IntegralStatus.DIVERGENT, 0)
+    if not np.any(inside):
+        return IntegralResult(_unwrap(np.zeros(t.shape)), 0.0, IntegralStatus.CONVERGED, 0)
     if a > -1.0:
         total = beta_closed_form(a, e)
-        frac = float(betainc(a + 1.0, e + 1.0, t0))
-        value = total.value * (1.0 - frac)
-        return IntegralResult(value, 16.0 * _EPS * total.value,
+        value = total.value * (1.0 - betainc(a + 1.0, e + 1.0, t))
+        return IntegralResult(_unwrap(value), 16.0 * _EPS * total.value,
                               IntegralStatus.CONVERGED, 0)
 
+    h = _split(e)
+    upper_terms, lower_terms = _term_count(e, a, 1.0 - h), _term_count(a, e, h)
+    if upper_terms is None or lower_terms is None:
+        value, err = np.where(inside, math.nan, 0.0), np.where(inside, math.inf, 0.0)
+    else:
+        with np.errstate(all="ignore"):
+            upper, upper_err = _binomial_series(e, a, 0.0, np.where(t < h, 1.0 - h, 1.0 - t),
+                                                upper_terms)
+            lower, lower_err = _binomial_series(a, e, np.minimum(t, h), h, lower_terms)
+            value = np.where(inside, upper + lower, 0.0)
+            err = np.where(inside, upper_err + lower_err + _EPS * np.abs(value), 0.0)
+    with np.errstate(invalid="ignore"):
+        numeric = inside & ~(np.isfinite(value) & (err <= _SERIES_RTOL * np.abs(value)))
+    status, evaluations = IntegralStatus.CONVERGED, 0
+    for i in np.flatnonzero(numeric):
+        res = _numeric_tail(a, e, float(t.flat[i]))
+        value.flat[i], err.flat[i] = res.value, res.abs_error
+        evaluations += res.evaluations
+        if res.status is IntegralStatus.DIVERGENT or status is IntegralStatus.CONVERGED:
+            status = res.status
+    return IntegralResult(_unwrap(value), _unwrap(err), status, evaluations)
+
+
+def _numeric_tail(a: float, e: float, t0: float, tol: float = 1e-10) -> IntegralResult:
+    """int_{t0}^{1} t**a (1-t)**e dt by graded quadrature in u = 1 - t,
+    which puts the singularity of (1-t)**e at u = 0."""
     span = 1.0 - t0
 
     def fun(v):
@@ -248,16 +391,17 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
 # with no symbols the single empty subset is the operator itself.
 
 
-def _expansion(fast: dict, symbols, r: float, integral) -> IntegralResult:
+def _expansion(fast: dict, symbols, r, integral) -> IntegralResult:
     """Power-shaped value at radius r: the signed sum over subsets S of the
     symbols of integral(c + sum_k a_k b_k + sum_{k in S} beta_k b_k).
 
-    A term that is not converged makes the sum not converged; a divergent
-    term is returned as it is.
+    ``r`` may be an array of radii, as long as ``integral`` returns values
+    of its shape.  A term that is not converged makes the sum not
+    converged; a divergent term is returned as it is.
     """
     coeff = math.prod(fast["coeffs"]) * math.prod(s.coefficient for s in symbols)
     if coeff == 0.0:
-        return IntegralResult(0.0, 0.0, IntegralStatus.CONVERGED, 0)
+        return IntegralResult(np.zeros(np.shape(r)), 0.0, IntegralStatus.CONVERGED, 0)
     a_sum = fsum(fast["exps"]) + fsum(s.beta for s in symbols)
     A = fast["c"] + fsum(a * b for a, b in zip(fast["exps"], fast["bs"]))
     value = 0.0
@@ -278,6 +422,12 @@ def _expansion(fast: dict, symbols, r: float, integral) -> IntegralResult:
                           fast["scale"] * coeff * r ** a_sum)
 
 
+def _closed_values(fast: dict, symbols, r) -> IntegralResult:
+    """Power-shaped values at the radii r (an array), one array pass per term."""
+    t0 = _t_lower(fast, r)
+    return _expansion(fast, symbols, r, lambda a: tail_power_beta(a, fast["e"], t0))
+
+
 def _evaluate(spec: OperatorSpec, profiles, symbols, r: float,
               tol: float) -> IntegralResult:
     """Pointwise commutator value at |x| = r; ``symbols = ()`` gives U."""
@@ -287,8 +437,10 @@ def _evaluate(spec: OperatorSpec, profiles, symbols, r: float,
         return integrate_unit_cube(integrand, spec.n, tol, endexp, breakpoints=brks,
                                    detect_growth=spec.kernel.has_callback(),
                                    reflected=reflected)
-    t0 = _t_lower(fast, r)
-    return _expansion(fast, symbols, r, lambda a: tail_power_beta(a, fast["e"], t0, tol))
+    # the grid sampler's arithmetic on a single radius, so both agree bit for bit
+    res = _closed_values(fast, symbols, np.asarray(float(r)))
+    return IntegralResult(_unwrap(res.value), _unwrap(res.abs_error), res.status,
+                          res.evaluations)
 
 
 def apply_hardy_cesaro(spec: OperatorSpec, profiles: Sequence[RadialProfile],
@@ -324,8 +476,9 @@ def _sample(spec: OperatorSpec, profiles, symbols, grid, point) -> RadialProfile
     """|output| as a radial profile; ``point(r)`` is the pointwise value.
 
     Pure power-law inputs with power-shaped kernels give the exact output
-    PowerLaw; otherwise |point(2**u)| is sampled on the log2-radius grid.
-    Any divergent value rejects the profile.
+    PowerLaw; other power-shaped inputs are evaluated on the whole
+    log2-radius grid at once; otherwise |point(2**u)| is sampled radius
+    by radius.  Any divergent value rejects the profile.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -344,12 +497,20 @@ def _sample(spec: OperatorSpec, profiles, symbols, grid, point) -> RadialProfile
             return ScaledProfile(PowerLaw(a_sum, 1.0), 0.0)
         return PowerLaw(a_sum, abs(res.value))
 
-    values = []
-    for u in grid:
-        res = point(float(2.0 ** u))
+    if fast is not None:
+        res = _closed_values(fast, symbols, np.exp2(grid))
         if res.status is IntegralStatus.DIVERGENT:
-            raise OperatorDivergenceError(f"{what} output is divergent at log2 radius {u}")
-        values.append(abs(res.value))
+            at = grid[np.argmax(~np.isfinite(res.value))]
+            raise OperatorDivergenceError(f"{what} output is divergent at log2 radius {at}")
+        values = np.abs(res.value).tolist()
+    else:
+        values = []
+        for u in grid:
+            res = point(float(2.0 ** u))
+            if res.status is IntegralStatus.DIVERGENT:
+                raise OperatorDivergenceError(
+                    f"{what} output is divergent at log2 radius {u}")
+            values.append(abs(res.value))
     return SampledProfile(tuple(grid.tolist()), tuple(values))
 
 

@@ -14,10 +14,14 @@ strictly positive.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.special import gamma, gammaincc, hyp1f1
+
+from .numerics import LN2
 
 
 def _check_radii(r):
@@ -174,6 +178,80 @@ class SampledProfile(RadialProfile):
 
     def log2_breakpoints(self):
         return self.log2_radii
+
+    def power_integral(self, q: float, s: float, lo: float, hi: float) -> float:
+        """int_{2**lo}^{2**hi} f(r)**q r**(s-1) dr in closed form, q > 0.
+
+        In u = log2 r the integrand is f(2**u)**q 2**(s u) ln 2, taken
+        segment by segment of the interpolant (beyond the grid, of its
+        extension).  Where both nodes are positive it is an exponential in
+        u; where one node is zero f is linear in the distance y from that
+        node, and the piece is a multiple of int y**q e**(kappa y) dy
+        (``_ramp``); where both are zero it vanishes.  Values beyond the
+        float range come back as inf or 0.
+        """
+        u, v, w = self.log2_radii, self.values, self._w
+        last = len(u) - 2
+        pieces = []
+        a = lo
+        while a < hi:
+            j = min(max(bisect_right(u, a) - 1, 0), last)
+            b = hi if j == last else min(hi, u[j + 1])
+            u0, u1, v0, v1 = u[j], u[j + 1], v[j], v[j + 1]
+            if v0 > 0.0 and v1 > 0.0:
+                slope = float(w[j + 1] - w[j]) / (u1 - u0)
+                start = q * (float(w[j]) + slope * (a - u0)) + s * a
+                pieces.append(_exp2_integral(start, q * slope + s, b - a))
+            elif v1 > 0.0:      # zero at u0, f = v1 (u - u0) / (u1 - u0)
+                pieces.append((v1 / (u1 - u0)) ** q * _pow2(s * u0) * LN2
+                              * _ramp(q, s * LN2, max(a - u0, 0.0), max(b - u0, 0.0)))
+            elif v0 > 0.0:      # zero at u1, f = v0 (u1 - u) / (u1 - u0)
+                pieces.append((v0 / (u1 - u0)) ** q * _pow2(s * u1) * LN2
+                              * _ramp(q, -s * LN2, max(u1 - b, 0.0), max(u1 - a, 0.0)))
+            a = b
+        return math.fsum(pieces)
+
+
+def _pow2(x: float) -> float:
+    return math.inf if x >= 1024.0 else 2.0 ** x
+
+
+def _exp2_integral(start: float, c: float, width: float) -> float:
+    """int_0^width 2**(start + c y) ln 2 dy, scaled from the larger end so
+    that neither factor overflows or underflows before the product."""
+    m = abs(c) * width * LN2
+    top = start + max(c, 0.0) * width
+    return _pow2(top) * width * LN2 * (-math.expm1(-m) / m if m > 0.0 else 1.0)
+
+
+def _ramp(q: float, kappa: float, y0: float, y1: float) -> float:
+    """int_{y0}^{y1} y**q e**(kappa y) dy for 0 <= y0 <= y1, q > 0.
+
+    From 0, the integral is y**(q+1)/(q+1) 1F1(q+1; q+2; kappa y).  Where
+    the integrand decreases (kappa < 0, beyond its peak y = q/|kappa|)
+    differences of that would cancel, so the part past the peak is taken
+    as a difference of upper incomplete Gamma functions instead.
+    """
+    if y1 <= y0:
+        return 0.0
+
+    def from_zero(y):
+        return y ** (q + 1.0) / (q + 1.0) * float(hyp1f1(q + 1.0, q + 2.0, kappa * y))
+
+    if kappa >= 0.0:
+        return from_zero(y1) - from_zero(y0)
+    lam = -kappa
+    peak = q / lam
+
+    def to_infinity(y):
+        return float(gamma(q + 1.0) * gammaincc(q + 1.0, lam * y)) / lam ** (q + 1.0)
+
+    out = 0.0
+    if y0 < peak:
+        out += from_zero(min(y1, peak)) - from_zero(y0)
+    if y1 > peak:
+        out += to_infinity(max(y0, peak)) - to_infinity(y1)
+    return out
 
 
 @dataclass(frozen=True)

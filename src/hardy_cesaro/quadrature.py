@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from math import fsum
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import betaln
@@ -412,10 +412,6 @@ class CurveCallback:
     growth_exponent: float
 
 
-PsiDescriptor = Union[PowerBeta, ProductPowerBeta, PsiCallback]
-CurveDescriptor = Union[PowerCurve, MinPower, CurveCallback]
-
-
 def _exponents_agree(measured: float, declared: float) -> bool:
     if abs(measured) <= 0.25 and abs(declared) <= 0.25:
         return True
@@ -434,9 +430,11 @@ class KernelSpec:
     and curves must be nonzero at sampled interior points.
     """
 
+    # annotations only: a module-level typing.Union of these classes would
+    # sit in typing's cache and keep every imported copy of this module alive
     n: int
-    psi: PsiDescriptor
-    curves: Tuple[CurveDescriptor, ...]
+    psi: PowerBeta | ProductPowerBeta | PsiCallback
+    curves: Tuple[PowerCurve | MinPower | CurveCallback, ...]
 
     def __post_init__(self):
         if self.n not in (1, 2, 3):

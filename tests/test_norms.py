@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hardy_cesaro.norms import (NormStatus, herz_norm, morrey_herz_norm,
                                 power_norm_closed, shell_norm)
@@ -35,6 +38,74 @@ def test_shell_norm_numeric_matches_closed():
         closed = shell_norm(f, w, 1.7, k, d=2)
         numeric = shell_norm(s, w, 1.7, k, d=2)
         assert numeric == pytest.approx(closed, rel=1e-10)
+
+
+def _interpolant_shell_integral(u, v, q, s, k):
+    """mpmath value of int_{k-1}^{k} f(2^x)^q 2^(s x) ln2 dx for the
+    SampledProfile interpolant of the nodes (u, v), extension included."""
+    def f(x):
+        i = min(max(j for j in range(len(u)) if j == 0 or x >= u[j]), len(u) - 2)
+        u0, u1, v0, v1 = (mpmath.mpf(c) for c in (u[i], u[i + 1], v[i], v[i + 1]))
+        t = (x - u0) / (u1 - u0)
+        if v0 > 0 and v1 > 0:
+            return 2 ** (mpmath.log(v0, 2) + t * (mpmath.log(v1, 2) - mpmath.log(v0, 2)))
+        return max(v0 + t * (v1 - v0), 0)
+
+    def g(x):
+        return f(x) ** q * 2 ** (s * x) * mpmath.log(2)
+
+    edges = [mpmath.mpf(k - 1)] + [mpmath.mpf(c) for c in u if k - 1 < c < k] + [mpmath.mpf(k)]
+    total = mpmath.mpf(0)
+    for a, b in zip(edges, edges[1:]):
+        # quad's tolerance is absolute: scale each piece to order one
+        scale = max(g(a + (b - a) * j / 4) for j in range(5))
+        if scale > 0:
+            total += scale * mpmath.quad(lambda x: g(x) / scale, [a, b])
+    return total
+
+
+@st.composite
+def _sampled_shells(draw):
+    n = draw(st.integers(2, 7))
+    gaps = draw(st.lists(st.floats(0.05, 1.5), min_size=n - 1, max_size=n - 1))
+    u = np.cumsum([draw(st.floats(-4.0, 2.0))] + gaps)
+    v = [draw(st.one_of(st.just(0.0), st.floats(0.125, 8.0))) for _ in range(n)]
+    d = draw(st.integers(1, 2))
+    gamma = draw(st.floats(-d + 0.2, 2.0))
+    q = draw(st.floats(1.0, 3.0))
+    k = draw(st.integers(int(math.floor(u[0])) - 12, int(math.ceil(u[-1])) + 12))
+    return tuple(u.tolist()), tuple(v), d, gamma, q, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sampled_shells())
+# rising and falling zero-node segments, both-zero segments, shells cut by nodes
+@example(((-1.5, -0.75, 0.25, 0.6, 1.4), (0.0, 2.0, 0.0, 0.0, 3.0), 1, 0.3, 2.2, 1))
+@example(((-1.5, -0.75, 0.25, 0.6, 1.4), (0.0, 2.0, 0.0, 0.0, 3.0), 1, 0.3, 2.2, 0))
+# extension beyond both ends: a falling first segment, a rising last one
+@example(((0.0, 0.5, 1.0), (2.0, 0.0, 1.5), 2, 0.5, 1.7, -10))
+@example(((0.0, 0.5, 1.0), (2.0, 0.0, 1.5), 2, 0.5, 1.7, 12))
+# log-log extension of positive boundary segments
+@example(((0.0, 0.3, 1.2), (1.0, 4.0, 0.5), 1, 0.0, 1.0, -9))
+@example(((0.0, 0.3, 1.2), (1.0, 4.0, 0.5), 1, 0.0, 1.0, 9))
+def test_sampled_shell_norm_matches_mpmath(case):
+    u, v, d, gamma, q, k = case
+    w = HomogeneousWeight.power(gamma, 1.3, d=d)
+    with mpmath.workdps(30):
+        integral = _interpolant_shell_integral(u, v, q, gamma + d, k)
+        if not (integral == 0 or 1e-290 < integral < 1e290):
+            return   # beyond the float range
+        want = float((w.sphere_mass * integral) ** (1.0 / q))
+    got = shell_norm(SampledProfile(u, v), w, q, k, d=d)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_sampled_power_integral_beyond_float_range():
+    # 2**1024 itself overflows a float: the integral is inf, not an error
+    flat = SampledProfile((0.0, 1.0), (1.0, 1.0))
+    assert flat.power_integral(1.0, 1024.0, 0.0, 1.0) == math.inf
+    assert flat.power_integral(1.0, 2000.0, 0.0, 1.0) == math.inf
+    assert flat.power_integral(1.0, 1100.0, -2.0, -1.0) == 0.0
 
 
 def test_shell_norm_sum_profile():

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -8,8 +11,8 @@ from hardy_cesaro.operators import (OperatorDivergenceError, OperatorSpec,
                                     tail_power_beta)
 from hardy_cesaro.profiles import (PowerLaw, SampledProfile, ScaledProfile,
                                    TruncatedPowerLaw)
-from hardy_cesaro.quadrature import (IntegralStatus, KernelSpec, PowerBeta,
-                                     PowerCurve, PsiCallback)
+from hardy_cesaro.quadrature import (IntegralResult, IntegralStatus, KernelSpec,
+                                     PowerBeta, PowerCurve, PsiCallback)
 
 
 def identity_spec(m=1):
@@ -150,16 +153,30 @@ def test_commutator_distributivity():
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-def test_commutator_status_follows_its_terms():
-    # the a <= -1 tail fallback cannot resolve psi ~ (1-t)^-0.97 here: every
-    # subset term is NaN and inconclusive, and so must be their sum
-    spec = OperatorSpec(1, 1, KernelSpec(1, PowerBeta(0.0, -0.97), (PowerCurve(1.0),)))
+def test_commutator_status_follows_its_terms(monkeypatch):
+    # a subset term that is inconclusive makes the sum inconclusive, even
+    # when the other terms converge
+    import hardy_cesaro.operators as operators
+    real = operators.tail_power_beta
+    spoiled = []
+
+    def tail(a, e, t0):
+        if a in spoiled:
+            return IntegralResult(np.full(np.shape(t0), math.nan), math.inf,
+                                  IntegralStatus.INCONCLUSIVE, 0)
+        return real(a, e, t0)
+
+    monkeypatch.setattr(operators, "tail_power_beta", tail)
+    spec = OperatorSpec(1, 1, KernelSpec(1, PowerBeta(0.0, 0.3), (PowerCurve(1.0),)))
     f = [TruncatedPowerLaw(-1.5, 1.0, 1.0)]
-    with np.errstate(all="ignore"):
-        plain = apply_hardy_cesaro(spec, f, 2.0)
-        comm = apply_commutator(spec, f, [PowerSymbol(0.5, 1.0)], 2.0)
-    assert plain.status is IntegralStatus.INCONCLUSIVE
+    symbols = [PowerSymbol(0.5, 1.0)]
+    assert apply_commutator(spec, f, symbols, 2.0).status is IntegralStatus.CONVERGED
+    spoiled.append(-1.5)        # the tail exponent of U itself
+    assert apply_hardy_cesaro(spec, f, 2.0).status is IntegralStatus.INCONCLUSIVE
+    spoiled[:] = [-1.0]         # only the term shifted by the symbol
+    comm = apply_commutator(spec, f, symbols, 2.0)
     assert comm.status is IntegralStatus.INCONCLUSIVE
+    assert math.isnan(comm.value)
 
 
 def test_commutator_profile_closed_case():
@@ -172,18 +189,142 @@ def test_commutator_profile_closed_case():
 
 
 def test_tail_power_beta_paths():
-    # complete, incomplete, and substituted branches against scipy
+    # complete, incomplete, and hypergeometric branches against scipy
     from scipy.integrate import quad
     cases = [(0.5, 0.0, 0.0), (0.5, 0.0, 0.25), (-0.5, -0.3, 0.4),
-             (-1.5, -0.5, 0.3), (0.2, 1.5, 0.9)]
+             (-1.5, -0.5, 0.3), (-1.5, -0.5, 0.7), (0.2, 1.5, 0.9)]
     for a, e, t0 in cases:
-        res = tail_power_beta(a, e, t0, tol=1e-10)
+        res = tail_power_beta(a, e, t0)
         ref, _ = quad(lambda t: t ** a * (1.0 - t) ** e, max(t0, 1e-300), 1.0,
                       points=[1.0], limit=200)
         assert res.status is IntegralStatus.CONVERGED
         assert res.value == pytest.approx(ref, rel=1e-8)
     assert tail_power_beta(0.0, -1.0, 0.5).status is IntegralStatus.DIVERGENT
     assert tail_power_beta(0.0, 0.0, 1.0).value == 0.0
+
+
+def test_tail_power_beta_strong_endpoint_singularity():
+    # (1-t)**-0.97 next to t**-1.5: the graded quadrature this replaced gave NaN
+    res = tail_power_beta(-1.5, -0.97, 0.5)
+    with mpmath.workdps(40):
+        ref = float(mpmath.betainc(-0.5, 0.03, 0.5, 1))
+    assert ref == pytest.approx(33.74278574586281, rel=1e-15)
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - ref) <= 1e-12 * ref
+
+
+def _tail_reference(a, e, t0):
+    """int_{t0}^1 t**a (1-t)**e dt by mpmath at 40 digits; above t0 = 1/2 as
+    int_0^{1-t0} u**e (1-u)**a du, which does not cancel near t0 = 1."""
+    with mpmath.workdps(40):
+        t0 = mpmath.mpf(t0)
+        if t0 > 0.5:
+            return mpmath.betainc(e + 1, a + 1, 0, 1 - t0)
+        return mpmath.betainc(a + 1, e + 1, t0, 1)
+
+
+def test_tail_power_beta_mpmath_oracle():
+    rng = np.random.default_rng(2024)
+    draws = []
+    for i in range(240):
+        a = float(rng.uniform(-3.0, -1.0)) if i % 6 else (-1.0, -2.0, -3.0)[i % 18 // 6]
+        e = float(rng.uniform(-0.999, 2.0))
+        if i % 2:
+            t0 = float(10.0 ** rng.uniform(-30.0, math.log10(0.5)))
+        else:
+            t0 = 1.0 - float(10.0 ** rng.uniform(-12.0, math.log10(0.5)))
+        draws.append((a, e, t0))
+    draws += [(-1.0, 0.5, 1e-30), (-2.0, 0.0, 0.5), (-1.0, 2.0, 1.0 - 1e-12),
+              (-2.0, 1.0, 1e-30), (-1.08, 0.08, 0.975), (-1.29, 0.24, 2e-30)]
+    for a, e, t0 in draws:
+        res = tail_power_beta(a, e, t0)
+        ref = _tail_reference(a, e, t0)
+        assert res.status is IntegralStatus.CONVERGED
+        assert res.evaluations == 0, (a, e, t0)
+        miss = abs(res.value - ref)
+        assert miss <= 1e-10 * ref, (a, e, t0)
+        assert miss <= res.abs_error, (a, e, t0)
+
+
+def _tail_quad(a, e, t0):
+    """int_{t0}^1 t**a (1-t)**e dt by mpmath.quad at 40 digits, split next to
+    t0, where a large exponent gathers the integrand."""
+    with mpmath.workdps(40):
+        t0 = mpmath.mpf(t0)
+        w = 1 - t0
+        return mpmath.quad(lambda t: t ** a * (1 - t) ** e, [t0, t0 + w / 64, t0 + w / 8, 1])
+
+
+def test_tail_power_beta_large_exponents():
+    # for large e the binomial series of (1-t)**e cancels beyond double
+    # precision on [t0, 1/2] (terms near 1e4 against 1e-12 at (-1.5, 40,
+    # 0.45)); the series then splits nearer t = 0
+    rng = np.random.default_rng(41)
+    draws = [(-1.5, 40.0, 0.45), (-1.0, 30.0, 0.5), (-2.0, 50.0, 1e-30)]
+    for i in range(30):
+        a = float(rng.uniform(-3.0, -1.0))
+        e = float(rng.uniform(25.0, 50.0))
+        if i % 2:
+            t0 = float(rng.uniform(0.3, 0.5))
+        else:
+            t0 = float(10.0 ** rng.uniform(-30.0, math.log10(0.3)))
+        draws.append((a, e, t0))
+    for a, e, t0 in draws:
+        res = tail_power_beta(a, e, t0)
+        ref = _tail_quad(a, e, t0)
+        assert res.status is IntegralStatus.CONVERGED
+        assert res.evaluations == 0, (a, e, t0)
+        miss = abs(res.value - ref)
+        assert miss <= 1e-10 * ref, (a, e, t0)
+        assert miss <= res.abs_error, (a, e, t0)
+    # beyond the series' term budget each element is integrated numerically
+    for a, e, t0 in ((-1.5, 1024.0, 0.01), (-600.0, 0.3, 0.9)):
+        res = tail_power_beta(a, e, t0)
+        assert res.status is IntegralStatus.CONVERGED
+        assert res.evaluations > 0
+        assert res.value == pytest.approx(float(_tail_quad(a, e, t0)), rel=1e-8)
+    whole = tail_power_beta(-1.5, 1024.0, np.array([0.01, 0.2, 1.0]))
+    assert whole.value[0] == tail_power_beta(-1.5, 1024.0, 0.01).value
+    assert whole.value[2] == 0.0
+
+
+def test_tail_power_beta_checks_the_series_bound(monkeypatch):
+    # split at 1/2 whatever e: at (-1.5, 40, 0.45) the series then loses
+    # every digit, its bound says so, and the graded quadrature takes over
+    import hardy_cesaro.operators as operators
+    monkeypatch.setattr(operators, "_split", lambda e: 0.5)
+    res = tail_power_beta(-1.5, 40.0, 0.45)
+    assert res.status is IntegralStatus.CONVERGED
+    assert res.evaluations > 0
+    assert res.value == pytest.approx(float(_tail_quad(-1.5, 40.0, 0.45)), rel=1e-8)
+
+
+def test_tail_power_beta_array_matches_scalar_calls():
+    t0 = np.concatenate([[0.0, 1.0], np.geomspace(1e-25, 0.999, 40)])
+    for a, e in ((-1.2, 0.1), (-2.0, 0.5), (0.3, -0.4)):
+        whole = tail_power_beta(a, e, t0[1:]).value
+        for t, v in zip(t0[1:], whole):
+            assert tail_power_beta(a, e, float(t)).value == v
+    out = tail_power_beta(-1.2, 0.1, t0)
+    assert out.status is IntegralStatus.DIVERGENT
+    assert np.isinf(out.value[0])
+
+
+def test_commutator_profile_values_independent_of_grid():
+    # hcbench compares the windows 48 and 96 at their shared radii bit for bit
+    spec = OperatorSpec(2, 1, KernelSpec(1, PowerBeta(0.4, -0.2, 1.3),
+                                         (PowerCurve(0.9), PowerCurve(1.2))))
+    profiles = [TruncatedPowerLaw(-1.1, 1.4, 0.7), TruncatedPowerLaw(-0.6, 0.8, 2.5)]
+    symbols = [PowerSymbol(0.3, 1.1), PowerSymbol(0.2, 0.7)]
+    narrow = commutator_to_profile(spec, profiles, symbols, log2_grid(-48, 48))
+    wide = commutator_to_profile(spec, profiles, symbols, log2_grid(-96, 96))
+    shared = dict(zip(wide.log2_radii, wide.values))
+    assert all(shared[u] == v for u, v in zip(narrow.log2_radii, narrow.values))
+    assert any(v > 0 for v in narrow.values)
+    # and each sampled value is the pointwise commutator at that radius
+    for u, v in list(zip(narrow.log2_radii, narrow.values))[::37]:
+        assert abs(apply_commutator(spec, profiles, symbols, 2.0 ** u).value) \
+            == pytest.approx(v, rel=1e-14)
 
 
 def test_scaled_zero_profile_passes_through():

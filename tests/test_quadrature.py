@@ -1,4 +1,8 @@
+import gc
+import importlib
 import math
+import sys
+import weakref
 
 import mpmath
 import numpy as np
@@ -182,3 +186,26 @@ def test_kernel_dimension_checks():
         KernelSpec(2, PowerBeta(0.0, 0.0), (MinPower(1.0),))
     with pytest.raises(ValueError):
         KernelSpec(1, PowerBeta(0.0, 0.0), ())
+
+
+def test_dropped_fresh_import_is_released():
+    # a module-level typing.Union of the kernel descriptors used to sit in
+    # typing's cache and keep every freshly imported copy of the package
+    # alive (about 0.17 MB each)
+    def ours():
+        return [k for k in sys.modules if k == "hardy_cesaro" or k.startswith("hardy_cesaro.")]
+
+    saved = {k: sys.modules[k] for k in ours()}
+    try:
+        for k in saved:
+            del sys.modules[k]
+        fresh = importlib.import_module("hardy_cesaro.quadrature")
+        assert fresh is not saved["hardy_cesaro.quadrature"]
+        ref = weakref.ref(fresh.KernelSpec)
+        del fresh
+    finally:
+        for k in ours():
+            del sys.modules[k]
+        sys.modules.update(saved)
+    gc.collect()
+    assert ref() is None
