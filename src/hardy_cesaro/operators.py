@@ -15,11 +15,16 @@ inputs with PowerBeta/PowerCurve kernels produce exact power-law outputs
 integrals int_{t0}^1 t^a (1-t)^e dt, given by the incomplete Beta
 function for a > -1 and by hypergeometric series for a <= -1
 (``tail_power_beta``, with graded quadrature beyond the series' range);
-a whole log2-radius grid is one array pass per term.  Inputs with no
-closed form (sampled or sum profiles, callback kernels, n >= 2) go
-through the graded cube integrator, radius by radius, with endpoint
-orders and support breakpoints derived from the profiles and the
-kernel.
+a whole log2-radius grid is one array pass per term.
+
+Inputs with no closed form that vanish near 0 (sampled or sum profiles,
+with PowerBeta/PowerCurve kernels) are integrated in v = ln t by a fixed
+Gauss rule on each piece between the inputs' breakpoints, at two orders,
+for blocks of radii at once (``_piecewise_values``).  What remains
+(callback kernels, n >= 2, inputs that do not vanish near 0, and radii
+whose two rules disagree) goes through the graded cube integrator, radius
+by radius, with endpoint orders and support breakpoints derived from the
+profiles and the kernel.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from .numerics import LN2
 from .profiles import (PowerLaw, RadialProfile, SampledProfile, ScaledProfile,
                        TruncatedPowerLaw)
 from .quadrature import (IntegralResult, IntegralStatus, KernelSpec, PowerBeta,
-                         PowerCurve, beta_closed_form, integrate_unit_cube)
+                         PowerCurve, beta_closed_form, gauss_jacobi, gauss_legendre,
+                         integrate_unit_cube)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -226,7 +232,8 @@ def tail_power_beta(a: float, e: float, t0) -> IntegralResult:
     shape, and each element equals the scalar call on it bit for bit.
 
     - t0 = 0 is the complete Beta function; t0 > 0 with a > -1 uses the
-      regularized incomplete Beta.
+      regularized incomplete Beta, from the t = 1 side (in 1 - t0) above
+      t0 = 1/2.
     - a <= -1 with t0 > 0 (DLMF 8.17.7 and 15.8), with h = ``_split(e)``:
       for t0 > h the integral is
       x**(e+1)/(e+1) * 2F1(-a, e+1; e+2; x) with x = 1 - t0 (exact in
@@ -253,7 +260,13 @@ def tail_power_beta(a: float, e: float, t0) -> IntegralResult:
         return IntegralResult(_unwrap(np.zeros(t.shape)), 0.0, IntegralStatus.CONVERGED, 0)
     if a > -1.0:
         total = beta_closed_form(a, e)
-        value = total.value * (1.0 - betainc(a + 1.0, e + 1.0, t))
+        # above t0 = 1/2 the regularized tail is taken from the t = 1 side,
+        # where 1 - t0 is exact, instead of as a difference that cancels
+        upper = t > 0.5
+        tail = np.empty(t.shape)
+        tail[upper] = betainc(e + 1.0, a + 1.0, 1.0 - t[upper])
+        tail[~upper] = 1.0 - betainc(a + 1.0, e + 1.0, t[~upper])
+        value = total.value * tail
         return IntegralResult(_unwrap(value), 16.0 * _EPS * total.value,
                               IntegralStatus.CONVERGED, 0)
 
@@ -384,6 +397,178 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
 
 
 # --------------------------------------------------------------------------
+# piecewise Gauss evaluation of inputs with no closed form
+#
+# With n = 1, psi = PowerBeta and curves t**b_k, the integrand in v = ln t
+# is sc t**(c+1) (1-t)**e prod_k f_k(t**b_k r), times the symbol gaps
+# c_k r**beta_k (1 - t**(b_k beta_k)).  Between two breakpoints of the
+# inputs it is analytic apart from the factor (1-t)**e at v = 0, so a
+# fixed Gauss rule per piece converges fast once the pieces keep their
+# distance from v = 0, and the piece that ends there carries that factor
+# in a Gauss-Jacobi weight.
+
+_RULE = 16               # Gauss points per piece; the estimate compares with 2 * _RULE
+_PIECE_WIDTH = 1.0       # widest piece in v = ln t
+_MAX_PIECES = 2 ** 12    # a radius needing more goes to the graded integrator
+# pieces evaluated at once: 2**13 nodes, which bounds every temporary array
+_BLOCK_PIECES = 2 ** 13 // (3 * _RULE)
+_ROUNDING = 64.0 * _EPS  # rounding allowance relative to |value|
+
+
+def _piecewise_setup(spec: OperatorSpec, profiles, symbols) -> Optional[dict]:
+    """Data of the piecewise Gauss path, or None where it does not apply:
+    it needs n = 1, a PowerBeta psi, curves t**b with b > 0, inputs with no
+    closed form, and at least one input that vanishes below some radius."""
+    kernel = spec.kernel
+    if not (kernel.n == 1 and isinstance(kernel.psi, PowerBeta)):
+        return None
+    if not all(isinstance(s, PowerCurve) and s.b > 0 for s in kernel.curves):
+        return None
+    if _fast_setup(spec, profiles) is not None:
+        return None
+    starts = [f.support_start() for f in profiles]
+    # each symbol gap vanishes like (1-t) at t = 1
+    order = kernel.psi.e + len(symbols)
+    if all(a is None for a in starts) or not order > -1.0:
+        return None
+    legendre = [np.concatenate(p) for p in zip(gauss_legendre(_RULE),
+                                               gauss_legendre(2 * _RULE))]
+    jacobi = [np.concatenate(p) for p in zip(gauss_jacobi(_RULE, order),
+                                             gauss_jacobi(2 * _RULE, order))]
+    return {
+        "c": kernel.psi.c, "e": kernel.psi.e, "scale": kernel.psi.scale,
+        "order": order, "bs": [s.b for s in kernel.curves], "starts": starts,
+        "breaks": [np.asarray(f.log2_breakpoints(), dtype=float) for f in profiles],
+        "profiles": tuple(profiles), "symbols": tuple(symbols),
+        # (nodes, weights): the _RULE-point rule, then the 2 * _RULE-point one
+        "legendre": legendre, "jacobi": jacobi,
+    }
+
+
+def _piece_edges(setup: dict, u: float) -> Optional[np.ndarray]:
+    """Edges in v = ln t of the pieces at log2 radius u, from the lower
+    limit up to -h, where [-h, 0] is the last piece; None when the
+    integrand vanishes.
+
+    The edges are the inputs' breakpoints (rho - u) ln 2 / b_k above the
+    largest support start, and grading cuts -h, -2h, -4h, ... and then
+    steps of _PIECE_WIDTH, so that no piece is wider than _PIECE_WIDTH or
+    than its distance to v = 0.  Breakpoints within rounding of log2 r sit
+    at t = 1 itself and are dropped.  The steps stop after _MAX_PIECES, so
+    the array stays bounded; a radius with more than _MAX_PIECES edges is
+    left to the graded integrator.
+    """
+    lower = max((a - u) * LN2 / b for a, b in zip(setup["starts"], setup["bs"])
+                if a is not None)
+    if not lower < 0.0:
+        return None
+    cuts = np.concatenate([
+        (rho[rho < u - 4.0 * _EPS * np.maximum(abs(u), np.abs(rho))] - u) * (LN2 / b)
+        for rho, b in zip(setup["breaks"], setup["bs"])])
+    cuts = cuts[cuts > lower]
+    h = min(_PIECE_WIDTH, -float(np.max(cuts, initial=lower)))
+    grading = -h * np.exp2(np.arange(max(0, math.ceil(math.log2(_PIECE_WIDTH / h))) + 1.0))
+    steps = min(math.ceil((grading[-1] - lower) / _PIECE_WIDTH), _MAX_PIECES)
+    grading = np.append(grading, grading[-1] - _PIECE_WIDTH * np.arange(1.0, steps + 1.0))
+    return np.unique(np.concatenate(([lower], cuts, grading[grading > lower])))
+
+
+def _piece_sums(setup: dict, lo: np.ndarray, hi: np.ndarray, last: np.ndarray,
+                radius: np.ndarray):
+    """(coarse, fine) rule sums of each piece [lo, hi] in v at its radius;
+    ``last`` marks the pieces [-h, 0], integrated against (-v)**order."""
+    (lx, lw), (jx, jw) = setup["legendre"], setup["jacobi"]
+    order = setup["order"]
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    v = mid[:, None] + half[:, None] * np.where(last[:, None], jx, lx)
+    weight = (np.where(last, half ** (order + 1.0), half)[:, None]
+              * np.where(last[:, None], jw, lw))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = setup["scale"] * np.exp((setup["c"] + 1.0) * v) * (-np.expm1(v)) ** setup["e"]
+        r = radius[:, None]
+        for f, b in zip(setup["profiles"], setup["bs"]):
+            g = g * f.evaluate((r * np.exp(b * v)).ravel()).reshape(v.shape)
+        for sym, b in zip(setup["symbols"], setup["bs"]):
+            g = g * (sym.coefficient * r ** sym.beta * -np.expm1(b * sym.beta * v))
+        g[last] = g[last] * (-v[last]) ** -order
+        g = g * weight
+    # column by column, so that a piece's sum does not depend on its block
+    coarse, fine = g[:, 0].copy(), g[:, _RULE].copy()
+    for j in range(1, _RULE):
+        coarse += g[:, j]
+    for j in range(_RULE + 1, 3 * _RULE):
+        fine += g[:, j]
+    return coarse, fine
+
+
+def _radius_sums(setup: dict, radii: np.ndarray, block: list) -> list:
+    """(value, summed piece differences) of each (index, edges) radius in
+    ``block``, evaluated _BLOCK_PIECES pieces at a time."""
+    sizes = [edges.size for _, edges in block]
+    lo = np.concatenate([edges for _, edges in block])
+    hi = np.concatenate([np.append(edges[1:], 0.0) for _, edges in block])
+    ends = np.cumsum(sizes).tolist()
+    last = np.zeros(lo.size, dtype=bool)
+    last[np.subtract(ends, 1)] = True
+    radius = np.repeat(radii[[i for i, _ in block]], sizes)
+    coarse, fine = np.empty(lo.size), np.empty(lo.size)
+    for a in range(0, lo.size, _BLOCK_PIECES):
+        b = a + _BLOCK_PIECES
+        coarse[a:b], fine[a:b] = _piece_sums(setup, lo[a:b], hi[a:b], last[a:b], radius[a:b])
+    fine_list, diff_list = fine.tolist(), np.abs(fine - coarse).tolist()
+    return [(math.fsum(fine_list[b - size:b]), math.fsum(diff_list[b - size:b]))
+            for b, size in zip(ends, sizes)]
+
+
+def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray,
+                      tol: float) -> list:
+    """Values at the radii, one IntegralResult each.
+
+    Each piece is integrated with the _RULE- and the 2 * _RULE-point rule;
+    the value is the sum of the finer sums, and abs_error the sum of the
+    pieces' differences plus a rounding allowance (the integrand keeps
+    one sign).  A radius whose error is above tol * max(1, |value|), the
+    test of ``_refine``, or that needs more than _MAX_PIECES pieces, is
+    integrated by the graded cube integrator instead.  The pieces of a
+    radius and their summation order depend on that radius alone, and the
+    radii go in blocks of about _BLOCK_PIECES pieces, so a value does not
+    depend on the grid or the block it arrives in.
+    """
+    results = [IntegralResult(0.0, 0.0, IntegralStatus.CONVERGED, 0)] * radii.size
+
+    def graded(i, evaluations):
+        res = _graded(spec, setup["profiles"], setup["symbols"], float(radii[i]), tol)
+        results[i] = IntegralResult(res.value, res.abs_error, res.status,
+                                    res.evaluations + evaluations)
+
+    def settle(block):
+        for (i, edges), (value, diff) in zip(block, _radius_sums(setup, radii, block)):
+            err = diff + _ROUNDING * abs(value)
+            if math.isfinite(err) and err <= tol * max(1.0, abs(value)):
+                results[i] = IntegralResult(value, err, IntegralStatus.CONVERGED,
+                                            3 * _RULE * edges.size)
+            else:
+                graded(i, 3 * _RULE * edges.size)
+
+    block, pieces = [], 0
+    for i, u in enumerate(np.log2(radii).tolist()):
+        edges = _piece_edges(setup, u)
+        if edges is None:
+            continue
+        if edges.size > _MAX_PIECES:
+            graded(i, 0)
+            continue
+        block.append((i, edges))
+        pieces += edges.size
+        if pieces >= _BLOCK_PIECES:
+            settle(block)
+            block, pieces = [], 0
+    if block:
+        settle(block)
+    return results
+
+
+# --------------------------------------------------------------------------
 # operator application
 #
 # The commutator integrand prod_k f_k(s_k r) (b_k(r) - b_k(s_k r)) psi
@@ -428,19 +613,30 @@ def _closed_values(fast: dict, symbols, r) -> IntegralResult:
     return _expansion(fast, symbols, r, lambda a: tail_power_beta(a, fast["e"], t0))
 
 
+def _graded(spec: OperatorSpec, profiles, symbols, r: float, tol: float) -> IntegralResult:
+    """Pointwise value at |x| = r by the graded cube integrator."""
+    integrand, reflected, endexp, brks = _operator_integrand(spec, profiles, r, symbols)
+    return integrate_unit_cube(integrand, spec.n, tol, endexp, breakpoints=brks,
+                               detect_growth=spec.kernel.has_callback(),
+                               reflected=reflected)
+
+
 def _evaluate(spec: OperatorSpec, profiles, symbols, r: float,
               tol: float) -> IntegralResult:
-    """Pointwise commutator value at |x| = r; ``symbols = ()`` gives U."""
+    """Pointwise commutator value at |x| = r; ``symbols = ()`` gives U.
+
+    The closed and piecewise paths run the grid sampler's arithmetic on a
+    single radius, so both agree with it bit for bit.
+    """
     fast = _fast_setup(spec, profiles)
-    if fast is None:
-        integrand, reflected, endexp, brks = _operator_integrand(spec, profiles, r, symbols)
-        return integrate_unit_cube(integrand, spec.n, tol, endexp, breakpoints=brks,
-                                   detect_growth=spec.kernel.has_callback(),
-                                   reflected=reflected)
-    # the grid sampler's arithmetic on a single radius, so both agree bit for bit
-    res = _closed_values(fast, symbols, np.asarray(float(r)))
-    return IntegralResult(_unwrap(res.value), _unwrap(res.abs_error), res.status,
-                          res.evaluations)
+    if fast is not None:
+        res = _closed_values(fast, symbols, np.asarray(float(r)))
+        return IntegralResult(_unwrap(res.value), _unwrap(res.abs_error), res.status,
+                              res.evaluations)
+    setup = _piecewise_setup(spec, profiles, symbols)
+    if setup is not None:
+        return _piecewise_values(spec, setup, np.asarray([float(r)]), tol)[0]
+    return _graded(spec, profiles, symbols, r, tol)
 
 
 def apply_hardy_cesaro(spec: OperatorSpec, profiles: Sequence[RadialProfile],
@@ -472,13 +668,14 @@ def log2_grid(start: float, stop: float, per_octave: int = 8) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _sample(spec: OperatorSpec, profiles, symbols, grid, point) -> RadialProfile:
-    """|output| as a radial profile; ``point(r)`` is the pointwise value.
+def _sample(spec: OperatorSpec, profiles, symbols, grid, tol) -> RadialProfile:
+    """|output| as a radial profile.
 
     Pure power-law inputs with power-shaped kernels give the exact output
     PowerLaw; other power-shaped inputs are evaluated on the whole
-    log2-radius grid at once; otherwise |point(2**u)| is sampled radius
-    by radius.  Any divergent value rejects the profile.
+    log2-radius grid at once, and inputs for the piecewise Gauss path in
+    blocks of radii; otherwise each radius goes to the graded integrator.
+    Any divergent value rejects the profile.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -502,15 +699,18 @@ def _sample(spec: OperatorSpec, profiles, symbols, grid, point) -> RadialProfile
         if res.status is IntegralStatus.DIVERGENT:
             at = grid[np.argmax(~np.isfinite(res.value))]
             raise OperatorDivergenceError(f"{what} output is divergent at log2 radius {at}")
-        values = np.abs(res.value).tolist()
+        return SampledProfile(tuple(grid.tolist()), tuple(np.abs(res.value).tolist()))
+
+    setup = _piecewise_setup(spec, profiles, symbols)
+    if setup is not None:
+        results = _piecewise_values(spec, setup, np.exp2(grid), tol)
     else:
-        values = []
-        for u in grid:
-            res = point(float(2.0 ** u))
-            if res.status is IntegralStatus.DIVERGENT:
-                raise OperatorDivergenceError(
-                    f"{what} output is divergent at log2 radius {u}")
-            values.append(abs(res.value))
+        results = (_graded(spec, profiles, symbols, float(2.0 ** u), tol) for u in grid)
+    values = []
+    for u, res in zip(grid, results):
+        if res.status is IntegralStatus.DIVERGENT:
+            raise OperatorDivergenceError(f"{what} output is divergent at log2 radius {u}")
+        values.append(abs(res.value))
     return SampledProfile(tuple(grid.tolist()), tuple(values))
 
 
@@ -525,8 +725,7 @@ def apply_to_profile(spec: OperatorSpec, profiles: Sequence[RadialProfile],
     """
     if len(profiles) != spec.m:
         raise ValueError(f"expected {spec.m} profiles, got {len(profiles)}")
-    return _sample(spec, profiles, (), grid,
-                   lambda r: apply_hardy_cesaro(spec, profiles, r, tol))
+    return _sample(spec, profiles, (), grid, tol)
 
 
 def commutator_to_profile(spec: OperatorSpec, profiles: Sequence[RadialProfile],
@@ -540,5 +739,4 @@ def commutator_to_profile(spec: OperatorSpec, profiles: Sequence[RadialProfile],
     """
     if len(profiles) != spec.m or len(symbols) != spec.m:
         raise ValueError(f"expected {spec.m} profiles and symbols")
-    return _sample(spec, profiles, symbols, grid,
-                   lambda r: apply_commutator(spec, profiles, symbols, r, tol))
+    return _sample(spec, profiles, symbols, grid, tol)

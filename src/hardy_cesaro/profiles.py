@@ -58,6 +58,14 @@ class RadialProfile:
         """log2 radii where the profile is not smooth (kinks, cutoffs)."""
         return ()
 
+    def support_start(self) -> Optional[float]:
+        """log2 radius at and below which the profile vanishes; None when it
+        does not vanish near 0.  By default the first breakpoint of a
+        profile that vanishes near 0."""
+        if self.local_exponent("zero") is not None:
+            return None
+        return min(self.log2_breakpoints(), default=None)
+
 
 @dataclass(frozen=True)
 class PowerLaw(RadialProfile):
@@ -179,6 +187,13 @@ class SampledProfile(RadialProfile):
     def log2_breakpoints(self):
         return self.log2_radii
 
+    def support_start(self):
+        """The last node of the leading run of zero values."""
+        positive = np.flatnonzero(self._v > 0)
+        if positive.size == 0:
+            return self.log2_radii[-1]      # zero everywhere
+        return self.log2_radii[positive[0] - 1] if positive[0] > 0 else None
+
     def power_integral(self, q: float, s: float, lo: float, hi: float) -> float:
         """int_{2**lo}^{2**hi} f(r)**q r**(s-1) dr in closed form, q > 0.
 
@@ -287,6 +302,10 @@ class SumProfile(RadialProfile):
             pts.extend(t.log2_breakpoints())
         return tuple(sorted(set(pts)))
 
+    def support_start(self):
+        starts = [t.support_start() for t in self.terms]
+        return None if None in starts else min(starts)
+
 
 @dataclass(frozen=True)
 class ScaledProfile(RadialProfile):
@@ -310,6 +329,9 @@ class ScaledProfile(RadialProfile):
 
     def log2_breakpoints(self):
         return self.base.log2_breakpoints()
+
+    def support_start(self):
+        return self.base.support_start()
 
 
 def extremal_morrey_herz(exponents, i: int) -> PowerLaw:

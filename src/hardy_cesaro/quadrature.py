@@ -29,6 +29,7 @@ an array of matching length.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -43,10 +44,61 @@ GRADING_RATIO = 0.25
 DEFAULT_BUDGET = 2 ** 22
 _GROWTH_STEPS = 6
 _GROWTH_FACTOR = 1.25
-_MAX_ZERO_DEPTH = 600   # grading depth toward an exactly-zero endpoint
 _MAX_ONE_DEPTH = 21     # float resolution limit toward t = 1 and interior anchors
-_GX, _GW = np.polynomial.legendre.leggauss(GAUSS_POINTS_PER_CELL)
 _EPS = float(np.finfo(float).eps)
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]
+    (cached and read-only)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@functools.lru_cache(maxsize=64)
+def gauss_jacobi(n: int, alpha: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss rule on [-1, 1] for the
+    weight (1 - x)**alpha, alpha > -1 (cached and read-only).
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    the monic Jacobi polynomials P^(alpha, 0), and the weights are
+    mu_0 = 2**(alpha+1)/(alpha+1) times the squared first components of
+    its eigenvectors.
+    """
+    if not alpha > -1.0:
+        raise ValueError(f"alpha must exceed -1, got {alpha}")
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + alpha
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = np.where(k == 0, -alpha / (alpha + 2.0), -alpha * alpha / (s * (s + 2.0)))
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * k * (k + alpha) ** 2 / (s * s * (s * s - 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    weights = 2.0 ** (alpha + 1.0) / (alpha + 1.0) * vectors[0] ** 2
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+_GX, _GW = gauss_legendre(GAUSS_POINTS_PER_CELL)
+# smallest Gauss node and weight of a cell [0, w], in units of w
+_CELL_FLOOR = min(0.5 * (1.0 + float(_GX[0])), 0.5 * float(_GW[0]))
+
+
+def _zero_depth(half: float) -> int:
+    """Deepest grading toward t = 0 of a panel of half-width ``half``.
+
+    At depth d the innermost cell is half * GRADING_RATIO**d wide; beyond
+    this depth its smallest node or weight falls below the smallest normal
+    float, where nodes go subnormal and then to 0.0 (inf * 0 = NaN for
+    integrands like t**a, a < 0).
+    """
+    tiny = float(np.finfo(float).tiny)
+    return max(0, int(math.log2(half * _CELL_FLOOR / tiny) / -math.log2(GRADING_RATIO)))
+
+
+_MAX_ZERO_DEPTH = _zero_depth(0.25)   # the half axis [0, 1/2] of n = 1
 
 
 class IntegralStatus(Enum):
@@ -99,7 +151,7 @@ def _compose_axis(anchors: Sequence[float], depth: int, max_width: float,
     pts = [lo] + [a for a in sorted(anchors) if lo < a < hi] + [hi]
     pieces = []
     for i, (a, b) in enumerate(zip(pts, pts[1:])):
-        dlo = min(depth, _MAX_ZERO_DEPTH) if (deep_lo and i == 0) \
+        dlo = min(depth, _zero_depth(0.5 * (b - a))) if (deep_lo and i == 0) \
             else min(depth, _MAX_ONE_DEPTH)
         dhi = min(depth, _MAX_ONE_DEPTH)
         seg = _panel(a, b, dlo, dhi, max_width)

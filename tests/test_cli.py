@@ -263,3 +263,45 @@ def test_tol_outside_integrator_range_exit_2(tmp_path):
         for tol in (0.1, 1e-15):
             cfg = dict(job, controls={"tol": tol}, output=str(tmp_path / "x.csv"))
             assert main(["--config", str(write_config(tmp_path, cfg))]) == 2
+
+
+def _dense_sampled_profile(count=33):
+    """Sampled input with a zero first node and ``count`` nodes half an
+    octave apart, slope -0.3 (a power law beyond the last node)."""
+    u = [-3.0 + 0.5 * i for i in range(count)]
+    v = [0.0] + [2.0 ** (-0.3 * x) * (1.0 + 0.2 * math.sin(3.0 * x)) for x in u[1:-2]]
+    v += [2.0 ** (-0.3 * x) for x in u[-2:]]
+    return {"kind": "sampled", "grid": u, "values": v}
+
+
+DENSE_KERNEL = {"n": 1, "psi": {"kind": "power_beta", "c": 0.3, "e": 0.2},
+                "curves": [{"kind": "power", "b": 1}]}
+
+
+def test_verify_t31_on_dense_sampled_input(tmp_path):
+    # more than 24 input nodes below r used to exit 2: "curve vanished at
+    # a quadrature node"
+    out = tmp_path / "dense.csv"
+    cfg = {"job": "verify", "theorem": "T31_upper",
+           "exponents": {"m": 1, "n": 1, "d": 1, "alpha_i": [0.1], "p_i": [2],
+                         "q_i": [2], "lambda_i": [0.8], "gamma_i": [0]},
+           "kernel": DENSE_KERNEL, "weights": [{"degree": 0}],
+           "profiles": [_dense_sampled_profile()], "output": str(out)}
+    assert main(["--config", str(write_config(tmp_path, cfg))]) == 0
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[0] == "T31_upper" and row[5] == "true"
+    assert 0.0 < float(row[4]) <= 1.0
+
+
+def test_operator_eval_on_dense_sampled_input(tmp_path):
+    # the same input used to end operator-eval with a traceback (exit 1)
+    out = tmp_path / "dense-op.csv"
+    cfg = {"job": "operator-eval", "kernel": DENSE_KERNEL,
+           "profiles": [_dense_sampled_profile()],
+           "controls": {"grid": {"start": -8, "stop": 16, "per_octave": 4}},
+           "output": str(out)}
+    assert main(["--config", str(write_config(tmp_path, cfg))]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 24 * 4 + 1
+    assert all(row[4] == "converged" for row in rows)
+    assert any(float(row[2]) > 0.0 for row in rows)

@@ -6,8 +6,8 @@ import pytest
 from hardy_cesaro.constants import (ConstantKind, StructuralKind, kernel_constant,
                                     structural_constant)
 from hardy_cesaro.parameters import ExponentSet
-from hardy_cesaro.quadrature import (IntegralStatus, KernelSpec, PowerBeta,
-                                     PowerCurve)
+from hardy_cesaro.quadrature import (CurveCallback, IntegralStatus, KernelSpec,
+                                     PowerBeta, PowerCurve)
 from hardy_cesaro.weights import HomogeneousWeight
 
 IDENTITY = KernelSpec(1, PowerBeta(0.0, 0.0), (PowerCurve(1.0),))
@@ -154,3 +154,16 @@ def test_kernel_kind_m_checks():
         kernel_constant(ConstantKind.A1, e2, IDENTITY)
     with pytest.raises(ValueError):
         kernel_constant(ConstantKind.COMMUTATOR_MH, make(), IDENTITY)  # no beta_i
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-6])
+def test_commutator_mh_with_kinked_callback_curve_returns_a_verdict(tol):
+    # |1 - s(t)|**beta has an undeclared kink where s(t) = t (1 + 0.1 t)
+    # crosses 1 (t ~ 0.916); refinement then grades past the depth at which
+    # nodes used to reach 0.0 and raise "curve vanished at a quadrature node"
+    kernel = KernelSpec(1, PowerBeta(0.1, 0.0),
+                        (CurveCallback(lambda t: t * (1.0 + 0.1 * t), 1.0),))
+    e = make(lambda_i=[0.4], beta_i=[0.3], r_i=[4.0])
+    res = kernel_constant(ConstantKind.COMMUTATOR_MH, e, kernel, tol=tol)
+    assert res.status in (IntegralStatus.CONVERGED, IntegralStatus.INCONCLUSIVE)
+    assert math.isfinite(res.value) and res.value > 0

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hardy_cesaro.norms import (NormStatus, herz_norm, morrey_herz_norm,
                                 power_norm_closed, shell_norm)
 from hardy_cesaro.parameters import ExponentSet
-from hardy_cesaro.profiles import (PowerLaw, SampledProfile, ScaledProfile,
-                                   SumProfile, TruncatedPowerLaw,
+from hardy_cesaro.profiles import (PowerLaw, RadialProfile, SampledProfile,
+                                   ScaledProfile, SumProfile, TruncatedPowerLaw,
                                    extremal_morrey_herz)
 from hardy_cesaro.weights import HomogeneousWeight
 
@@ -111,6 +111,41 @@ def test_sampled_power_integral_beyond_float_range():
 def test_shell_norm_sum_profile():
     f = SumProfile((PowerLaw(0.0, 1.0), PowerLaw(0.0, 2.0)))
     assert shell_norm(f, W1, 1.0, 0, d=1) == pytest.approx(3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [1.1, 1.5, 2.5])
+def test_small_sum_profile_shell_matches_mpmath(q):
+    # a ramp from a zero node plus a cut-off power law; at q = 1.5 the
+    # shell integral is 1.3e-6, which the stopping test absolute in
+    # 5e-14 left 1.6e-9 relative off
+    ramp = SampledProfile((-1.0, 0.0), (0.0, 2e-4))
+    f = SumProfile((ramp, TruncatedPowerLaw(-1.5, 1e-4, 0.75)))
+    got = shell_norm(f, W1, q, 0, d=1) ** q / W1.sphere_mass
+    cut = math.log2(0.75)
+
+    def g(u):
+        tail = 1e-4 * 2 ** (-1.5 * u) if u > cut else 0
+        return (2e-4 * (u + 1) + tail) ** q * 2 ** u * mpmath.log(2)
+
+    with mpmath.workdps(30):
+        want = float(mpmath.quad(g, [-1, cut, 0]))
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+class _Wiggly(RadialProfile):
+    """2 + sin(1e5 r): no numeric shell integral settles on it."""
+
+    def evaluate(self, r):
+        return 2.0 + np.sin(1e5 * np.asarray(r, dtype=float))
+
+    def local_exponent(self, end):
+        return 0.0
+
+
+def test_unsettled_shell_is_inconclusive():
+    assert math.isnan(shell_norm(_Wiggly(), W1, 1.0, 3, d=1))
+    res = herz_norm(_Wiggly(), W1, 0.5, 1.0, 1.0, window=(-4, 4))
+    assert res.status is NormStatus.INCONCLUSIVE
 
 
 def test_scaled_profile_shell_linearity():

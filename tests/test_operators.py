@@ -1,18 +1,23 @@
+import bisect
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hardy_cesaro import operators
 from hardy_cesaro.operators import (OperatorDivergenceError, OperatorSpec,
                                     PowerSymbol, apply_commutator,
                                     apply_hardy_cesaro, apply_to_profile,
                                     commutator_to_profile, log2_grid,
                                     tail_power_beta)
 from hardy_cesaro.profiles import (PowerLaw, SampledProfile, ScaledProfile,
-                                   TruncatedPowerLaw)
+                                   SumProfile, TruncatedPowerLaw)
 from hardy_cesaro.quadrature import (IntegralResult, IntegralStatus, KernelSpec,
-                                     PowerBeta, PowerCurve, PsiCallback)
+                                     PowerBeta, PowerCurve, PsiCallback,
+                                     integrate_unit_cube)
 
 
 def identity_spec(m=1):
@@ -332,3 +337,169 @@ def test_scaled_zero_profile_passes_through():
     zero = ScaledProfile(PowerLaw(0.0), 0.0)
     out = apply_to_profile(spec, [zero], log2_grid(-2, 2))
     assert out(1.0) == 0.0
+
+
+def test_tail_power_beta_near_one_for_a_above_minus_one():
+    # B * (1 - betainc(a+1, e+1, t0)) cancelled: 2.107e-16, 9 % off
+    res = tail_power_beta(0.5, 0.3, 1 - 1e-12)
+    ref = _tail_reference(0.5, 0.3, 1 - 1e-12)
+    assert float(ref) == pytest.approx(1.9321647648656703e-16, rel=1e-15, abs=0.0)
+    assert res.value == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+
+# --------------------------------------------------------------------------
+# piecewise Gauss path: sampled and sum inputs that vanish near 0
+
+
+def _mp_profile(profile):
+    """mpmath evaluator of a sampled, cut-off power-law or sum input."""
+    if isinstance(profile, SumProfile):
+        terms = [_mp_profile(t) for t in profile.terms]
+        return lambda x: mpmath.fsum(t(x) for t in terms)
+    if isinstance(profile, TruncatedPowerLaw):
+        return lambda x: (profile.coefficient * x ** profile.exponent
+                          if x > profile.inner_radius else mpmath.mpf(0))
+    u, v = profile.log2_radii, profile.values
+
+    def f(x):
+        ux = mpmath.log(x, 2)
+        i = min(max(bisect.bisect_right(u, float(ux)) - 1, 0), len(u) - 2)
+        s = (ux - u[i]) / (u[i + 1] - u[i])
+        if v[i] > 0 and v[i + 1] > 0:
+            return mpmath.mpf(v[i]) ** (1 - s) * mpmath.mpf(v[i + 1]) ** s
+        return max(v[i] + s * (v[i + 1] - v[i]), mpmath.mpf(0))
+    return f
+
+
+def _mp_commutator(psi, bs, profiles, symbols, r):
+    """int_0^1 psi(t) prod_k f_k(t**b_k r) (b_k(r) - b_k(t**b_k r)) dt by
+    mpmath, split at the inputs' breakpoints."""
+    c, e, scale = psi
+    fs = [_mp_profile(p) for p in profiles]
+    with mpmath.workdps(25):
+        r = mpmath.mpf(r)
+
+        def t_of(rho, b):
+            return (2 ** mpmath.mpf(rho) / r) ** (1 / mpmath.mpf(b))
+
+        lo = max(t_of(p.support_start(), b) for p, b in zip(profiles, bs)
+                 if p.support_start() is not None)
+        if lo >= 1:
+            return mpmath.mpf(0)
+        cuts = sorted({t for p, b in zip(profiles, bs) for t in
+                       (t_of(rho, b) for rho in p.log2_breakpoints()) if lo < t < 1})
+
+        def g(t, s):
+            # s = 1 - t, passed exactly next to t = 1
+            out = scale * t ** c * s ** e
+            for f, b in zip(fs, bs):
+                out *= f(t ** b * r)
+            for sym, b in zip(symbols, bs):
+                out *= sym.coefficient * r ** sym.beta * -mpmath.expm1(b * sym.beta
+                                                                       * mpmath.log1p(-s))
+            return out
+
+        edges = [lo] + cuts
+        inner = mpmath.quad(lambda t: g(t, 1 - t), edges) if len(edges) > 1 else 0
+        # s = y**p takes the s**(e + m) behaviour at t = 1 off the integrand
+        p = 1 / (1 + mpmath.mpf(e) + len(symbols))
+        return inner + mpmath.quad(lambda y: g(1 - y ** p, y ** p) * p * y ** (p - 1),
+                                   [0, (1 - edges[-1]) ** (1 / p)])
+
+
+@st.composite
+def _vanishing_input(draw):
+    """A sampled input whose first node is 0, alone or plus a cut-off power law."""
+    count = draw(st.integers(3, 7))
+    start = draw(st.floats(-3.0, 1.0))
+    step = draw(st.floats(0.4, 1.5))
+    slope = draw(st.floats(-1.5, 0.5))
+    factors = draw(st.lists(st.floats(0.6, 1.4), min_size=count, max_size=count))
+    u = [start + step * i for i in range(count)]
+    v = [0.0] + [2.0 ** (slope * x) * k for x, k in zip(u[1:], factors[1:])]
+    sampled = SampledProfile(tuple(u), tuple(v))
+    if not draw(st.booleans()):
+        return sampled
+    cut = TruncatedPowerLaw(draw(st.floats(-1.5, 0.5)), draw(st.floats(0.5, 2.0)),
+                            2.0 ** draw(st.floats(-2.0, 3.0)))
+    return SumProfile((sampled, cut))
+
+
+@settings(max_examples=24, deadline=None)
+@given(m=st.integers(1, 2), data=st.data())
+def test_piecewise_path_matches_mpmath(m, data):
+    psi = (data.draw(st.floats(-0.5, 1.0)), data.draw(st.floats(-0.6, 1.5)),
+           data.draw(st.floats(0.5, 2.0)))
+    bs = [data.draw(st.floats(0.5, 2.0)) for _ in range(m)]
+    profiles = [data.draw(_vanishing_input()) for _ in range(m)]
+    symbols = []
+    if data.draw(st.booleans()):
+        symbols = [PowerSymbol(data.draw(st.floats(0.1, 0.9)),
+                               data.draw(st.sampled_from([-1.3, 0.6, 1.0])))
+                   for _ in range(m)]
+    spec = OperatorSpec(m, 1, KernelSpec(1, PowerBeta(*psi), tuple(PowerCurve(b) for b in bs)))
+    start = max(p.support_start() for p in profiles)
+    r = 2.0 ** (start + data.draw(st.floats(0.2, 12.0)))
+    assert operators._piecewise_setup(spec, profiles, symbols) is not None
+    if symbols:
+        res = apply_commutator(spec, profiles, symbols, r)
+    else:
+        res = apply_hardy_cesaro(spec, profiles, r)
+    want = float(_mp_commutator(psi, bs, profiles, symbols, r))
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - want) <= 1e-9 * abs(want)
+    assert abs(res.value - want) <= res.abs_error
+
+
+def _sampled_case():
+    spec = OperatorSpec(2, 1, KernelSpec(1, PowerBeta(0.3, -0.4, 1.2),
+                                         (PowerCurve(0.8), PowerCurve(1.3))))
+    u = tuple(-2.0 + 0.75 * i for i in range(9))
+    v = (0.0,) + tuple(1.3 * 2.0 ** (-0.4 * x) * (1.0 + 0.2 * math.sin(3 * x)) for x in u[1:])
+    profiles = [SampledProfile(u, v),
+                SumProfile((SampledProfile((0.0, 1.0, 2.0), (0.0, 0.5, 0.2)),
+                            TruncatedPowerLaw(-0.7, 0.9, 2.0 ** 0.4)))]
+    return spec, profiles, [PowerSymbol(0.4, 1.1), PowerSymbol(0.7, -0.8)]
+
+
+@pytest.mark.parametrize("with_symbols", [False, True])
+def test_piecewise_values_independent_of_grid_and_pointwise(with_symbols):
+    spec, profiles, symbols = _sampled_case()
+    symbols = symbols if with_symbols else []
+
+    def sample(grid):
+        if symbols:
+            return commutator_to_profile(spec, profiles, symbols, grid)
+        return apply_to_profile(spec, profiles, grid)
+
+    narrow, wide = sample(log2_grid(-25, 25)), sample(log2_grid(-49, 49))
+    shared = dict(zip(wide.log2_radii, wide.values))
+    assert all(shared[u] == v for u, v in zip(narrow.log2_radii, narrow.values))
+    assert sum(v > 0 for v in narrow.values) > 100
+    for u, v in list(zip(narrow.log2_radii, narrow.values))[::23]:
+        r = float(np.exp2(u))
+        if symbols:
+            res = apply_commutator(spec, profiles, symbols, r)
+        else:
+            res = apply_hardy_cesaro(spec, profiles, r)
+        assert abs(res.value) == v
+
+
+def test_piecewise_radius_missing_tol_goes_to_graded_integrator(monkeypatch):
+    profiles = _sampled_case()[1][:1]
+    # psi scale 12 puts the value above 1, where the rounding allowance
+    # 64 eps |value| alone exceeds tol * |value| at tol 1e-14
+    spec = OperatorSpec(1, 1, KernelSpec(1, PowerBeta(0.3, -0.4, 12.0), (PowerCurve(0.8),)))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return integrate_unit_cube(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "integrate_unit_cube", counting)
+    fine = apply_hardy_cesaro(spec, profiles, 2.0 ** -0.5)
+    assert fine.status is IntegralStatus.CONVERGED and fine.value > 1.0 and not calls
+    strict = apply_hardy_cesaro(spec, profiles, 2.0 ** -0.5, tol=1e-14)
+    assert calls == [1e-14]
+    assert strict.evaluations > fine.evaluations
+    assert strict.value == pytest.approx(fine.value, rel=1e-12)

@@ -8,11 +8,13 @@ import mpmath
 import numpy as np
 import pytest
 
+from hardy_cesaro import quadrature
 from hardy_cesaro.quadrature import (CurveCallback, IntegralStatus, KernelSpec,
                                      MinPower, PowerBeta, PowerCurve,
                                      ProductPowerBeta, PsiCallback,
-                                     beta_closed_form, integrate_unit_cube,
-                                     kernel_power_integral, power_law_integrand)
+                                     beta_closed_form, gauss_jacobi, gauss_legendre,
+                                     integrate_unit_cube, kernel_power_integral,
+                                     power_law_integrand)
 
 
 def test_constant_integrand():
@@ -209,3 +211,46 @@ def test_dropped_fresh_import_is_released():
         sys.modules.update(saved)
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("anchors, hi", [((), 0.5), ((), 1.0), ((1e-3,), 0.5), ((1e-9, 0.3), 1.0)])
+def test_capped_zero_grading_keeps_nodes_normal(anchors, hi):
+    # grading toward t = 0 used to reach depth 600, where 15 nodes sat at
+    # exactly 0.0 and about 300 were subnormal
+    tiny = np.finfo(float).tiny
+    breaks = quadrature._compose_axis(anchors, 4 * quadrature._MAX_ZERO_DEPTH, 1e-3,
+                                      0.0, hi, deep_lo=True)
+    nodes, weights = quadrature._axis_nodes(breaks)
+    assert np.all(nodes >= tiny) and np.all(weights >= tiny)
+
+
+def test_strong_endpoint_singularity_is_finite():
+    # the grading cap leaves mass 1e-9 below the innermost cell unresolved:
+    # an honest inconclusive, where nodes at 0.0 used to give NaN
+    res = integrate_unit_cube(lambda t: t ** -0.97, 1, 1e-10, [(-0.97, 0.0)])
+    assert math.isfinite(res.value) and math.isfinite(res.abs_error)
+    assert res.status is IntegralStatus.INCONCLUSIVE
+    assert abs(res.value - 100.0 / 3.0) <= res.abs_error
+
+
+@pytest.mark.parametrize("n", [1, 5, 16, 32])
+@pytest.mark.parametrize("alpha", [0.0, -0.97, -0.5, 0.3, 2.5])
+def test_gauss_rules_integrate_polynomials_exactly(n, alpha):
+    x, w = gauss_legendre(n)
+    assert np.array_equal(x, np.polynomial.legendre.leggauss(n)[0])
+    assert np.array_equal(w, np.polynomial.legendre.leggauss(n)[1])
+    xj, wj = gauss_jacobi(n, alpha)
+    assert np.all(np.diff(xj) > 0) and np.all(wj > 0)
+    # int_{-1}^{1} (1-x)**alpha x**k dx = 2**(alpha+1) sum_j C(k, j) (-2)**j / (alpha+j+1)
+    mass = 2.0 ** (alpha + 1.0) / (alpha + 1.0)
+    with mpmath.workdps(60):
+        for k in range(2 * n):
+            a = mpmath.mpf(alpha)
+            want = 2 ** (a + 1) * mpmath.fsum(
+                math.comb(k, j) * mpmath.mpf(-2) ** j / (a + j + 1) for j in range(k + 1))
+            assert abs(float(np.dot(wj, xj ** k)) - float(want)) <= 5e-14 * mass
+
+
+def test_gauss_jacobi_rejects_nonintegrable_weight():
+    with pytest.raises(ValueError):
+        gauss_jacobi(4, -1.0)
