@@ -199,8 +199,12 @@ def _run_constant(cfg: dict, ctl: dict):
     if kind_name not in _KERNEL_KINDS:
         raise ConfigError("config.kind", f"unknown constant kind {kind_name!r}")
     kernel = _build_kernel(_get(cfg, "kernel", "config"), "config.kernel")
-    res = kernel_constant(_KERNEL_KINDS[kind_name], exponents, kernel,
-                          tol=_integrator_tol(ctl))
+    tol = _integrator_tol(ctl)
+    try:
+        res = kernel_constant(_KERNEL_KINDS[kind_name], exponents, kernel, tol=tol)
+    except ValueError as exc:
+        # the kind does not fit this kernel or exponent set
+        raise ConfigError("config.kind", str(exc)) from None
     return header, [[kind_name, phash, res.value, res.status.value, res.abs_error]], 0
 
 

@@ -16,6 +16,12 @@ extra factor:
                        comparison integral that the corollary strictly
                        improves on)
 
+Min-power kernels (ProductPowerBeta psi, MinPower curves) are reduced to
+n = 1 on entry (``quadrature.min_reduction``) for every kind but
+XIAO_LOG, whose log(2/t_1) factor is not a function of min(t); their
+constants are then line integrals against the density of min(t).
+COMMUTATOR_COR needs n = 1.
+
 A ``Divergent`` status is a valid answer for kernel constants.  The
 structural constants (C upper factor, D and E lower factors) are finite
 closed-form expressions in the exponents and sphere masses.
@@ -33,7 +39,7 @@ import numpy as np
 from .numerics import one_minus_pow2_over, pow2m1, pow2m1_over
 from .parameters import ExponentSet, derive_aggregates
 from .quadrature import (IntegralResult, KernelSpec, PowerBeta, PowerCurve,
-                         integrate_unit_cube, kernel_power_integral,
+                         integrate_unit_cube, kernel_power_integral, min_reduction,
                          power_law_integrand)
 from .weights import HomogeneousWeight, product_weight
 
@@ -105,6 +111,12 @@ def kernel_constant(kind: ConstantKind, exponents: ExponentSet,
             raise ValueError(f"{kind.value} requires a single-curve kernel")
     elif kernel.m != exponents.m:
         raise ValueError(f"kernel has {kernel.m} curves, exponent set has m={exponents.m}")
+    if kind is ConstantKind.COMMUTATOR_COR and kernel.n != 1:
+        # its (1 - t) factor is one-dimensional
+        raise ValueError("CommutatorCor requires n = 1")
+    if kind is not ConstantKind.XIAO_LOG:
+        # log(2/t_1) is not a function of min(t), so XiaoLog keeps the cube
+        kernel = min_reduction(kernel)
     e = _kind_exponents(kind, exponents)
 
     if kind in (ConstantKind.A, ConstantKind.A1, ConstantKind.A2,

@@ -24,7 +24,8 @@ for blocks of radii at once (``_piecewise_values``).  What remains
 (callback kernels, n >= 2, inputs that do not vanish near 0, and radii
 whose two rules disagree) goes through the graded cube integrator, radius
 by radius, with endpoint orders and support breakpoints derived from the
-profiles and the kernel.
+profiles and the kernel; n >= 2 min-power kernels go there reduced to
+n = 1 (``quadrature.min_reduction``), on the graded line.
 """
 
 from __future__ import annotations
@@ -36,14 +37,13 @@ from math import fsum
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import betainc
 
 from .numerics import LN2
 from .profiles import (PowerLaw, RadialProfile, SampledProfile, ScaledProfile,
                        TruncatedPowerLaw)
 from .quadrature import (IntegralResult, IntegralStatus, KernelSpec, PowerBeta,
-                         PowerCurve, beta_closed_form, gauss_jacobi, gauss_legendre,
-                         integrate_unit_cube)
+                         PowerCurve, beta_closed_form, beta_tail, gauss_jacobi,
+                         gauss_legendre, integrate_unit_cube, min_reduction)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -259,15 +259,10 @@ def tail_power_beta(a: float, e: float, t0) -> IntegralResult:
     if not np.any(inside):
         return IntegralResult(_unwrap(np.zeros(t.shape)), 0.0, IntegralStatus.CONVERGED, 0)
     if a > -1.0:
-        total = beta_closed_form(a, e)
         # above t0 = 1/2 the regularized tail is taken from the t = 1 side,
         # where 1 - t0 is exact, instead of as a difference that cancels
-        upper = t > 0.5
-        tail = np.empty(t.shape)
-        tail[upper] = betainc(e + 1.0, a + 1.0, 1.0 - t[upper])
-        tail[~upper] = 1.0 - betainc(a + 1.0, e + 1.0, t[~upper])
-        value = total.value * tail
-        return IntegralResult(_unwrap(value), 16.0 * _EPS * total.value,
+        value = beta_tail(a, e, t, 1.0 - t)
+        return IntegralResult(_unwrap(value), 16.0 * _EPS * beta_closed_form(a, e).value,
                               IntegralStatus.CONVERGED, 0)
 
     h = _split(e)
@@ -614,7 +609,11 @@ def _closed_values(fast: dict, symbols, r) -> IntegralResult:
 
 
 def _graded(spec: OperatorSpec, profiles, symbols, r: float, tol: float) -> IntegralResult:
-    """Pointwise value at |x| = r by the graded cube integrator."""
+    """Pointwise value at |x| = r by the graded cube integrator; min-power
+    kernels go to it reduced to n = 1 (``min_reduction``)."""
+    kernel = min_reduction(spec.kernel)
+    if kernel is not spec.kernel:
+        spec = OperatorSpec(spec.m, 1, kernel)
     integrand, reflected, endexp, brks = _operator_integrand(spec, profiles, r, symbols)
     return integrate_unit_cube(integrand, spec.n, tol, endexp, breakpoints=brks,
                                detect_growth=spec.kernel.has_callback(),

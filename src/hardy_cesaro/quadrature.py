@@ -5,7 +5,16 @@ are geometrically graded (ratio 1/4) toward the cube faces, so algebraic
 endpoint singularities t**a with a > -1 converge geometrically under
 refinement.  Refinement doubles the grading depth and also halves the
 maximum interior cell width, so interior kinks of piecewise-smooth
-integrands are resolved too.
+integrands are resolved too.  The reported error adds to the refinement
+differences the rule's own error on the graded cells of a singular face,
+which is the same on every cell and so never shows in those differences.
+
+Kernels with a ProductPowerBeta psi and only MinPower curves (every n >= 2
+kernel the CLI builds) never reach the tensor mesh: their integrands
+depend on t through m = min(t) alone, so ``min_reduction`` turns them into
+n = 1 kernels whose psi is the density of m (``MinDensity``).  The tensor
+mesh serves the rest of n >= 2: callback kernels, and the XiaoLog
+constant, whose log(2/t_1) factor is not a function of m.
 
 Floating point cannot place mesh points closer to t = 1 than about 1e-13,
 which caps the achievable accuracy for singularities at that face.  For
@@ -37,7 +46,7 @@ from math import fsum
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import betaln
+from scipy.special import betainc, betaln
 
 GAUSS_POINTS_PER_CELL = 12
 GRADING_RATIO = 0.25
@@ -46,6 +55,7 @@ _GROWTH_STEPS = 6
 _GROWTH_FACTOR = 1.25
 _MAX_ONE_DEPTH = 21     # float resolution limit toward t = 1 and interior anchors
 _EPS = float(np.finfo(float).eps)
+_ROUNDING = 64.0 * _EPS   # rounding allowance relative to the sum of |terms|
 
 
 @functools.lru_cache(maxsize=None)
@@ -117,6 +127,23 @@ class IntegralResult:
     @property
     def converged(self) -> bool:
         return self.status is IntegralStatus.CONVERGED
+
+
+def _cell_error(a: float) -> float:
+    """Relative error of the cell rule on t**a over a graded cell [w/4, w].
+
+    Every graded cell toward a face is such a cell at its own scale, so
+    this relative error is the same on all of them and deepening the
+    grading never removes it: 1e-12 to 5e-12 for a in (-1, -0.6], below
+    2e-13 from a = -0.3 on.  Zero for a face that is not singular (a >= 0,
+    where it stays below 2e-14, or a vanishing face).
+    """
+    if not -1.0 < a < 0.0:
+        return 0.0
+    x = 0.625 + 0.375 * _GX
+    approx = 0.375 * fsum(_GW * x ** a)
+    exact = -math.expm1(-(a + 1.0) * math.log(4.0)) / (a + 1.0)
+    return abs(approx - exact) / exact
 
 
 def _divergent(evaluations: int = 0) -> IntegralResult:
@@ -217,7 +244,8 @@ def _overflow_verdict(values, evaluations, detect_growth) -> IntegralResult:
 # Each case supplies a per-level mesh builder, level(depth) ->
 # (npts, miss, value): the level's point count (checked against the budget
 # before anything is evaluated), the unresolved endpoint mass of its
-# innermost cells, and a thunk that evaluates the level sum.
+# innermost cells, and a thunk that evaluates the level sum and the sum of
+# its absolute terms.
 
 
 def _line_mesh(integrand, reflected, exps, anchors):
@@ -245,8 +273,10 @@ def _line_mesh(integrand, reflected, exps, anchors):
                    _unresolved_mass(float(rb[1] - rb[0]), at1))
 
         def value():
-            return (float(np.dot(wl, np.asarray(integrand(xl), dtype=float)))
-                    + float(np.dot(wu, np.asarray(reflected(xu), dtype=float))))
+            fl = np.asarray(integrand(xl), dtype=float)
+            fu = np.asarray(reflected(xu), dtype=float)
+            return (float(np.dot(wl, fl)) + float(np.dot(wu, fu)),
+                    float(np.dot(wl, np.abs(fl))) + float(np.dot(wu, np.abs(fu))))
 
         return xl.size + xu.size, miss, value
 
@@ -270,19 +300,24 @@ def _cube_mesh(integrand, exps, brks):
             w = axes[0][1]
             for _, wj in axes[1:]:
                 w = np.multiply.outer(w, wj)
-            return float(np.dot(w.ravel(), np.asarray(integrand(pts), dtype=float)))
+            f = np.asarray(integrand(pts), dtype=float)
+            w = w.ravel()
+            return float(np.dot(w, f)), float(np.dot(w, np.abs(f)))
 
         return math.prod(x.size for x, _ in axes), miss, value
 
     return level
 
 
-def _refine(level, depth, tol, detect_growth, budget) -> IntegralResult:
+def _refine(level, depth, tol, detect_growth, budget, rule_error) -> IntegralResult:
     """Double the grading depth until two successive level differences and
     the unresolved endpoint mass are all within tolerance.
 
     ``abs_error`` is the largest of the last two level differences and the
-    unresolved mass (times max(1, |value|)).
+    unresolved mass (times max(1, |value|)), plus, in proportion to the
+    sum of the absolute terms, the cell rule's error on the graded cells
+    (``rule_error``, which no level difference shows) and a rounding
+    allowance.
     """
     values: list = []
     diffs: list = []
@@ -292,7 +327,8 @@ def _refine(level, depth, tol, detect_growth, budget) -> IntegralResult:
         npts, level_miss, level_value = level(depth)
         if evaluations + npts > budget:
             break
-        v = level_value()
+        v, mass = level_value()
+        floor = (rule_error + _ROUNDING) * mass
         evaluations += npts
         values.append(v)
         if not math.isfinite(v):
@@ -305,7 +341,7 @@ def _refine(level, depth, tol, detect_growth, budget) -> IntegralResult:
             # unresolved interior structure
             settled = len(diffs) >= 2 and diffs[-2] <= tol * scale
             if diffs[-1] <= tol * scale and settled and miss <= tol:
-                return IntegralResult(v, max(*diffs[-2:], miss * scale),
+                return IntegralResult(v, max(*diffs[-2:], miss * scale) + floor,
                                       IntegralStatus.CONVERGED, evaluations)
             if detect_growth and len(values) >= _GROWTH_STEPS + 1 and _looks_divergent(values):
                 return _divergent(evaluations)
@@ -316,7 +352,7 @@ def _refine(level, depth, tol, detect_growth, budget) -> IntegralResult:
     if not values:
         return IntegralResult(math.nan, math.inf, IntegralStatus.INCONCLUSIVE, evaluations)
     scale = max(1.0, abs(values[-1]))
-    abs_error = max(max(diffs[-2:], default=math.inf), miss * scale)
+    abs_error = max(max(diffs[-2:], default=math.inf), miss * scale) + floor
     return IntegralResult(values[-1], abs_error, IntegralStatus.INCONCLUSIVE, evaluations)
 
 
@@ -370,12 +406,14 @@ def integrate_unit_cube(integrand: Callable, n: int, tol: float,
         if len(brks) != n:
             raise ValueError(f"expected {n} breakpoint sequences, got {len(brks)}")
 
+    rule_error = fsum(_cell_error(a) for pair in exps for a in pair)
     if n == 1:
         return _refine(_line_mesh(integrand, reflected, exps[0], brks[0]), 8, tol,
-                       detect_growth, budget)
+                       detect_growth, budget, rule_error)
     if reflected is not None:
         raise ValueError("reflected evaluators are only supported for n == 1")
-    return _refine(_cube_mesh(integrand, exps, brks), 4, tol, detect_growth, budget)
+    return _refine(_cube_mesh(integrand, exps, brks), 4, tol, detect_growth, budget,
+                   rule_error)
 
 
 def beta_closed_form(a: float, e: float) -> IntegralResult:
@@ -388,6 +426,21 @@ def beta_closed_form(a: float, e: float) -> IntegralResult:
         return _divergent()
     value = float(math.exp(betaln(a + 1.0, e + 1.0)))
     return IntegralResult(value, 4.0 * _EPS * value, IntegralStatus.CONVERGED, 0)
+
+
+def beta_tail(c: float, e: float, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """int_t^1 x**c (1-x)**e dx for c, e > -1, elementwise, given t and
+    u = 1 - t.
+
+    The regularized incomplete Beta is taken from the side where its
+    argument is exact: in u above t = 1/2, where t rounds, and as
+    1 - I_t(c+1, e+1) below, where u rounds.
+    """
+    upper = t > 0.5
+    tail = np.empty(t.shape)
+    tail[upper] = betainc(e + 1.0, c + 1.0, u[upper])
+    tail[~upper] = 1.0 - betainc(c + 1.0, e + 1.0, t[~upper])
+    return beta_closed_form(c, e).value * tail
 
 
 # --------------------------------------------------------------------------
@@ -419,6 +472,59 @@ class ProductPowerBeta:
                            tuple((float(c), float(e)) for c, e in self.factors))
         if not (self.scale >= 0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
+
+
+@dataclass(frozen=True)
+class MinDensity:
+    """Density of m = min(t_1, ..., t_n) under a ProductPowerBeta psi (n = 1).
+
+    g(m) = scale * sum_j phi_j(m) prod_{i != j} Phi_i(m), with
+    phi_j(t) = t**c_j (1-t)**e_j and Phi_i(m) = int_m^1 phi_i, so that
+    int_{[0,1]^n} F(min(t)) psi(t) dt = int_0^1 F(m) g(m) dm.  Every c_j
+    and e_j must exceed -1, which keeps the Phi_i finite.
+
+    With ``power`` P != 1 the variable is v = m**P instead: the density is
+    g(m) dm/dv at m = v**(1/P).
+    """
+
+    factors: Tuple[Tuple[float, float], ...]
+    scale: float = 1.0
+    power: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "factors",
+                           tuple((float(c), float(e)) for c, e in self.factors))
+        if not all(c > -1.0 and e > -1.0 for c, e in self.factors):
+            raise ValueError(f"MinDensity needs every c_j, e_j > -1, got {self.factors}")
+        if not (self.scale >= 0 and math.isfinite(self.scale)):
+            raise ValueError(f"scale must be nonnegative, got {self.scale}")
+        if not (self.power > 0 and math.isfinite(self.power)):
+            raise ValueError(f"power must be positive, got {self.power}")
+
+    def values(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """The density at v, given v and w = 1 - v (see ``beta_tail``)."""
+        m, u, jacobian = v, w, 1.0
+        if self.power != 1.0:
+            m = v ** (1.0 / self.power)
+            u = 1.0 - m
+            # 1 - m from w where w is the exact one
+            near = v > 0.5
+            u[near] = -np.expm1(np.log1p(-w[near]) / self.power)
+            jacobian = m / (self.power * v)
+        phis = [m ** c * u ** e for c, e in self.factors]
+        tails = [beta_tail(c, e, m, u) for c, e in self.factors]
+        out = np.zeros(m.shape)
+        for j, phi in enumerate(phis):
+            for i, tail in enumerate(tails):
+                if i != j:
+                    phi = phi * tail
+            out = out + phi
+        return self.scale * jacobian * out
+
+    def endpoint_exponents(self) -> Tuple[float, float]:
+        """Orders of the density at v = 0 and at v = 1."""
+        return ((min(c for c, _ in self.factors) + 1.0) / self.power - 1.0,
+                fsum(e + 1.0 for _, e in self.factors) - 1.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -485,7 +591,7 @@ class KernelSpec:
     # annotations only: a module-level typing.Union of these classes would
     # sit in typing's cache and keep every imported copy of this module alive
     n: int
-    psi: PowerBeta | ProductPowerBeta | PsiCallback
+    psi: PowerBeta | ProductPowerBeta | MinDensity | PsiCallback
     curves: Tuple[PowerCurve | MinPower | CurveCallback, ...]
 
     def __post_init__(self):
@@ -494,8 +600,8 @@ class KernelSpec:
         object.__setattr__(self, "curves", tuple(self.curves))
         if not self.curves:
             raise ValueError("kernel needs at least one curve")
-        if isinstance(self.psi, PowerBeta) and self.n != 1:
-            raise ValueError("PowerBeta psi requires n == 1")
+        if isinstance(self.psi, (PowerBeta, MinDensity)) and self.n != 1:
+            raise ValueError(f"{type(self.psi).__name__} psi requires n == 1")
         if isinstance(self.psi, ProductPowerBeta) and len(self.psi.factors) != self.n:
             raise ValueError(f"ProductPowerBeta needs {self.n} factors")
         if isinstance(self.psi, PsiCallback) and len(self.psi.endpoint_exponents) != self.n:
@@ -520,13 +626,15 @@ class KernelSpec:
 
     def supports_reflection(self) -> bool:
         """psi can be evaluated stably in u = 1 - t coordinates."""
-        return self.n == 1 and isinstance(self.psi, PowerBeta)
+        return self.n == 1 and isinstance(self.psi, (PowerBeta, MinDensity))
 
     # -- evaluation ---------------------------------------------------------
 
     def psi_values(self, t: np.ndarray) -> np.ndarray:
         if isinstance(self.psi, PowerBeta):
             return self.psi.scale * t ** self.psi.c * (1.0 - t) ** self.psi.e
+        if isinstance(self.psi, MinDensity):
+            return self.psi.values(t, 1.0 - t)
         if isinstance(self.psi, ProductPowerBeta):
             out = np.full(t.shape[0], self.psi.scale)
             for j, (c, e) in enumerate(self.psi.factors):
@@ -536,8 +644,10 @@ class KernelSpec:
 
     def psi_values_reflected(self, u: np.ndarray) -> np.ndarray:
         """psi(1-u) with the near-1 factor computed from u exactly."""
+        if isinstance(self.psi, MinDensity):
+            return self.psi.values(1.0 - u, u)
         if not isinstance(self.psi, PowerBeta):
-            raise ValueError("reflected psi evaluation needs a PowerBeta descriptor")
+            raise ValueError("reflected psi evaluation needs a PowerBeta or MinDensity descriptor")
         return self.psi.scale * (1.0 - u) ** self.psi.c * u ** self.psi.e
 
     def curve_values(self, i: int, t: np.ndarray) -> np.ndarray:
@@ -556,6 +666,8 @@ class KernelSpec:
             return [(self.psi.c, self.psi.e)]
         if isinstance(self.psi, ProductPowerBeta):
             return [(c, e) for c, e in self.psi.factors]
+        if isinstance(self.psi, MinDensity):
+            return [self.psi.endpoint_exponents()]
         return list(self.psi.endpoint_exponents)
 
     def curve_zero_exponents(self, i: int) -> list:
@@ -635,6 +747,30 @@ class KernelSpec:
                 f"does not match probed behavior {measured:.3g}")
 
 
+def min_reduction(kernel: KernelSpec) -> KernelSpec:
+    """The n = 1 kernel with the same power integrals as ``kernel``, or
+    ``kernel`` itself where the reduction does not apply.
+
+    With psi = prod_j phi_j(t_j) (ProductPowerBeta) and only MinPower
+    curves, every curve, and so every integrand built from the curves,
+    depends on t through m = min(t) alone; then the cube integral of
+    F(m) psi is int_0^1 F(m) g(m) dm with g the MinDensity of psi, and
+    each curve min(t)**beta becomes the power curve m**beta.  Where some
+    beta exceeds 1 the variable is v = m**P with P the largest beta, so
+    that no curve v**(beta/P) falls below the smallest graded node (m**beta
+    would underflow there).  Kernels with some c_j or e_j <= -1 keep the
+    cube path, which gives their verdict.
+    """
+    psi = kernel.psi
+    if not (kernel.n >= 2 and isinstance(psi, ProductPowerBeta)
+            and all(isinstance(s, MinPower) for s in kernel.curves)
+            and all(c > -1.0 and e > -1.0 for c, e in psi.factors)):
+        return kernel
+    power = max(1.0, max(s.beta for s in kernel.curves))
+    return KernelSpec(1, MinDensity(psi.factors, psi.scale, power),
+                      tuple(PowerCurve(s.beta / power) for s in kernel.curves))
+
+
 def power_law_integrand(kernel: KernelSpec, exponents: Sequence[float]):
     """Evaluators and declared endpoint orders for prod |s_i|**e_i * psi.
 
@@ -682,13 +818,15 @@ def kernel_power_integral(kernel: KernelSpec, exponents: Sequence[float],
     """int over [0,1]^n of prod_i |s_i(t)|**e_i * psi(t) dt.
 
     Power-shaped kernels (PowerBeta psi with PowerCurve curves, n = 1)
-    reduce to the Beta function B(c + sum e_i b_i + 1, e + 1); everything
-    else goes through the graded numeric integrator with endpoint orders
-    derived from the descriptors.
+    reduce to the Beta function B(c + sum e_i b_i + 1, e + 1); min-power
+    kernels are reduced to n = 1 (``min_reduction``); everything else goes
+    through the graded numeric integrator with endpoint orders derived
+    from the descriptors.
     """
     e = [float(x) for x in exponents]
     if len(e) != kernel.m:
         raise ValueError(f"expected {kernel.m} exponents, got {len(e)}")
+    kernel = min_reduction(kernel)
     if kernel.is_power_closed():
         a = kernel.psi.c + fsum(ei * s.b for ei, s in zip(e, kernel.curves))
         res = beta_closed_form(a, kernel.psi.e)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import hardy_cesaro
 from hardy_cesaro.cli import main
+from min_reference import min_kernel_constant
 
 KERNEL = {"n": 1, "psi": {"kind": "power_beta", "c": 0, "e": 0},
           "curves": [{"kind": "power", "b": 1}]}
@@ -254,6 +255,35 @@ def test_constant_job_uses_configured_tol(tmp_path):
     fields = out.read_text().splitlines()[1].split(",")
     assert fields[3] == "converged"
     assert math.isclose(float(fields[2]), 1.5621908, rel_tol=1e-4)
+
+
+def test_constant_job_kind_that_does_not_fit_exit_2(tmp_path, capsys):
+    # kernel_constant's ValueErrors used to end the job with a traceback
+    two_curves = dict(MIN_POWER_A1["kernel"],
+                      curves=[{"kind": "min_power", "beta": 1.0}] * 2)
+    cor = dict(MIN_POWER_A1, kind="CommutatorCor")
+    for cfg, message in ((dict(MIN_POWER_A1, kernel=two_curves), "kernel has 2 curves"),
+                         (cor, "CommutatorCor requires n = 1")):
+        cfg = dict(cfg, output=str(tmp_path / "x.csv"))
+        assert main(["--config", str(write_config(tmp_path, cfg))]) == 2
+        err = capsys.readouterr().err
+        assert "config error at 'config.kind'" in err and message in err
+
+
+def test_constant_job_three_dimensional_min_power_converges(tmp_path):
+    # n = 3 went through the tensor mesh, whose second level (216**3
+    # points) exceeds the evaluation budget: always inconclusive
+    out = tmp_path / "a1.csv"
+    exponents = dict(MIN_POWER_A1["exponents"], n=3)
+    kernel = {"n": 3, "psi": {"kind": "product_power_beta",
+                              "factors": [[0.15, 0.33], [-0.22, -0.17], [0.3, 0.0]]},
+              "curves": [{"kind": "min_power", "beta": 1.24}]}
+    cfg = dict(MIN_POWER_A1, exponents=exponents, kernel=kernel, output=str(out))
+    assert main(["--config", str(write_config(tmp_path, cfg))]) == 0
+    fields = out.read_text().splitlines()[1].split(",")
+    assert fields[3] == "converged"
+    want = float(min_kernel_constant(kernel["psi"]["factors"], 1, [1.24], [-0.21]))
+    assert abs(float(fields[2]) - want) <= float(fields[4])
 
 
 def test_tol_outside_integrator_range_exit_2(tmp_path):

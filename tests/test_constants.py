@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardy_cesaro.constants import (ConstantKind, StructuralKind, kernel_constant,
                                     structural_constant)
 from hardy_cesaro.parameters import ExponentSet
 from hardy_cesaro.quadrature import (CurveCallback, IntegralStatus, KernelSpec,
-                                     PowerBeta, PowerCurve)
+                                     MinPower, PowerBeta, PowerCurve, ProductPowerBeta)
 from hardy_cesaro.weights import HomogeneousWeight
+from min_reference import min_kernel_constant
 
 IDENTITY = KernelSpec(1, PowerBeta(0.0, 0.0), (PowerCurve(1.0),))
 
@@ -167,3 +170,30 @@ def test_commutator_mh_with_kinked_callback_curve_returns_a_verdict(tol):
     res = kernel_constant(ConstantKind.COMMUTATOR_MH, e, kernel, tol=tol)
     assert res.status in (IntegralStatus.CONVERGED, IntegralStatus.INCONCLUSIVE)
     assert math.isfinite(res.value) and res.value > 0
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=15, deadline=None)
+@given(kind=st.sampled_from(["A1", "A2", "CommutatorMH"]), m=st.integers(1, 2),
+       n=st.integers(2, 3), tol=st.sampled_from([1e-4, 1e-6, 1e-10]), data=st.data())
+def test_min_power_constants_match_mpmath(kind, m, n, tol, data):
+    factors = [(data.draw(st.floats(-0.6, 0.6)), data.draw(st.floats(-0.6, 0.6)))
+               for _ in range(n)]
+    scale = data.draw(st.floats(0.5, 2.0))
+    betas = [data.draw(st.floats(0.6, 1.4)) for _ in range(m)]
+    # kernel exponents x_i: the order at min(t) = 0 stays above -0.9
+    x = [data.draw(st.floats(-0.2 / m, 0.5)) for _ in range(m)]
+    cbeta = [data.draw(st.floats(0.1, 0.9)) for _ in range(m)]
+    lam = [0.5] * m
+    # d = 1, q_i = 2, gamma_i = 0: A1 and CommutatorMH give lambda_i - alpha_i - 1/2,
+    # A2 -alpha_i - 1/2
+    alpha = [-xi - 0.5 + (0.0 if kind == "A2" else li) for xi, li in zip(x, lam)]
+    e = make(m=m, n=n, alpha_i=alpha, lambda_i=lam, beta_i=cbeta)
+    kernel = KernelSpec(n, ProductPowerBeta(factors, scale), tuple(MinPower(b) for b in betas))
+    res = kernel_constant(ConstantKind(kind), e, kernel, tol=tol)
+    want = float(min_kernel_constant(factors, scale, betas, x,
+                                     cbeta if kind == "CommutatorMH" else ()))
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - want) <= res.abs_error
+    if tol == 1e-10:
+        assert abs(res.value - want) <= 1e-9 * want

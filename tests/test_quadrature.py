@@ -10,10 +10,11 @@ import pytest
 
 from hardy_cesaro import quadrature
 from hardy_cesaro.quadrature import (CurveCallback, IntegralStatus, KernelSpec,
-                                     MinPower, PowerBeta, PowerCurve,
+                                     MinDensity, MinPower, PowerBeta, PowerCurve,
                                      ProductPowerBeta, PsiCallback,
-                                     beta_closed_form, gauss_jacobi, gauss_legendre,
-                                     integrate_unit_cube, kernel_power_integral,
+                                     beta_closed_form, beta_tail, gauss_jacobi,
+                                     gauss_legendre, integrate_unit_cube,
+                                     kernel_power_integral, min_reduction,
                                      power_law_integrand)
 
 
@@ -254,3 +255,111 @@ def test_gauss_rules_integrate_polynomials_exactly(n, alpha):
 def test_gauss_jacobi_rejects_nonintegrable_weight():
     with pytest.raises(ValueError):
         gauss_jacobi(4, -1.0)
+
+
+@pytest.mark.parametrize("a", [-0.6, -0.9, -0.97])
+def test_abs_error_covers_the_cell_rule_error(a):
+    # the 12-point rule has the same relative error (1e-12 at a = -0.6,
+    # 3.5e-12 at a = -0.9) on every graded cell of t**a, which no level
+    # difference shows: at a = -0.9 the value used to miss 1/(a+1) by 6.7
+    # times its abs_error
+    res = integrate_unit_cube(lambda t: t ** a, 1, 1e-10, [(a, 0.0)],
+                              reflected=lambda u: (1.0 - u) ** a)
+    assert abs(res.value - 1.0 / (a + 1.0)) <= res.abs_error
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [-0.85, -0.4, 0.0, 0.6, 2.3])
+def test_min_power_matches_closed_form(n, p):
+    # int_{[0,1]^n} min(t)**p dt = n B(p + 1, n): P(min(t) > m) = (1 - m)**n
+    beta = 1.3
+    k = KernelSpec(n, ProductPowerBeta(((0.0, 0.0),) * n), (MinPower(beta),))
+    res = kernel_power_integral(k, [p / beta])
+    exact = n * math.exp(math.lgamma(p + 1.0) + math.lgamma(n) - math.lgamma(p + 1.0 + n))
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - exact) <= res.abs_error
+    assert abs(res.value - exact) <= 1e-11 * exact
+
+
+def test_min_reduction_descriptor():
+    factors = ((0.3, -0.2), (-0.5, 0.4), (0.1, 0.0))
+    k = KernelSpec(3, ProductPowerBeta(factors, 1.5), (MinPower(0.7), MinPower(0.9)))
+    r = min_reduction(k)
+    assert r.n == 1 and r.psi == MinDensity(factors, 1.5)
+    assert r.curves == (PowerCurve(0.7), PowerCurve(0.9))
+    assert r.supports_reflection() and not r.is_power_closed()
+    # orders: min c_j at m = 0, sum (e_j + 1) - 1 at m = 1
+    assert r.psi_endpoint_exponents() == [(-0.5, pytest.approx(2.2))]
+    u = np.array([1e-300, 1e-9, 0.25, 0.5])
+    assert np.array_equal(r.psi_values_reflected(u), r.psi.values(1.0 - u, u))
+    # a curve steeper than m: the variable is v = m**1.2, and the density
+    # carries dm/dv, with order (-0.5 + 1)/1.2 - 1 at v = 0
+    k = KernelSpec(3, ProductPowerBeta(factors, 1.5), (MinPower(0.6), MinPower(1.2)))
+    r = min_reduction(k)
+    assert r.psi == MinDensity(factors, 1.5, 1.2)
+    assert r.curves == (PowerCurve(0.5), PowerCurve(1.0))
+    assert r.psi_endpoint_exponents() == [(pytest.approx(-7.0 / 12.0), pytest.approx(2.2))]
+    v = np.array([1e-300, 1e-9, 0.25, 0.5, 0.75])
+    m = v ** (1.0 / 1.2)
+    want = MinDensity(factors, 1.5).values(m, 1.0 - m) * m / (1.2 * v)
+    assert np.allclose(r.psi_values(v), want, rtol=1e-13, atol=0.0)
+    for kernel in (KernelSpec(1, PowerBeta(0.3, 0.2), (PowerCurve(1.0),)),
+                   KernelSpec(2, ProductPowerBeta(((0.0, -1.0), (0.0, 0.0))), (MinPower(1.0),)),
+                   KernelSpec(2, ProductPowerBeta(((-1.2, 0.0), (0.0, 0.0))), (MinPower(1.0),))):
+        assert min_reduction(kernel) is kernel
+    with pytest.raises(ValueError):
+        MinDensity(((0.0, -1.0), (0.0, 0.0)))
+    with pytest.raises(ValueError):
+        KernelSpec(2, MinDensity(((0.0, 0.0), (0.0, 0.0))), (MinPower(1.0),))
+
+
+def test_min_power_divergent_verdicts_are_kept():
+    # some e_j <= -1: the cube path's structural verdict, no evaluation
+    k = KernelSpec(2, ProductPowerBeta(((0.2, -1.0), (0.1, 0.3))), (MinPower(1.0),))
+    res = kernel_power_integral(k, [0.5])
+    assert res.status is IntegralStatus.DIVERGENT and res.evaluations == 0
+    # min_j c_j + sum_i beta_i e_i <= -1 at m = 0
+    for n in (2, 3):
+        factors = ((-0.5, 0.2),) + ((0.3, 0.1),) * (n - 1)
+        k = KernelSpec(n, ProductPowerBeta(factors), (MinPower(1.0), MinPower(2.0)))
+        assert kernel_power_integral(k, [-0.2, -0.15]).status is IntegralStatus.DIVERGENT
+        res = kernel_power_integral(k, [-0.2, -0.1])
+        assert res.status is IntegralStatus.CONVERGED and res.value > 0
+
+
+@pytest.mark.parametrize("factors, beta, x", [
+    (((0.15, 0.33), (-0.22, -0.17)), 1.24, -0.21),
+    (((-0.28, 0.06), (-0.02, 0.34)), 1.1, 0.4),
+])
+def test_min_reduction_agrees_with_cube_path(factors, beta, x):
+    # the same psi as a callback is not reduced and goes through the cube
+    def psi(t):
+        out = np.ones(t.shape[0])
+        for j, (c, e) in enumerate(factors):
+            out = out * t[:, j] ** c * (1.0 - t[:, j]) ** e
+        return out
+
+    reduced = KernelSpec(2, ProductPowerBeta(factors), (MinPower(beta),))
+    cube = KernelSpec(2, PsiCallback(psi, factors), (MinPower(beta),))
+    assert min_reduction(cube) is cube
+    a = kernel_power_integral(reduced, [x], tol=1e-4)
+    b = kernel_power_integral(cube, [x], tol=1e-4)
+    assert a.status is IntegralStatus.CONVERGED and b.status is IntegralStatus.CONVERGED
+    assert 20 * a.evaluations < b.evaluations
+    assert abs(a.value - b.value) <= a.abs_error + b.abs_error
+
+
+@pytest.mark.parametrize("c, e", [(-0.9, 0.3), (0.4, -0.7)])
+def test_beta_tail_takes_the_exact_side(c, e):
+    # t and u = 1 - t are each exact on one side of 1/2; taken from u at
+    # t = 1e-10, the tail of t**-0.9 would be 1e-8 relative off
+    u = np.array([1.0, 1.0 - 1e-10, 0.7, 0.3, 1e-12, 1e-300])
+    t = np.array([1e-300, 1e-10, 0.3, 0.7, 1.0 - 1e-12, 1.0])
+    got = beta_tail(c, e, t, u)
+    with mpmath.workdps(40):
+        for g, ti, ui in zip(got, t.tolist(), u.tolist()):
+            # int_t^1 x**c (1-x)**e dx, from the side of the exact argument
+            want = (mpmath.betainc(e + 1, c + 1, 0, ui) if ti > 0.5
+                    else mpmath.beta(c + 1, e + 1) - mpmath.betainc(c + 1, e + 1, 0, ti))
+            assert abs(g - float(want)) <= 1e-14 * float(want)
