@@ -104,11 +104,15 @@ def _power_parts(profile: RadialProfile) -> Optional[Tuple[float, float, float]]
     return None
 
 
+def _power_kernel(kernel: KernelSpec) -> bool:
+    """n = 1, a PowerBeta psi and curves t**b with b > 0."""
+    return (kernel.n == 1 and isinstance(kernel.psi, PowerBeta)
+            and all(isinstance(s, PowerCurve) and s.b > 0 for s in kernel.curves))
+
+
 def _fast_setup(spec: OperatorSpec, profiles: Sequence[RadialProfile]):
     kernel = spec.kernel
-    if not (kernel.n == 1 and isinstance(kernel.psi, PowerBeta)):
-        return None
-    if not all(isinstance(s, PowerCurve) and s.b > 0 for s in kernel.curves):
+    if not _power_kernel(kernel):
         return None
     parts = [_power_parts(f) for f in profiles]
     if any(p is None for p in parts):
@@ -328,22 +332,24 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
     kernel = spec.kernel
 
     def factors(t, u=None):
-        # u is 1 - t when evaluating in reflected coordinates
-        out = None
+        # u is 1 - t when evaluating in reflected coordinates; power curves
+        # go by ln t, as t**b underflows at the deepest graded nodes
+        log_t = np.log(t) if u is None else np.log1p(-u)
+        out = 1.0
         for k, f in enumerate(profiles):
-            s = np.abs(kernel.curve_values(k, t))
-            if np.any(s == 0.0):
-                raise ValueError("curve vanished at a quadrature node")
-            term = f.evaluate(s * r)
+            curve = kernel.curves[k]
+            if isinstance(curve, PowerCurve):
+                term = f.log2_evaluate(math.log2(r) + curve.b * (log_t / LN2))
+                gap = -np.expm1(symbols[k].beta * curve.b * log_t) if symbols else None
+            else:
+                s = np.abs(kernel.curve_values(k, t))
+                if np.any(s == 0.0):
+                    raise ValueError("curve vanished at a quadrature node")
+                term = f.evaluate(s * r)
+                gap = 1.0 - s ** symbols[k].beta if symbols else None
             if symbols:
-                sym = symbols[k]
-                curve = kernel.curves[k]
-                if u is not None and isinstance(curve, PowerCurve):
-                    gap = -np.expm1(sym.beta * curve.b * np.log1p(-u))
-                else:
-                    gap = 1.0 - s ** sym.beta
-                term = term * (sym.coefficient * r ** sym.beta * gap)
-            out = term if out is None else out * term
+                term = term * (symbols[k].coefficient * r ** symbols[k].beta * gap)
+            out = out * term
         return out
 
     def integrand(t):
@@ -405,8 +411,11 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
 _RULE = 16               # Gauss points per piece; the estimate compares with 2 * _RULE
 _PIECE_WIDTH = 1.0       # widest piece in v = ln t
 _MAX_PIECES = 2 ** 12    # a radius needing more goes to the graded integrator
-# pieces evaluated at once: 2**13 nodes, which bounds every temporary array
-_BLOCK_PIECES = 2 ** 13 // (3 * _RULE)
+# elements of the temporary arrays: radii x candidate edges in the edge
+# pass, and nodes x pieces, _BLOCK_PIECES pieces at a time, in the sums
+_BLOCK = 2 ** 13
+_BLOCK_PIECES = _BLOCK // (3 * _RULE)
+_GRADING_ALLOWANCE = 8   # grading cuts assumed per radius when sizing a block of radii
 _ROUNDING = 64.0 * _EPS  # rounding allowance relative to |value|
 
 
@@ -415,11 +424,7 @@ def _piecewise_setup(spec: OperatorSpec, profiles, symbols) -> Optional[dict]:
     it needs n = 1, a PowerBeta psi, curves t**b with b > 0, inputs with no
     closed form, and at least one input that vanishes below some radius."""
     kernel = spec.kernel
-    if not (kernel.n == 1 and isinstance(kernel.psi, PowerBeta)):
-        return None
-    if not all(isinstance(s, PowerCurve) and s.b > 0 for s in kernel.curves):
-        return None
-    if _fast_setup(spec, profiles) is not None:
+    if not _power_kernel(kernel) or _fast_setup(spec, profiles) is not None:
         return None
     starts = [f.support_start() for f in profiles]
     # each symbol gap vanishes like (1-t) at t = 1
@@ -435,84 +440,108 @@ def _piecewise_setup(spec: OperatorSpec, profiles, symbols) -> Optional[dict]:
         "order": order, "bs": [s.b for s in kernel.curves], "starts": starts,
         "breaks": [np.asarray(f.log2_breakpoints(), dtype=float) for f in profiles],
         "profiles": tuple(profiles), "symbols": tuple(symbols),
-        # (nodes, weights): the _RULE-point rule, then the 2 * _RULE-point one
-        "legendre": legendre, "jacobi": jacobi,
+        # (nodes, weights) as columns: the _RULE-point rule, then the
+        # 2 * _RULE-point one
+        "legendre": [x[:, None] for x in legendre], "jacobi": [x[:, None] for x in jacobi],
     }
 
 
-def _piece_edges(setup: dict, u: float) -> Optional[np.ndarray]:
-    """Edges in v = ln t of the pieces at log2 radius u, from the lower
-    limit up to -h, where [-h, 0] is the last piece; None when the
-    integrand vanishes.
+def _lower_limits(setup: dict, u: np.ndarray) -> np.ndarray:
+    """Lower limit in v = ln t at each log2 radius u: the largest support
+    start, (a - u) ln 2 / b; the integrand vanishes below it."""
+    return np.max([(a - u) * LN2 / b for a, b in zip(setup["starts"], setup["bs"])
+                   if a is not None], axis=0)
+
+
+def _block_edges(setup: dict, u: np.ndarray, lower: np.ndarray):
+    """Edges in v = ln t of the pieces at the log2 radii u (with lower
+    limits ``lower``): every radius's edges in increasing order, radius
+    after radius, from its lower limit up to -h, where [-h, 0] is its last
+    piece; and the number of edges of each radius, 0 where the integrand
+    vanishes.
 
     The edges are the inputs' breakpoints (rho - u) ln 2 / b_k above the
-    largest support start, and grading cuts -h, -2h, -4h, ... and then
-    steps of _PIECE_WIDTH, so that no piece is wider than _PIECE_WIDTH or
-    than its distance to v = 0.  Breakpoints within rounding of log2 r sit
-    at t = 1 itself and are dropped.  The steps stop after _MAX_PIECES, so
-    the array stays bounded; a radius with more than _MAX_PIECES edges is
-    left to the graded integrator.
+    lower limit, and grading cuts -h, -2h, -4h, ... and then steps of
+    _PIECE_WIDTH, so that no piece is wider than _PIECE_WIDTH or than its
+    distance to v = 0.  Breakpoints within rounding of log2 r sit at t = 1
+    itself and are dropped.  The steps stop after _MAX_PIECES, so a radius
+    has a bounded number of edges; one with more than _MAX_PIECES is left
+    to the graded integrator.  Each radius is one row of candidate edges,
+    sorted and cleared of repeats on its own, so its edges do not depend
+    on the block.
     """
-    lower = max((a - u) * LN2 / b for a, b in zip(setup["starts"], setup["bs"])
-                if a is not None)
-    if not lower < 0.0:
-        return None
-    cuts = np.concatenate([
-        (rho[rho < u - 4.0 * _EPS * np.maximum(abs(u), np.abs(rho))] - u) * (LN2 / b)
-        for rho, b in zip(setup["breaks"], setup["bs"])])
-    cuts = cuts[cuts > lower]
-    h = min(_PIECE_WIDTH, -float(np.max(cuts, initial=lower)))
-    grading = -h * np.exp2(np.arange(max(0, math.ceil(math.log2(_PIECE_WIDTH / h))) + 1.0))
-    steps = min(math.ceil((grading[-1] - lower) / _PIECE_WIDTH), _MAX_PIECES)
-    grading = np.append(grading, grading[-1] - _PIECE_WIDTH * np.arange(1.0, steps + 1.0))
-    return np.unique(np.concatenate(([lower], cuts, grading[grading > lower])))
+    uu, lo = u[:, None], lower[:, None]
+    cuts = np.concatenate(
+        [np.where(rho < uu - 4.0 * _EPS * np.maximum(np.abs(uu), np.abs(rho)),
+                  (rho - uu) * (LN2 / b), -np.inf)
+         for rho, b in zip(setup["breaks"], setup["bs"])], axis=1)
+    cuts[~(cuts > lo)] = -np.inf
+    h = np.minimum(_PIECE_WIDTH, -np.maximum(lower, cuts.max(axis=1, initial=-np.inf)))
+    h[~(lower < 0.0)] = _PIECE_WIDTH
+    depth = np.array([max(0, math.ceil(math.log2(_PIECE_WIDTH / x))) for x in h.tolist()])
+    deepest = -h * np.exp2(depth)        # the last grading cut
+    steps = np.clip(np.ceil((deepest - lower) / _PIECE_WIDTH), 0, _MAX_PIECES)
+    j = np.arange(depth.max() + 1.0)
+    k = np.arange(1.0, steps.max() + 1.0)
+    grading = np.concatenate(
+        [np.where(j <= depth[:, None], -h[:, None] * np.exp2(j), -np.inf),
+         np.where(k <= steps[:, None], deepest[:, None] - _PIECE_WIDTH * k, -np.inf)], axis=1)
+    rows = np.concatenate([lo, cuts, grading], axis=1)
+    rows[~(rows > lo)] = np.inf
+    rows[:, 0] = np.where(lower < 0.0, lower, np.inf)
+    rows.sort(axis=1)
+    keep = np.isfinite(rows)
+    keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
+    return rows[keep], keep.sum(axis=1)
 
 
 def _piece_sums(setup: dict, lo: np.ndarray, hi: np.ndarray, last: np.ndarray,
-                radius: np.ndarray):
-    """(coarse, fine) rule sums of each piece [lo, hi] in v at its radius;
-    ``last`` marks the pieces [-h, 0], integrated against (-v)**order."""
+                log2_radius: np.ndarray):
+    """(coarse, fine) rule sums of each piece [lo, hi] in v at its log2
+    radius; ``last`` marks the pieces [-h, 0], integrated against
+    (-v)**order.  Nodes run down the rows, pieces along them, and a piece's
+    sums add its column in a fixed order, whatever the block."""
     (lx, lw), (jx, jw) = setup["legendre"], setup["jacobi"]
     order = setup["order"]
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    v = mid[:, None] + half[:, None] * np.where(last[:, None], jx, lx)
-    weight = (np.where(last, half ** (order + 1.0), half)[:, None]
-              * np.where(last[:, None], jw, lw))
+    v = mid + half * np.where(last, jx, lx)
+    weight = np.where(last, half ** (order + 1.0), half) * np.where(last, jw, lw)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         g = setup["scale"] * np.exp((setup["c"] + 1.0) * v) * (-np.expm1(v)) ** setup["e"]
-        r = radius[:, None]
         for f, b in zip(setup["profiles"], setup["bs"]):
-            g = g * f.evaluate((r * np.exp(b * v)).ravel()).reshape(v.shape)
+            # at log2(t**b r); the edges include every input's breakpoints,
+            # so the piece's midpoint names its smooth piece of the input
+            g = g * f.log2_evaluate(log2_radius + (b / LN2) * v,
+                                    at=log2_radius + (b / LN2) * mid)
         for sym, b in zip(setup["symbols"], setup["bs"]):
-            g = g * (sym.coefficient * r ** sym.beta * -np.expm1(b * sym.beta * v))
-        g[last] = g[last] * (-v[last]) ** -order
+            g = g * (sym.coefficient * np.exp2(sym.beta * log2_radius)
+                     * -np.expm1(b * sym.beta * v))
+        g[:, last] = g[:, last] * (-v[:, last]) ** -order
         g = g * weight
-    # column by column, so that a piece's sum does not depend on its block
-    coarse, fine = g[:, 0].copy(), g[:, _RULE].copy()
+    coarse, fine = g[0].copy(), g[_RULE].copy()
     for j in range(1, _RULE):
-        coarse += g[:, j]
+        coarse += g[j]
     for j in range(_RULE + 1, 3 * _RULE):
-        fine += g[:, j]
+        fine += g[j]
     return coarse, fine
 
 
-def _radius_sums(setup: dict, radii: np.ndarray, block: list) -> list:
-    """(value, summed piece differences) of each (index, edges) radius in
-    ``block``, evaluated _BLOCK_PIECES pieces at a time."""
-    sizes = [edges.size for _, edges in block]
-    lo = np.concatenate([edges for _, edges in block])
-    hi = np.concatenate([np.append(edges[1:], 0.0) for _, edges in block])
-    ends = np.cumsum(sizes).tolist()
-    last = np.zeros(lo.size, dtype=bool)
-    last[np.subtract(ends, 1)] = True
-    radius = np.repeat(radii[[i for i, _ in block]], sizes)
-    coarse, fine = np.empty(lo.size), np.empty(lo.size)
-    for a in range(0, lo.size, _BLOCK_PIECES):
-        b = a + _BLOCK_PIECES
-        coarse[a:b], fine[a:b] = _piece_sums(setup, lo[a:b], hi[a:b], last[a:b], radius[a:b])
-    fine_list, diff_list = fine.tolist(), np.abs(fine - coarse).tolist()
-    return [(math.fsum(fine_list[b - size:b]), math.fsum(diff_list[b - size:b]))
-            for b, size in zip(ends, sizes)]
+def _radius_sums(setup: dict, edges: np.ndarray, sizes: np.ndarray, u: np.ndarray) -> list:
+    """(value, summed piece differences) at each log2 radius u, from its
+    ``sizes`` edges in ``edges``, _BLOCK_PIECES pieces at a time."""
+    ends = np.cumsum(sizes)
+    hi = np.append(edges[1:], 0.0)
+    hi[ends - 1] = 0.0
+    last = np.zeros(edges.size, dtype=bool)
+    last[ends - 1] = True
+    log2_radius = np.repeat(u, sizes)
+    coarse, fine = np.empty(edges.size), np.empty(edges.size)
+    for a in range(0, edges.size, _BLOCK_PIECES):
+        b = slice(a, a + _BLOCK_PIECES)
+        coarse[b], fine[b] = _piece_sums(setup, edges[b], hi[b], last[b], log2_radius[b])
+    diff = np.abs(fine - coarse)
+    return [(math.fsum(fine[b - size:b].tolist()), math.fsum(diff[b - size:b].tolist()))
+            for b, size in zip(ends.tolist(), sizes.tolist())]
 
 
 def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray,
@@ -524,10 +553,11 @@ def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray,
     pieces' differences plus a rounding allowance (the integrand keeps
     one sign).  A radius whose error is above tol * max(1, |value|), the
     test of ``_refine``, or that needs more than _MAX_PIECES pieces, is
-    integrated by the graded cube integrator instead.  The pieces of a
-    radius and their summation order depend on that radius alone, and the
-    radii go in blocks of about _BLOCK_PIECES pieces, so a value does not
-    depend on the grid or the block it arrives in.
+    integrated by the graded cube integrator instead.  The radii go in
+    blocks of about _BLOCK candidate edges, one edge pass per block; the
+    pieces of a radius and their summation order depend on that radius
+    alone, so a value does not depend on the grid or the block it arrives
+    in.
     """
     results = [IntegralResult(0.0, 0.0, IntegralStatus.CONVERGED, 0)] * radii.size
 
@@ -536,30 +566,30 @@ def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray,
         results[i] = IntegralResult(res.value, res.abs_error, res.status,
                                     res.evaluations + evaluations)
 
-    def settle(block):
-        for (i, edges), (value, diff) in zip(block, _radius_sums(setup, radii, block)):
+    u = np.log2(radii)
+    lower = _lower_limits(setup, u)
+    # a radius has at most 2 + breakpoints + grading cuts + steps candidate
+    # edges, and at most -1 - lower steps
+    width = np.cumsum(2 + _GRADING_ALLOWANCE + sum(rho.size for rho in setup["breaks"])
+                      + np.clip(np.ceil(-1.0 - lower), 0, _MAX_PIECES))
+    a = 0
+    while a < radii.size:
+        b = max(a + 1, int(np.searchsorted(width, (width[a - 1] if a else 0.0) + _BLOCK,
+                                           side="right")))
+        edges, sizes = _block_edges(setup, u[a:b], lower[a:b])
+        for i in np.flatnonzero(sizes > _MAX_PIECES).tolist():
+            graded(a + i, 0)
+        fits = sizes <= _MAX_PIECES
+        rows = np.flatnonzero(fits & (sizes > 0))
+        sums = _radius_sums(setup, edges[np.repeat(fits, sizes)], sizes[rows], u[a + rows])
+        for i, size, (value, diff) in zip((a + rows).tolist(), sizes[rows].tolist(), sums):
             err = diff + _ROUNDING * abs(value)
             if math.isfinite(err) and err <= tol * max(1.0, abs(value)):
                 results[i] = IntegralResult(value, err, IntegralStatus.CONVERGED,
-                                            3 * _RULE * edges.size)
+                                            3 * _RULE * size)
             else:
-                graded(i, 3 * _RULE * edges.size)
-
-    block, pieces = [], 0
-    for i, u in enumerate(np.log2(radii).tolist()):
-        edges = _piece_edges(setup, u)
-        if edges is None:
-            continue
-        if edges.size > _MAX_PIECES:
-            graded(i, 0)
-            continue
-        block.append((i, edges))
-        pieces += edges.size
-        if pieces >= _BLOCK_PIECES:
-            settle(block)
-            block, pieces = [], 0
-    if block:
-        settle(block)
+                graded(i, 3 * _RULE * size)
+        a = b
     return results
 
 

@@ -8,7 +8,8 @@ log2 grid because all norms aggregate over dyadic shells, so shell
 integrals see one smooth piece per grid segment.
 
 Evaluation accepts scalars or numpy arrays of radii; radii must be
-strictly positive.
+strictly positive.  ``log2_evaluate`` takes log2 radii instead, without
+validation, so radii below the float range still have values.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ class RadialProfile:
     def __call__(self, r):
         return self.evaluate(r)
 
+    def log2_evaluate(self, u, at=None):
+        """Values at the log2 radii ``u`` (an array), unvalidated.  ``at``,
+        if given, broadcasts against ``u`` and names for each point a log2
+        radius on the same smooth piece (no breakpoint between the two), so
+        the piece is looked up once per ``at`` value."""
+        return self.evaluate(np.exp2(u))
+
     def local_exponent(self, end: str) -> Optional[float]:
         """Power-law exponent governing the profile near ``end``.
 
@@ -82,6 +90,9 @@ class PowerLaw(RadialProfile):
         arr = _check_radii(r)
         return _wrap(r, self.coefficient * arr ** self.exponent)
 
+    def log2_evaluate(self, u, at=None):
+        return self.coefficient * np.exp2(self.exponent * np.asarray(u, dtype=float))
+
     def local_exponent(self, end):
         return self.exponent
 
@@ -110,6 +121,11 @@ class TruncatedPowerLaw(RadialProfile):
         arr = _check_radii(r)
         out = np.where(arr > self.inner_radius, self.coefficient * arr ** self.exponent, 0.0)
         return _wrap(r, out)
+
+    def log2_evaluate(self, u, at=None):
+        u = np.asarray(u, dtype=float)
+        inside = (u if at is None else np.asarray(at)) > math.log2(self.inner_radius)
+        return np.where(inside, self.coefficient * np.exp2(self.exponent * u), 0.0)
 
     def local_exponent(self, end):
         return self.exponent if end == "infinity" else None
@@ -158,9 +174,12 @@ class SampledProfile(RadialProfile):
         object.__setattr__(self, "_w", w)
 
     def evaluate(self, r):
-        arr = _check_radii(r)
-        u = np.log2(arr)
-        idx = np.clip(np.searchsorted(self._u, u, side="right") - 1, 0, self._u.size - 2)
+        return _wrap(r, self.log2_evaluate(np.log2(_check_radii(r))))
+
+    def log2_evaluate(self, u, at=None):
+        u = np.asarray(u, dtype=float)
+        idx = np.clip(np.searchsorted(self._u, u if at is None else at, side="right") - 1,
+                      0, self._u.size - 2)
         u0, u1 = self._u[idx], self._u[idx + 1]
         v0, v1 = self._v[idx], self._v[idx + 1]
         w0, w1 = self._w[idx], self._w[idx + 1]
@@ -169,7 +188,7 @@ class SampledProfile(RadialProfile):
         with np.errstate(invalid="ignore", over="ignore"):
             geo = np.exp2(np.where(both, w0 + t * (w1 - w0), 0.0))
         lin = np.maximum(v0 + t * (v1 - v0), 0.0)
-        return _wrap(r, np.where(both, geo, lin))
+        return np.where(both, geo, lin)
 
     def local_exponent(self, end):
         if end == "zero":
@@ -288,6 +307,12 @@ class SumProfile(RadialProfile):
             out = out + t.evaluate(arr)
         return _wrap(r, out)
 
+    def log2_evaluate(self, u, at=None):
+        out = 0.0
+        for t in self.terms:
+            out = out + t.log2_evaluate(u, at)
+        return out
+
     def local_exponent(self, end):
         exps = [t.local_exponent(end) for t in self.terms]
         exps = [e for e in exps if e is not None]
@@ -321,6 +346,9 @@ class ScaledProfile(RadialProfile):
     def evaluate(self, r):
         arr = _check_radii(r)
         return _wrap(r, self.factor * self.base.evaluate(arr))
+
+    def log2_evaluate(self, u, at=None):
+        return self.factor * self.base.log2_evaluate(u, at)
 
     def local_exponent(self, end):
         if self.factor == 0:

@@ -55,6 +55,7 @@ _GROWTH_STEPS = 6
 _GROWTH_FACTOR = 1.25
 _MAX_ONE_DEPTH = 21     # float resolution limit toward t = 1 and interior anchors
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)   # smallest normal float
 _ROUNDING = 64.0 * _EPS   # rounding allowance relative to the sum of |terms|
 
 
@@ -104,8 +105,7 @@ def _zero_depth(half: float) -> int:
     float, where nodes go subnormal and then to 0.0 (inf * 0 = NaN for
     integrands like t**a, a < 0).
     """
-    tiny = float(np.finfo(float).tiny)
-    return max(0, int(math.log2(half * _CELL_FLOOR / tiny) / -math.log2(GRADING_RATIO)))
+    return max(0, int(math.log2(half * _CELL_FLOOR / _TINY) / -math.log2(GRADING_RATIO)))
 
 
 _MAX_ZERO_DEPTH = _zero_depth(0.25)   # the half axis [0, 1/2] of n = 1
@@ -787,9 +787,17 @@ def power_law_integrand(kernel: KernelSpec, exponents: Sequence[float]):
         for i, ei in enumerate(e):
             if ei != 0.0:
                 s = np.abs(kernel.curve_values(i, t))
-                if np.any(s == 0.0):
+                smallest = s.min()
+                if smallest < _TINY and isinstance(kernel.curves[i], PowerCurve):
+                    # t**b leaves the normal floats at deep graded nodes
+                    # (b > 1); there t**(b e) is still representable
+                    with np.errstate(divide="ignore", over="ignore"):
+                        factor = np.where(s < _TINY, t ** (kernel.curves[i].b * ei), s ** ei)
+                elif smallest == 0.0:
                     raise ValueError("curve vanished at a quadrature node")
-                out = s ** ei if out is None else out * s ** ei
+                else:
+                    factor = s ** ei
+                out = factor if out is None else out * factor
         return out
 
     def integrand(t):

@@ -197,3 +197,17 @@ def test_min_power_constants_match_mpmath(kind, m, n, tol, data):
     assert abs(res.value - want) <= res.abs_error
     if tol == 1e-10:
         assert abs(res.value - want) <= 1e-9 * want
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_commutator_mh_with_steep_power_curve_matches_mpmath(tol):
+    # order -0.95 at t = 0 grades to nodes near 1e-305, where t**1.5
+    # underflows; the integrand raised "curve vanished at a quadrature node"
+    ex = make(p_i=[1.5], q_i=[1.5], lambda_i=[0.7 / 3], beta_i=[0.3])
+    kernel = KernelSpec(1, PowerBeta(-0.3, 0.2), (PowerCurve(1.5),))
+    res = kernel_constant(ConstantKind.COMMUTATOR_MH, ex, kernel, tol=tol)
+    exponent = -1.0 / 1.5 + 0.7 / 3        # A1-shaped: -alpha - (d + gamma)/q + lambda
+    # a min-power kernel with n = 1 is this power-curve kernel
+    want = float(min_kernel_constant(((-0.3, 0.2),), 1.0, (1.5,), (exponent,), (0.3,)))
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - want) <= res.abs_error

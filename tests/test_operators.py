@@ -563,3 +563,82 @@ def test_min_power_operator_with_steep_curve_and_strong_singularity():
     want = float(_mp_min_commutator(factors, 1.5, curves, inputs, (), 2.0))
     assert res.status is IntegralStatus.CONVERGED
     assert abs(res.value - want) <= res.abs_error
+
+
+def _reference_edges(setup, u):
+    """Edges of the pieces at one log2 radius u, or None where the integrand
+    vanishes: the per-radius construction the block-wide edges must equal."""
+    eps, width = np.finfo(float).eps, operators._PIECE_WIDTH
+    lower = max((a - u) * math.log(2.0) / b for a, b in zip(setup["starts"], setup["bs"])
+                if a is not None)
+    if not lower < 0.0:
+        return None
+    cuts = np.concatenate([
+        (rho[rho < u - 4.0 * eps * np.maximum(abs(u), np.abs(rho))] - u) * (math.log(2.0) / b)
+        for rho, b in zip(setup["breaks"], setup["bs"])])
+    cuts = cuts[cuts > lower]
+    h = min(width, -float(np.max(cuts, initial=lower)))
+    grading = -h * np.exp2(np.arange(max(0, math.ceil(math.log2(width / h))) + 1.0))
+    steps = min(math.ceil((grading[-1] - lower) / width), operators._MAX_PIECES)
+    grading = np.append(grading, grading[-1] - width * np.arange(1.0, steps + 1.0))
+    return np.unique(np.concatenate(([lower], cuts, grading[grading > lower])))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_edges_match_per_radius_reference(seed):
+    rng = np.random.default_rng(seed)
+    profiles = []
+    for count in rng.integers(2, 40, size=2):
+        u = np.unique(np.round(rng.uniform(-10.0, 10.0, count) * 8.0) / 8.0)
+        profiles.append(SampledProfile(tuple(u.tolist()), (0.0,) + (1.0,) * (u.size - 1)))
+    profiles[1] = SumProfile((profiles[1], TruncatedPowerLaw(-0.5, 1.0, 2.0 ** rng.uniform(-4, 4))))
+    # curves this flat put radii far above the support starts over _MAX_PIECES
+    bs = (2e-3, 1e-3) if seed % 2 else (float(rng.choice([0.5, 1.7])), float(rng.choice([0.8, 2.0])))
+    spec = OperatorSpec(2, 1, KernelSpec(1, PowerBeta(0.2, 0.1), tuple(PowerCurve(b) for b in bs)))
+    setup = operators._piecewise_setup(spec, profiles, ())
+    nodes = np.concatenate([p.log2_breakpoints() for p in profiles])
+    # radii below the support start (no pieces), on breakpoints and just off them
+    u = np.concatenate([rng.uniform(-30.0, 30.0, 200), nodes, nodes + 1e-15, nodes - 1e-13])
+    reference = [_reference_edges(setup, x) for x in u.tolist()]
+    assert any(e is None for e in reference)
+    assert any(e is not None and e.size > operators._MAX_PIECES for e in reference) == seed % 2
+    lower = operators._lower_limits(setup, u)
+    # one block, and blocks split at random rows
+    cuts = [0] + sorted(rng.choice(np.arange(1, u.size), size=5, replace=False).tolist()) + [u.size]
+    for bounds in ([0, u.size], cuts):
+        edges, sizes = [], []
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            e, s = operators._block_edges(setup, u[a:b], lower[a:b])
+            edges.append(e)
+            sizes.extend(s.tolist())
+        ends = np.cumsum(sizes)
+        edges = np.concatenate(edges)
+        for ref, size, end in zip(reference, sizes, ends.tolist()):
+            if ref is None:
+                assert size == 0
+            else:
+                assert np.array_equal(edges[end - size:end], ref)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_steep_power_curve_on_input_not_vanishing_near_zero(tol):
+    # grading toward t = 0 reaches nodes near 1e-305, where t**1.5
+    # underflows; the integrand raised "curve vanished at a quadrature node"
+    u = tuple(float(x) for x in range(-4, 5))
+    v = tuple(2.0 ** (-0.43 * x) * (1.0 + 0.1 * math.sin(max(x, -2.0) + 2.0)) for x in u)
+    profile = SampledProfile(u, v)
+    c, e, b = -0.3, 0.2, 1.5
+    spec = OperatorSpec(1, 1, KernelSpec(1, PowerBeta(c, e), (PowerCurve(b),)))
+    res = apply_hardy_cesaro(spec, [profile], 1.0, tol=tol)
+    f = _mp_profile(profile)
+    with mpmath.workdps(30):
+        # t at each node below r = 1; below the first node the input is the
+        # power law v_0 (x / 2**u_0)**slope, so that part is a Beta integral
+        cuts = [mpmath.mpf(2) ** (mpmath.mpf(x) / b) for x in u if x < 0]
+        slope = (mpmath.log(v[1], 2) - mpmath.log(v[0], 2)) / (u[1] - u[0])
+        head = (v[0] * mpmath.mpf(2) ** (-u[0] * slope)
+                * mpmath.betainc(c + b * slope + 1, e + 1, 0, cuts[0]))
+        tail = mpmath.quad(lambda t: t ** c * (1 - t) ** e * f(t ** b), cuts + [1])
+        want = float(head + tail)
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - want) <= res.abs_error

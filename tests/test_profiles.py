@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardy_cesaro.parameters import ExponentSet
 from hardy_cesaro.profiles import (PowerLaw, SampledProfile, ScaledProfile,
@@ -115,3 +117,61 @@ def test_extremal_herz_examples():
     assert a1 - a2 == pytest.approx(0.1)
     with pytest.raises(ValueError):
         extremal_herz(make_exponents(), 0, 1.0)
+
+
+EPS = float(np.finfo(float).eps)
+
+
+@st.composite
+def _sampled(draw):
+    """A sampled profile with zero nodes among its values, so ramps and
+    zero segments, and either extension, occur."""
+    count = draw(st.integers(2, 8))
+    steps = draw(st.lists(st.floats(0.25, 2.0), min_size=count - 1, max_size=count - 1))
+    u = np.cumsum([draw(st.floats(-8.0, 0.0))] + steps)
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.1, 10.0)),
+                           min_size=count, max_size=count))
+    return SampledProfile(tuple(u.tolist()), tuple(values))
+
+
+def _simple():
+    return st.one_of(
+        st.builds(PowerLaw, st.floats(-2.0, 2.0), st.floats(0.1, 10.0)),
+        st.builds(TruncatedPowerLaw, st.floats(-2.0, 2.0), st.floats(0.1, 10.0),
+                  st.floats(-6.0, 6.0).map(lambda x: 2.0 ** x)),
+        _sampled())
+
+
+def _profiles():
+    return st.one_of(
+        _simple(),
+        st.lists(_simple(), min_size=1, max_size=3).map(lambda t: SumProfile(tuple(t))),
+        st.builds(ScaledProfile, _simple(), st.sampled_from([0.0, 0.3, 2.5])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(profile=_profiles(), data=st.data())
+def test_log2_evaluate_matches_evaluate(profile, data):
+    # nodes x pieces: each column holds points of one smooth piece of the
+    # profile (between two consecutive breakpoints, or beyond the last
+    # one), and the hint names that piece by its midpoint
+    cuts = sorted(set(profile.log2_breakpoints()))
+    ends = [min(cuts, default=0.0) - 4.0] + cuts + [max(cuts, default=0.0) + 4.0]
+    lo, hi = np.array(ends[:-1]), np.array(ends[1:])
+    fractions = np.array(data.draw(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=6)))
+    r = np.exp2(lo + fractions[:, None] * (hi - lo))
+    u = np.log2(r)       # the log2 radii that evaluate(r) interpolates at
+    want = profile.evaluate(r)
+    # power laws are 2**(a u) against r**a: at most |a u| ln 2 + 2 ulps apart
+    for got in (profile.log2_evaluate(u), profile.log2_evaluate(u, at=0.5 * (lo + hi))):
+        assert got.shape == u.shape
+        np.testing.assert_allclose(got, want, rtol=64 * EPS, atol=0.0)
+
+
+def test_log2_evaluate_below_the_float_range():
+    # a radius of 2**-1500 underflows, but its log2 still has a value
+    s = SampledProfile((-4.0, 0.0, 4.0), (2.0, 1.0, 0.5))
+    got = s.log2_evaluate(np.array([-1500.0]))
+    assert got[0] == pytest.approx(2.0 ** (1.0 + (1500.0 - 4.0) / 4.0), rel=1e-13)
+    assert PowerLaw(-0.5, 3.0).log2_evaluate(np.array([-1500.0]))[0] == 3.0 * 2.0 ** 750
+    assert TruncatedPowerLaw(-0.5).log2_evaluate(np.array([-1500.0]))[0] == 0.0

@@ -7,6 +7,8 @@ import weakref
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hardy_cesaro import quadrature
 from hardy_cesaro.quadrature import (CurveCallback, IntegralStatus, KernelSpec,
@@ -363,3 +365,17 @@ def test_beta_tail_takes_the_exact_side(c, e):
             want = (mpmath.betainc(e + 1, c + 1, 0, ui) if ti > 0.5
                     else mpmath.beta(c + 1, e + 1) - mpmath.betainc(c + 1, e + 1, 0, ti))
             assert abs(g - float(want)) <= 1e-14 * float(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.floats(-0.99, 3.0), e=st.floats(-0.99, 3.0),
+       tol=st.sampled_from([1e-4, 1e-6, 1e-8, 1e-10]))
+def test_line_integral_matches_beta_closed_form(a, e, tol):
+    # int_0^1 t**a (1-t)**e dt = B(a + 1, e + 1), endpoint orders down to -0.99
+    res = integrate_unit_cube(lambda t: t ** a * (1.0 - t) ** e, 1, tol, [(a, e)],
+                              reflected=lambda u: (1.0 - u) ** a * u ** e)
+    exact = beta_closed_form(a, e).value
+    assert res.status is not IntegralStatus.DIVERGENT
+    assert abs(res.value - exact) <= res.abs_error
+    if res.status is IntegralStatus.CONVERGED:
+        assert abs(res.value - exact) <= tol * max(1.0, exact)
