@@ -6,6 +6,11 @@ a 1-d radial integral:
 
     ||f chi_k||_{q,w} = (w(S_d) * int_{2^(k-1)}^{2^k} f(r)^q r^(gamma+d-1) dr)^(1/q).
 
+Power laws, truncated power laws, sampled profiles and their multiples
+have closed-form shell integrals, taken for the whole window in one array
+pass (``shell_norm`` is the one-shell case); sum profiles are integrated
+numerically shell by shell, per smooth piece in log-radius.
+
 Herz norms aggregate shell norms over k with 2^(k*alpha) scaling in l^p;
 Morrey-Herz norms take the sup over the truncation index k_0 of
 2^(-k_0*lambda) times partial Herz sums.  The infinite sums/sup are
@@ -27,7 +32,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .numerics import LN2, one_minus_pow2_over, pow2m1
+from .numerics import LN2, exp2_integrals, one_minus_pow2_over, pow2m1
 from .profiles import (PowerLaw, RadialProfile, SampledProfile, ScaledProfile,
                        TruncatedPowerLaw)
 from .quadrature import gauss_legendre
@@ -62,35 +67,28 @@ class NormResult:
 # shell norms
 
 
-def _power_segment_integral(E: float, k: int, lo_override: Optional[float] = None) -> float:
-    """int_{lo}^{2^k} r^E dr with lo = 2^(k-1) unless overridden."""
-    hi_p = 2.0 ** (k * (E + 1.0))
-    lo_p = 2.0 ** ((k - 1) * (E + 1.0)) if lo_override is None else lo_override ** (E + 1.0)
-    if E == -1.0:
-        lo = 2.0 ** (k - 1) if lo_override is None else lo_override
-        return math.log((2.0 ** k) / lo)
-    return (hi_p - lo_p) / (E + 1.0)
-
-
-def _closed_shell_integral(profile: RadialProfile, q: float, gamma: float,
-                           d: int, k: int) -> Optional[float]:
-    if isinstance(profile, PowerLaw):
-        E = profile.exponent * q + gamma + d - 1.0
-        return profile.coefficient ** q * _power_segment_integral(E, k)
-    if isinstance(profile, TruncatedPowerLaw):
-        lo = max(2.0 ** (k - 1), profile.inner_radius)
-        if lo >= 2.0 ** k:
-            return 0.0
-        E = profile.exponent * q + gamma + d - 1.0
-        lo_override = None if lo == 2.0 ** (k - 1) else lo
-        return profile.coefficient ** q * _power_segment_integral(E, k, lo_override)
-    if isinstance(profile, SampledProfile):
-        return profile.power_integral(q, gamma + d, k - 1.0, float(k))
+def _shell_integrals(profile: RadialProfile, q: float, gamma: float, d: int,
+                     ks: np.ndarray) -> Optional[np.ndarray]:
+    """int_{2^(k-1)}^{2^k} f(r)^q r^(gamma+d-1) dr in closed form for every k
+    of the consecutive shell indices ``ks`` in one array pass, or None.  In
+    u = log2 r a (truncated) power law c r^a gives c^q 2^(e u) ln 2 with
+    e = a q + gamma + d: inf or 0 beyond the float range, not an overflow."""
     if isinstance(profile, ScaledProfile):
-        inner = _closed_shell_integral(profile.base, q, gamma, d, k)
+        inner = _shell_integrals(profile.base, q, gamma, d, ks)
         if inner is None:
             return None
-        return profile.factor ** q * inner
+        # factor 0 is the zero function, also where the base's shells are inf
+        return profile.factor ** q * inner if profile.factor > 0.0 else np.zeros_like(inner)
+    if isinstance(profile, SampledProfile):
+        return profile.power_integrals(q, gamma + d, np.append(ks[0] - 1.0, ks))
+    if isinstance(profile, (PowerLaw, TruncatedPowerLaw)):
+        e = profile.exponent * q + gamma + d
+        lo = ks - 1.0
+        if isinstance(profile, TruncatedPowerLaw):
+            lo = np.clip(math.log2(profile.inner_radius), lo, ks)
+        top = (ks if e > 0 else lo) * e
+        shells = profile.coefficient ** q * exp2_integrals(top, e, ks - lo)
+        return np.where(ks > lo, shells, 0.0)
     return None
 
 
@@ -130,32 +128,35 @@ def _numeric_shell_integral(profile: RadialProfile, q: float, gamma: float,
     s = gamma + d
 
     def fun(u):
-        r = np.exp2(u)
-        return profile.evaluate(r) ** q * np.exp2(u * s) * LN2
+        return profile.log2_evaluate(u) ** q * np.exp2(u * s) * LN2
 
     cuts = sorted({float(b) for b in profile.log2_breakpoints() if k - 1 < b < k})
     edges = [float(k - 1)] + cuts + [float(k)]
     return math.fsum(_integrate_piece(fun, a, b) for a, b in zip(edges, edges[1:]))
 
 
-def shell_norm(profile: RadialProfile, weight: HomogeneousWeight, q: float,
-               k: int, d: int = 1) -> float:
-    """||f chi_k||_{q,w} on the shell 2^(k-1) < |x| <= 2^k.
-
-    Closed-form for (scaled) power laws, truncated power laws and sampled
-    profiles (``SampledProfile.power_integral``); sum profiles are
-    integrated numerically per smooth piece in log-radius.
-    """
+def _shell_norms(profile: RadialProfile, weight: HomogeneousWeight, q: float,
+                 ks: np.ndarray, d: int) -> np.ndarray:
+    """Shell norms for the consecutive shell indices ``ks``: closed forms
+    for the whole window at once, else numeric shells one by one."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if weight.degree <= -d:
         raise ValueError(f"weight degree must exceed -d = {-d}")
-    integral = _closed_shell_integral(profile, q, weight.degree, d, k)
-    if integral is None:
-        integral = _numeric_shell_integral(profile, q, weight.degree, d, k)
-    if integral < 0:
-        integral = 0.0
-    return (weight.sphere_mass * integral) ** (1.0 / q)
+    with np.errstate(over="ignore", invalid="ignore"):    # inf and nan shells are data
+        integrals = _shell_integrals(profile, q, weight.degree, d, ks)
+        if integrals is None:
+            integrals = np.array([_numeric_shell_integral(profile, q, weight.degree, d, int(k))
+                                  for k in ks])
+        return (weight.sphere_mass * np.maximum(integrals, 0.0)) ** (1.0 / q)
+
+
+def shell_norm(profile: RadialProfile, weight: HomogeneousWeight, q: float,
+               k: int, d: int = 1) -> float:
+    """||f chi_k||_{q,w} on the shell 2^(k-1) < |x| <= 2^k: the one-shell
+    case of the window pass the Herz norms take, so equal to their shell k
+    bit for bit."""
+    return float(_shell_norms(profile, weight, q, np.array([float(k)]), d)[0])
 
 
 # --------------------------------------------------------------------------
@@ -201,8 +202,9 @@ def _window_range(window) -> Tuple[int, int]:
 
 
 def _shell_terms(profile, weight, alpha, p, q, ks, d) -> np.ndarray:
-    shells = np.array([shell_norm(profile, weight, q, int(k), d) for k in ks])
-    return np.exp2(ks * (alpha * p)) * shells ** p
+    shells = _shell_norms(profile, weight, q, ks, d)
+    with np.errstate(over="ignore"):
+        return np.exp2(ks * (alpha * p)) * shells ** p
 
 
 # --------------------------------------------------------------------------

@@ -15,14 +15,13 @@ validation, so radii below the float range still have values.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 from scipy.special import gamma, gammaincc, hyp1f1
 
-from .numerics import LN2
+from .numerics import LN2, exp2_integrals
 
 
 def _check_radii(r):
@@ -213,49 +212,56 @@ class SampledProfile(RadialProfile):
             return self.log2_radii[-1]      # zero everywhere
         return self.log2_radii[positive[0] - 1] if positive[0] > 0 else None
 
-    def power_integral(self, q: float, s: float, lo: float, hi: float) -> float:
-        """int_{2**lo}^{2**hi} f(r)**q r**(s-1) dr in closed form, q > 0.
+    def power_integrals(self, q: float, s: float, edges) -> np.ndarray:
+        """int_{2**edges[i]}^{2**edges[i+1]} f(r)**q r**(s-1) dr for every
+        interval between the increasing ``edges``, in closed form, q > 0.
 
-        In u = log2 r the integrand is f(2**u)**q 2**(s u) ln 2, taken
-        segment by segment of the interpolant (beyond the grid, of its
-        extension).  Where both nodes are positive it is an exponential in
-        u; where one node is zero f is linear in the distance y from that
-        node, and the piece is a multiple of int y**q e**(kappa y) dy
-        (``_ramp``); where both are zero it vanishes.  Values beyond the
-        float range come back as inf or 0.
+        In u = log2 r the integrand is f(2**u)**q 2**(s u) ln 2.  The edges
+        and the interior nodes cut it into pieces, each on one segment of
+        the interpolant (beyond the grid, of its extension).  Where both
+        nodes are positive a piece is an exponential in u, and all such
+        pieces are taken in one array pass; where one node is zero f is
+        linear in the distance y from that node, and the piece is a multiple
+        of int y**q e**(kappa y) dy (``_ramp``); where both are zero it
+        vanishes.  Each interval is the ``math.fsum`` of its pieces in
+        order.  Values beyond the float range come back as inf or 0.
         """
-        u, v, w = self.log2_radii, self.values, self._w
-        last = len(u) - 2
-        pieces = []
-        a = lo
-        while a < hi:
-            j = min(max(bisect_right(u, a) - 1, 0), last)
-            b = hi if j == last else min(hi, u[j + 1])
-            u0, u1, v0, v1 = u[j], u[j + 1], v[j], v[j + 1]
-            if v0 > 0.0 and v1 > 0.0:
-                slope = float(w[j + 1] - w[j]) / (u1 - u0)
-                start = q * (float(w[j]) + slope * (a - u0)) + s * a
-                pieces.append(_exp2_integral(start, q * slope + s, b - a))
-            elif v1 > 0.0:      # zero at u0, f = v1 (u - u0) / (u1 - u0)
-                pieces.append((v1 / (u1 - u0)) ** q * _pow2(s * u0) * LN2
-                              * _ramp(q, s * LN2, max(a - u0, 0.0), max(b - u0, 0.0)))
-            elif v0 > 0.0:      # zero at u1, f = v0 (u1 - u) / (u1 - u0)
-                pieces.append((v0 / (u1 - u0)) ** q * _pow2(s * u1) * LN2
-                              * _ramp(q, -s * LN2, max(u1 - b, 0.0), max(u1 - a, 0.0)))
-            a = b
-        return math.fsum(pieces)
+        u, v, w = self._u, self._v, self._w
+        edges = np.asarray(edges, dtype=float)
+        nodes = u[1:-1]
+        cuts = np.union1d(edges, nodes[(nodes > edges[0]) & (nodes < edges[-1])])
+        a, b = cuts[:-1], cuts[1:]
+        j = np.clip(np.searchsorted(u, a, side="right") - 1, 0, u.size - 2)
+        pos0, pos1 = v[j] > 0.0, v[j + 1] > 0.0
+        with np.errstate(invalid="ignore"):
+            slope = (w[j + 1] - w[j]) / (u[j + 1] - u[j])
+            c = q * slope + s
+            top = q * (w[j] + slope * (a - u[j])) + s * a + np.maximum(c, 0.0) * (b - a)
+            pieces = np.where(pos0 & pos1, exp2_integrals(top, c, b - a), 0.0)
+        for i in np.flatnonzero(pos0 != pos1):
+            (u0, u1), (v0, v1) = self.log2_radii[j[i]:j[i] + 2], self.values[j[i]:j[i] + 2]
+            lo, hi = float(a[i]), float(b[i])
+            if v1 > 0.0:    # zero at u0, f = v1 (u - u0) / (u1 - u0)
+                pieces[i] = ((v1 / (u1 - u0)) ** q * _pow2(s * u0) * LN2
+                             * _ramp(q, s * LN2, max(lo - u0, 0.0), max(hi - u0, 0.0)))
+            else:           # zero at u1, f = v0 (u1 - u) / (u1 - u0)
+                pieces[i] = ((v0 / (u1 - u0)) ** q * _pow2(s * u1) * LN2
+                             * _ramp(q, -s * LN2, max(u1 - hi, 0.0), max(u1 - lo, 0.0)))
+        first = np.searchsorted(a, edges)   # interval i holds pieces first[i]:first[i + 1]
+        out = np.zeros(edges.size - 1)
+        out[np.searchsorted(edges, a, side="right") - 1] = pieces
+        for i in np.flatnonzero(np.diff(first) > 1):
+            out[i] = math.fsum(pieces[first[i]:first[i + 1]])
+        return out
+
+    def power_integral(self, q: float, s: float, lo: float, hi: float) -> float:
+        """int_{2**lo}^{2**hi} f(r)**q r**(s-1) dr: the one-interval case of
+        ``power_integrals`` (0 when hi <= lo)."""
+        return float(self.power_integrals(q, s, (lo, hi))[0]) if lo < hi else 0.0
 
 
 def _pow2(x: float) -> float:
     return math.inf if x >= 1024.0 else 2.0 ** x
-
-
-def _exp2_integral(start: float, c: float, width: float) -> float:
-    """int_0^width 2**(start + c y) ln 2 dy, scaled from the larger end so
-    that neither factor overflows or underflows before the product."""
-    m = abs(c) * width * LN2
-    top = start + max(c, 0.0) * width
-    return _pow2(top) * width * LN2 * (-math.expm1(-m) / m if m > 0.0 else 1.0)
 
 
 def _ramp(q: float, kappa: float, y0: float, y1: float) -> float:

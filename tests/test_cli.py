@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hardy_cesaro
 from hardy_cesaro.cli import main
 from min_reference import min_kernel_constant
@@ -95,6 +97,22 @@ def test_norm_job_schema(tmp_path):
     assert fields[0] == "tpl"
     assert math.isclose(float(fields[6]), 2.0, rel_tol=1e-10)
     assert fields[7] == "finite"
+
+
+@pytest.mark.filterwarnings("error")
+def test_norm_job_steep_power_law_is_a_verdict(tmp_path):
+    # its shells pass 2**1024 inside the default window: the job used to
+    # exit 1 with an OverflowError and write no CSV
+    out = tmp_path / "steep.csv"
+    cfg = {"job": "norm", "d": 1,
+           "space": {"alpha": 0, "lambda": 0.5, "p": 1, "q": 1},
+           "weight": {"degree": 0},
+           "profiles": [{"kind": "power", "a": 30.0, "id": "steep"}],
+           "output": str(out)}
+    assert main(["--config", str(write_config(tmp_path, cfg))]) == 0
+    fields = out.read_text().splitlines()[1].split(",")
+    assert fields[0] == "steep"
+    assert fields[7] in ("inconclusive", "infinite")
 
 
 def test_sweep_xiao_p_values(tmp_path):

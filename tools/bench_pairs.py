@@ -11,10 +11,12 @@ checkout, one run at a time, the parent first on odd pair numbers and the
 change first on even ones, and records every end-to-end metric: the runs,
 their quartiles and median, how many pairs the change won, and the ratio
 of the medians.  ``--checksum-seeds`` runs every case of each workload once
-per seed in both checkouts and records a sha256 of the outputs' repr and
-the largest relative change of any number in them (the numbers of each
-case's repr, matched in order), so a move at rounding level shows as a
-figure; ``--trace-seed`` adds the per-layer metrics of one traced round.
+per seed in both checkouts and records, for the case outputs and for the
+operator outputs the verifiers compute (captured as hcbench's checks
+capture them), a sha256 of their repr and the largest relative change of
+any number in them (the numbers of each case's repr, matched in order), so
+a move at rounding level shows as a figure; ``--trace-seed`` adds the
+per-layer metrics of one traced round.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import run
 from workloads import WORKLOADS
 workload = WORKLOADS[sys.argv[2]]
 hc = run.fresh_import()
+capture = run.Capture(hc.verification)
 out = []
 with tempfile.TemporaryDirectory() as workdir:
     for case in sorted(workload.build(hc, int(sys.argv[3]), Path(workdir)), key=lambda c: c.name):
@@ -48,7 +51,8 @@ with tempfile.TemporaryDirectory() as workdir:
             value = case.run()
         except Exception as exc:
             value = f"{type(exc).__name__}: {exc}"
-        out.append([case.name, repr(value)])
+        operators = [run._profile_key(p) for p in capture.take()]
+        out.append([case.name, repr(value), repr(operators)])
 print(json.dumps(out))
 """
 
@@ -132,15 +136,23 @@ def _max_relative_change(parent: list, change: list):
     return worst
 
 
+def _compare(sides: dict) -> dict:
+    entry = {side: {"sha256": _digest(f"{n} {v}" for n, v in rows), "cases": len(rows)}
+             for side, rows in sides.items()}
+    entry["identical"] = sides["parent"] == sides["change"]
+    entry["max_relative_change"] = _max_relative_change(sides["parent"], sides["change"])
+    return entry
+
+
 def _checksums(args, workload: str, seeds: list) -> dict:
     out = {}
     for seed in seeds:
-        sides = {side: _outputs(getattr(args, side), workload, seed)
-                 for side in ("parent", "change")}
-        entry = {side: {"sha256": _digest(f"{n} {v}" for n, v in rows), "cases": len(rows)}
-                 for side, rows in sides.items()}
-        entry["identical"] = sides["parent"] == sides["change"]
-        entry["max_relative_change"] = _max_relative_change(sides["parent"], sides["change"])
+        rows = {side: _outputs(getattr(args, side), workload, seed)
+                for side in ("parent", "change")}
+        entry = _compare({side: [(name, value) for name, value, _ in r]
+                          for side, r in rows.items()})
+        entry["operator_outputs"] = _compare({side: [(name, ops) for name, _, ops in r]
+                                              for side, r in rows.items()})
         out[str(seed)] = entry
     return out
 
