@@ -22,6 +22,15 @@ XIAO_LOG, whose log(2/t_1) factor is not a function of min(t); their
 constants are then line integrals against the density of min(t).
 COMMUTATOR_COR needs n = 1.
 
+Constants with no closed Beta form are taken on the piecewise line in
+v = ln t (``quadrature.line_power_integral``) where their kernel has
+n = 1, a PowerBeta or MinDensity psi and curves t**b with b > 0: A, A1,
+A2, XIAO and COMMUTATOR_COR_PLAIN of reduced min-power kernels,
+COMMUTATOR_MH with curves t**b, b != 1, or reduced, and XIAO_LOG at
+n = 1.  Callback kernels, XIAO_LOG at n >= 2, COMMUTATOR_COR beyond its
+folded closed form, and line values that do not converge go to the
+graded integrator.
+
 A ``Divergent`` status is a valid answer for kernel constants.  The
 structural constants (C upper factor, D and E lower factors) are finite
 closed-form expressions in the exponents and sphere masses.
@@ -36,11 +45,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import one_minus_pow2_over, pow2m1, pow2m1_over
+from .numerics import LN2, one_minus_pow2_over, pow2m1, pow2m1_over
 from .parameters import ExponentSet, derive_aggregates
-from .quadrature import (IntegralResult, KernelSpec, PowerBeta, PowerCurve,
-                         integrate_unit_cube, kernel_power_integral, min_reduction,
-                         power_law_integrand)
+from .quadrature import (IntegralResult, IntegralStatus, KernelFactor, KernelSpec,
+                         PowerBeta, PowerCurve, kernel_power_integral, line_power_integral,
+                         min_reduction)
 from .weights import HomogeneousWeight, product_weight
 
 
@@ -78,28 +87,27 @@ def _kind_exponents(kind: ConstantKind, e: ExponentSet) -> list:
     raise ValueError(f"unknown kind {kind!r}")  # pragma: no cover
 
 
-def _weighted_power_integral(kernel: KernelSpec, e, tol: float, factor,
-                             reflected_factor, shift) -> IntegralResult:
-    """int prod |s_i|**e_i * psi * factor over the cube.
+def _power_integral(kernel: KernelSpec, e, tol: float,
+                    factor: Optional[KernelFactor] = None) -> IntegralResult:
+    """``kernel_power_integral``, taken on the piecewise line in v = ln t
+    first where the kernel has no closed form and the line applies
+    (``line_power_integral``).  A line value that does not converge falls
+    back to the graded integrator, and the evaluations of both add up.
 
-    ``reflected_factor(u)`` is factor(1 - u), used where the kernel is
-    evaluated in reflected coordinates; ``shift`` holds one (at0, at1) pair
-    per coordinate that the factor adds to the declared endpoint orders.
-    """
-    integrand, reflected, endexp = power_law_integrand(kernel, e)
-
-    def weighted(t):
-        return integrand(t) * factor(t)
-
-    weighted_reflected = None
-    if reflected is not None:
-        def weighted_reflected(u):
-            return reflected(u) * reflected_factor(u)
-
-    endexp = [(at0 + s0, at1 + s1) for (at0, at1), (s0, s1) in zip(endexp, shift)]
-    return integrate_unit_cube(weighted, kernel.n, tol, endexp,
-                               detect_growth=kernel.has_callback(),
-                               reflected=weighted_reflected)
+    ``kernel_power_integral`` itself still takes reduced min-power kernels
+    on the graded path, because a test of it compares against an mpmath
+    reference that is 1.7e-13 off (ROADMAP item 2): this split is to be
+    folded into it once that reference is exact."""
+    line = None
+    if factor is not None or not kernel.is_power_closed():
+        line = line_power_integral(kernel, e, tol, factor)
+    if line is not None and line.status is not IntegralStatus.INCONCLUSIVE:
+        return line
+    res = kernel_power_integral(kernel, e, tol, factor)
+    if line is None:
+        return res
+    return IntegralResult(res.value, res.abs_error, res.status,
+                          res.evaluations + line.evaluations)
 
 
 def kernel_constant(kind: ConstantKind, exponents: ExponentSet,
@@ -121,15 +129,15 @@ def kernel_constant(kind: ConstantKind, exponents: ExponentSet,
 
     if kind in (ConstantKind.A, ConstantKind.A1, ConstantKind.A2,
                 ConstantKind.COMMUTATOR_COR_PLAIN):
-        return kernel_power_integral(kernel, e, tol)
+        return _power_integral(kernel, e, tol)
 
     if kind is ConstantKind.COMMUTATOR_COR:
         if kernel.is_power_closed():
             folded = KernelSpec(1, PowerBeta(kernel.psi.c, kernel.psi.e + 1.0,
                                              kernel.psi.scale), kernel.curves)
             return kernel_power_integral(folded, e, tol)
-        return _weighted_power_integral(kernel, e, tol, lambda t: 1.0 - t,
-                                        lambda u: u, [(0.0, 1.0)])
+        return _power_integral(kernel, e, tol, KernelFactor(
+            lambda t: 1.0 - t, lambda u: u, None, [(0.0, 1.0)]))
 
     if kind is ConstantKind.COMMUTATOR_MH:
         if exponents.beta_i is None:
@@ -154,22 +162,28 @@ def kernel_constant(kind: ConstantKind, exponents: ExponentSet,
                 out = out * base ** beta
             return out
 
+        def line_factor(v):
+            # on the line of curves t**b, b > 0: 1 - t**b = -expm1(b v)
+            return math.prod((-np.expm1(s.b * v)) ** beta
+                             for s, beta in zip(kernel.curves, betas))
+
         shift = [(fsum(b * kernel.curve_zero_exponents(i)[j]
                        for i, b in enumerate(betas)
                        if kernel.curve_zero_exponents(i)[j] < 0),
                   fsum(b for i, b in enumerate(betas)
                        if kernel.curve_tends_to_one_at_face(i, j)))
                  for j in range(kernel.n)]
-        return _weighted_power_integral(kernel, e, tol, commutator_factor,
-                                        lambda u: commutator_factor(1.0 - u, u), shift)
+        return _power_integral(kernel, e, tol, KernelFactor(
+            commutator_factor, lambda u: commutator_factor(1.0 - u, u), line_factor, shift))
 
     if kind is ConstantKind.XIAO_LOG:
-        return _weighted_power_integral(
-            kernel, e, tol, lambda t: np.log(2.0 / (t if t.ndim == 1 else t[:, 0])),
-            lambda u: np.log(2.0 / (1.0 - u)), [(0.0, 0.0)] * kernel.n)
+        # log(2/t_1) = ln 2 - v on the line (n = 1)
+        return _power_integral(kernel, e, tol, KernelFactor(
+            lambda t: np.log(2.0 / (t if t.ndim == 1 else t[:, 0])),
+            lambda u: np.log(2.0 / (1.0 - u)), lambda v: LN2 - v, [(0.0, 0.0)] * kernel.n))
 
     # XIAO
-    return kernel_power_integral(kernel, e, tol)
+    return _power_integral(kernel, e, tol)
 
 
 def structural_constant(kind: StructuralKind, exponents: ExponentSet,

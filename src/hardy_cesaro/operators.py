@@ -41,9 +41,9 @@ import numpy as np
 from .numerics import LN2
 from .profiles import (PowerLaw, RadialProfile, SampledProfile, ScaledProfile,
                        TruncatedPowerLaw)
-from .quadrature import (IntegralResult, IntegralStatus, KernelSpec, PowerBeta,
-                         PowerCurve, beta_closed_form, beta_tail, gauss_jacobi,
-                         gauss_legendre, integrate_unit_cube, min_reduction)
+from .quadrature import (PIECE_RULE, ROUNDING, IntegralResult, IntegralStatus, KernelSpec,
+                         PowerBeta, PowerCurve, beta_closed_form, beta_tail,
+                         integrate_unit_cube, min_reduction, piece_sums)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -408,15 +408,13 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
 # distance from v = 0, and the piece that ends there carries that factor
 # in a Gauss-Jacobi weight.
 
-_RULE = 16               # Gauss points per piece; the estimate compares with 2 * _RULE
 _PIECE_WIDTH = 1.0       # widest piece in v = ln t
 _MAX_PIECES = 2 ** 12    # a radius needing more goes to the graded integrator
 # elements of the temporary arrays: radii x candidate edges in the edge
 # pass, and nodes x pieces, _BLOCK_PIECES pieces at a time, in the sums
 _BLOCK = 2 ** 13
-_BLOCK_PIECES = _BLOCK // (3 * _RULE)
+_BLOCK_PIECES = _BLOCK // (3 * PIECE_RULE)
 _GRADING_ALLOWANCE = 8   # grading cuts assumed per radius when sizing a block of radii
-_ROUNDING = 64.0 * _EPS  # rounding allowance relative to |value|
 
 
 def _piecewise_setup(spec: OperatorSpec, profiles, symbols) -> Optional[dict]:
@@ -431,18 +429,11 @@ def _piecewise_setup(spec: OperatorSpec, profiles, symbols) -> Optional[dict]:
     order = kernel.psi.e + len(symbols)
     if all(a is None for a in starts) or not order > -1.0:
         return None
-    legendre = [np.concatenate(p) for p in zip(gauss_legendre(_RULE),
-                                               gauss_legendre(2 * _RULE))]
-    jacobi = [np.concatenate(p) for p in zip(gauss_jacobi(_RULE, order),
-                                             gauss_jacobi(2 * _RULE, order))]
     return {
         "c": kernel.psi.c, "e": kernel.psi.e, "scale": kernel.psi.scale,
         "order": order, "bs": [s.b for s in kernel.curves], "starts": starts,
         "breaks": [np.asarray(f.log2_breakpoints(), dtype=float) for f in profiles],
         "profiles": tuple(profiles), "symbols": tuple(symbols),
-        # (nodes, weights) as columns: the _RULE-point rule, then the
-        # 2 * _RULE-point one
-        "legendre": [x[:, None] for x in legendre], "jacobi": [x[:, None] for x in jacobi],
     }
 
 
@@ -501,12 +492,9 @@ def _piece_sums(setup: dict, lo: np.ndarray, hi: np.ndarray, last: np.ndarray,
     radius; ``last`` marks the pieces [-h, 0], integrated against
     (-v)**order.  Nodes run down the rows, pieces along them, and a piece's
     sums add its column in a fixed order, whatever the block."""
-    (lx, lw), (jx, jw) = setup["legendre"], setup["jacobi"]
-    order = setup["order"]
-    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    v = mid + half * np.where(last, jx, lx)
-    weight = np.where(last, half ** (order + 1.0), half) * np.where(last, jw, lw)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    mid = 0.5 * (hi + lo)
+
+    def values(v):
         g = setup["scale"] * np.exp((setup["c"] + 1.0) * v) * (-np.expm1(v)) ** setup["e"]
         for f, b in zip(setup["profiles"], setup["bs"]):
             # at log2(t**b r); the edges include every input's breakpoints,
@@ -516,14 +504,9 @@ def _piece_sums(setup: dict, lo: np.ndarray, hi: np.ndarray, last: np.ndarray,
         for sym, b in zip(setup["symbols"], setup["bs"]):
             g = g * (sym.coefficient * np.exp2(sym.beta * log2_radius)
                      * -np.expm1(b * sym.beta * v))
-        g[:, last] = g[:, last] * (-v[:, last]) ** -order
-        g = g * weight
-    coarse, fine = g[0].copy(), g[_RULE].copy()
-    for j in range(1, _RULE):
-        coarse += g[j]
-    for j in range(_RULE + 1, 3 * _RULE):
-        fine += g[j]
-    return coarse, fine
+        return g
+
+    return piece_sums(values, lo, hi, last, setup["order"])
 
 
 def _radius_sums(setup: dict, edges: np.ndarray, sizes: np.ndarray, u: np.ndarray) -> list:
@@ -548,10 +531,10 @@ def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray,
                       tol: float) -> list:
     """Values at the radii, one IntegralResult each.
 
-    Each piece is integrated with the _RULE- and the 2 * _RULE-point rule;
-    the value is the sum of the finer sums, and abs_error the sum of the
-    pieces' differences plus a rounding allowance (the integrand keeps
-    one sign).  A radius whose error is above tol * max(1, |value|), the
+    Each piece is integrated with the PIECE_RULE- and the 2 * PIECE_RULE-
+    point rule; the value is the sum of the finer sums, and abs_error the
+    sum of the pieces' differences plus a rounding allowance (the
+    integrand keeps one sign).  A radius whose error is above tol * max(1, |value|), the
     test of ``_refine``, or that needs more than _MAX_PIECES pieces, is
     integrated by the graded cube integrator instead.  The radii go in
     blocks of about _BLOCK candidate edges, one edge pass per block; the
@@ -583,12 +566,12 @@ def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray,
         rows = np.flatnonzero(fits & (sizes > 0))
         sums = _radius_sums(setup, edges[np.repeat(fits, sizes)], sizes[rows], u[a + rows])
         for i, size, (value, diff) in zip((a + rows).tolist(), sizes[rows].tolist(), sums):
-            err = diff + _ROUNDING * abs(value)
+            err = diff + ROUNDING * abs(value)
             if math.isfinite(err) and err <= tol * max(1.0, abs(value)):
                 results[i] = IntegralResult(value, err, IntegralStatus.CONVERGED,
-                                            3 * _RULE * size)
+                                            3 * PIECE_RULE * size)
             else:
-                graded(i, 3 * _RULE * size)
+                graded(i, 3 * PIECE_RULE * size)
         a = b
     return results
 

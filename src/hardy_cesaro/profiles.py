@@ -242,10 +242,10 @@ class SampledProfile(RadialProfile):
             (u0, u1), (v0, v1) = self.log2_radii[j[i]:j[i] + 2], self.values[j[i]:j[i] + 2]
             lo, hi = float(a[i]), float(b[i])
             if v1 > 0.0:    # zero at u0, f = v1 (u - u0) / (u1 - u0)
-                pieces[i] = ((v1 / (u1 - u0)) ** q * _pow2(s * u0) * LN2
+                pieces[i] = (_pow(v1 / (u1 - u0), q) * _pow2(s * u0) * LN2
                              * _ramp(q, s * LN2, max(lo - u0, 0.0), max(hi - u0, 0.0)))
             else:           # zero at u1, f = v0 (u1 - u) / (u1 - u0)
-                pieces[i] = ((v0 / (u1 - u0)) ** q * _pow2(s * u1) * LN2
+                pieces[i] = (_pow(v0 / (u1 - u0), q) * _pow2(s * u1) * LN2
                              * _ramp(q, -s * LN2, max(u1 - hi, 0.0), max(u1 - lo, 0.0)))
         first = np.searchsorted(a, edges)   # interval i holds pieces first[i]:first[i + 1]
         out = np.zeros(edges.size - 1)
@@ -262,6 +262,14 @@ class SampledProfile(RadialProfile):
 
 def _pow2(x: float) -> float:
     return math.inf if x >= 1024.0 else 2.0 ** x
+
+
+def _pow(x: float, q: float) -> float:
+    """x**q for x >= 0: inf beyond the float range, not an OverflowError."""
+    try:
+        return x ** q
+    except OverflowError:
+        return math.inf
 
 
 def _ramp(q: float, kappa: float, y0: float, y1: float) -> float:

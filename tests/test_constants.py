@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardy_cesaro import constants, quadrature
 from hardy_cesaro.constants import (ConstantKind, StructuralKind, kernel_constant,
                                     structural_constant)
 from hardy_cesaro.parameters import ExponentSet
-from hardy_cesaro.quadrature import (CurveCallback, IntegralStatus, KernelSpec,
-                                     MinPower, PowerBeta, PowerCurve, ProductPowerBeta)
+from hardy_cesaro.quadrature import (CurveCallback, IntegralResult, IntegralStatus,
+                                     KernelSpec, MinPower, PowerBeta, PowerCurve,
+                                     ProductPowerBeta)
 from hardy_cesaro.weights import HomogeneousWeight
-from min_reference import min_kernel_constant
+import mpmath
+from min_reference import DPS, integral, min_kernel_constant
 
 IDENTITY = KernelSpec(1, PowerBeta(0.0, 0.0), (PowerCurve(1.0),))
 
@@ -211,3 +214,89 @@ def test_commutator_mh_with_steep_power_curve_matches_mpmath(tol):
     want = float(min_kernel_constant(((-0.3, 0.2),), 1.0, (1.5,), (exponent,), (0.3,)))
     assert res.status is IntegralStatus.CONVERGED
     assert abs(res.value - want) <= res.abs_error
+
+
+def _fractions(draw, count):
+    """``count`` positive weights summing to 1."""
+    w = [draw(st.floats(0.1, 1.0)) for _ in range(count)]
+    return [x / sum(w) for x in w]
+
+
+@st.composite
+def _line_constants(draw):
+    """(kind, exponent set, kernel, mpmath value) of a constant with no
+    closed form: n = 1 PowerBeta CommutatorMH and XiaoLog with a curve t**b,
+    b != 1, or min-power A1, A2 and CommutatorMH at n = 2 and 3, whose
+    curve betas above 1 give a MinDensity power != 1.  The endpoint orders
+    reach -0.99 at both ends."""
+    at0, at1 = draw(st.floats(-0.99, 1.5)), draw(st.floats(-0.99, 1.5))
+    scale = draw(st.floats(0.5, 2.0))
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["CommutatorMH", "XiaoLog"]))
+        b = draw(st.floats(0.5, 1.5).filter(lambda x: x != 1.0))
+        if kind == "XiaoLog":
+            p = draw(st.floats(1.0, 4.0))
+            x, cbeta = -1.0 / p, 0.0
+            e = make(p_i=[p])
+        else:
+            # A1-shaped: -alpha - (d + gamma)/q + lambda = -alpha with q = 2, lambda = 1/2
+            x, cbeta = draw(st.floats(-0.8, 0.5)), draw(st.floats(0.005, 0.9))
+            e = make(alpha_i=[-x], lambda_i=[0.5], beta_i=[cbeta])
+        c, ee = at0 - b * x, at1 - cbeta
+        kernel = KernelSpec(1, PowerBeta(c, ee, scale), (PowerCurve(b),))
+        if kind == "XiaoLog":
+            with mpmath.workdps(DPS):
+                want = integral(lambda t, u: scale * t ** at0 * u ** ee * mpmath.log(2 / t),
+                                0, at0, at1)
+        else:
+            want = min_kernel_constant(((c, ee),), scale, (b,), (x,), (cbeta,))
+        return kind, e, kernel, want
+    kind = draw(st.sampled_from(["A1", "A2", "CommutatorMH"]))
+    n, m = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    betas = [draw(st.floats(0.5, 1.6)) for _ in range(m)]
+    cbeta = [draw(st.floats(0.005, 0.9)) for _ in range(m)] if kind == "CommutatorMH" else []
+    # order at min(t) = 0: min c_j + sum_i betas_i x_i; at 1: sum_j (e_j + 1) - 1 + sum cbeta
+    cs = [draw(st.floats(-0.9, 0.9)) for _ in range(n)]
+    room = max(at1 + 1.0 - sum(cbeta), 0.005)
+    factors = [(c, room * r - 1.0) for c, r in zip(cs, _fractions(draw, n))]
+    x = [(at0 - min(cs)) * r / b for r, b in zip(_fractions(draw, m), betas)]
+    alpha = [-xi - 0.5 if kind == "A2" else -xi for xi in x]
+    e = make(m=m, n=n, alpha_i=alpha, lambda_i=[0.5] * m, beta_i=cbeta or None)
+    kernel = KernelSpec(n, ProductPowerBeta(factors, scale), tuple(MinPower(b) for b in betas))
+    return kind, e, kernel, min_kernel_constant(factors, scale, betas, x, cbeta)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_line_constants())
+def test_line_constants_match_mpmath(case):
+    kind, e, kernel, want = case
+    res = kernel_constant(ConstantKind(kind), e, kernel)
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - want) <= res.abs_error
+    assert res.evaluations < 1000
+    assert type(res.value) is float and type(res.abs_error) is float
+
+
+def test_line_without_convergence_falls_back_to_graded(monkeypatch):
+    # an n = 2 min-power CommutatorMH constant whose line value is made
+    # inconclusive: the graded integrator's value and status, with the
+    # evaluations of both
+    ex = make(m=1, n=2, alpha_i=[0.3], lambda_i=[0.5], beta_i=[0.4])
+    kernel = KernelSpec(2, ProductPowerBeta(((-0.2, 0.1), (0.3, -0.4)), 1.5), (MinPower(1.3),))
+    with monkeypatch.context() as patch:
+        patch.setattr(constants, "line_power_integral", lambda *args: None)
+        graded = kernel_constant(ConstantKind.COMMUTATOR_MH, ex, kernel, tol=1e-8)
+    line, seen = quadrature.integrate_log_line, []
+
+    def unsettled(*args):
+        res = line(*args)
+        seen.append(res.evaluations)
+        return IntegralResult(res.value, res.abs_error, IntegralStatus.INCONCLUSIVE,
+                              res.evaluations)
+
+    monkeypatch.setattr(quadrature, "integrate_log_line", unsettled)
+    res = kernel_constant(ConstantKind.COMMUTATOR_MH, ex, kernel, tol=1e-8)
+    assert graded.status is IntegralStatus.CONVERGED and seen[0] > 0
+    assert (res.value, res.abs_error, res.status) == (graded.value, graded.abs_error,
+                                                        graded.status)
+    assert res.evaluations == graded.evaluations + seen[0]

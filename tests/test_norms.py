@@ -333,6 +333,15 @@ def test_steep_power_law_norms_are_verdicts(profile):
     assert res.status in (NormStatus.INCONCLUSIVE, NormStatus.INFINITE)
 
 
+@pytest.mark.filterwarnings("error")
+def test_ramp_slope_beyond_float_range_is_a_verdict():
+    # a zero node next to 1e200: the ramp's slope to the power q left the
+    # floats and raised OverflowError
+    f = SampledProfile((0.0, 1.0), (0.0, 1e200))
+    assert shell_norm(f, W1, 2.0, 1) == math.inf
+    assert morrey_herz_norm(f, W1, 0.0, 0.5, 1.0, 2.0).status is NormStatus.INCONCLUSIVE
+
+
 def test_shell_norm_sum_profile():
     f = SumProfile((PowerLaw(0.0, 1.0), PowerLaw(0.0, 2.0)))
     assert shell_norm(f, W1, 1.0, 0, d=1) == pytest.approx(3.0, rel=1e-12)

@@ -642,3 +642,41 @@ def test_steep_power_curve_on_input_not_vanishing_near_zero(tol):
         want = float(head + tail)
     assert res.status is IntegralStatus.CONVERGED
     assert abs(res.value - want) <= res.abs_error
+
+
+@st.composite
+def _power_inputs(draw, m):
+    """m PowerLaw or TruncatedPowerLaw inputs whose operator converges on
+    a kernel with c >= 0 and curves t**b, b <= 1.5."""
+    out = []
+    for _ in range(m):
+        coefficient = draw(st.floats(0.25, 4.0))
+        if draw(st.booleans()):
+            out.append(PowerLaw(draw(st.floats(-0.3, 1.0)), coefficient))
+        else:
+            out.append(TruncatedPowerLaw(draw(st.floats(-3.0, 1.0)), coefficient,
+                                         draw(st.floats(0.1, 4.0))))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 2), data=st.data())
+def test_dilation_covariance(m, data):
+    # U(f)(lam r) = U(f(lam .))(r); for the commutator the symbols dilate
+    # as well, b(lam x) = c lam**beta |x|**beta
+    lam, r = data.draw(st.floats(0.1, 10.0)), data.draw(st.floats(0.25, 4.0))
+    kernel = KernelSpec(1, PowerBeta(data.draw(st.floats(0.0, 1.0)),
+                                     data.draw(st.floats(-0.5, 1.0))),
+                        tuple(PowerCurve(data.draw(st.floats(0.5, 1.5))) for _ in range(m)))
+    spec = OperatorSpec(m, 1, kernel)
+    profiles = data.draw(_power_inputs(m))
+    scaled = [f.argument_scaled(lam) for f in profiles]
+    symbols = [PowerSymbol(data.draw(st.floats(0.1, 0.9)), data.draw(st.floats(0.5, 2.0)))
+               for _ in range(m)]
+    dilated = [PowerSymbol(s.beta, s.coefficient * lam ** s.beta) for s in symbols]
+    for far, near in ((apply_hardy_cesaro(spec, profiles, lam * r),
+                       apply_hardy_cesaro(spec, scaled, r)),
+                      (apply_commutator(spec, profiles, symbols, lam * r),
+                       apply_commutator(spec, scaled, dilated, r))):
+        assert far.status is near.status is IntegralStatus.CONVERGED
+        assert abs(far.value - near.value) <= far.abs_error + near.abs_error

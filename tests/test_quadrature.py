@@ -15,7 +15,7 @@ from hardy_cesaro.quadrature import (CurveCallback, IntegralStatus, KernelSpec,
                                      MinDensity, MinPower, PowerBeta, PowerCurve,
                                      ProductPowerBeta, PsiCallback,
                                      beta_closed_form, beta_tail, gauss_jacobi,
-                                     gauss_legendre, integrate_unit_cube,
+                                     gauss_laguerre, gauss_legendre, integrate_unit_cube,
                                      kernel_power_integral, min_reduction,
                                      power_law_integrand)
 
@@ -252,6 +252,28 @@ def test_gauss_rules_integrate_polynomials_exactly(n, alpha):
             want = 2 ** (a + 1) * mpmath.fsum(
                 math.comb(k, j) * mpmath.mpf(-2) ** j / (a + j + 1) for j in range(k + 1))
             assert abs(float(np.dot(wj, xj ** k)) - float(want)) <= 5e-14 * mass
+
+
+@pytest.mark.parametrize("n", [1, 16, 32])
+def test_gauss_laguerre_moments_to_relative_precision(n):
+    # int_0^inf e^-x x**k dx = k!; the high moments sit on the largest
+    # nodes, whose weights (down to 1e-49) must be right to rounding too
+    x, w = gauss_laguerre(n)
+    assert np.all(np.diff(x) > 0) and np.all(w > 0)
+    for k in range(2 * n):
+        assert float(np.dot(w, x ** k)) == pytest.approx(math.factorial(k), rel=2e-14)
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("alpha", [-0.99, 0.7, 9.5, 40.0])
+def test_gauss_jacobi_moments_to_relative_precision(n, alpha):
+    # int_{-1}^{1} (1-x)**alpha (1+x)**j dx = 2**(alpha+j+1) B(alpha+1, j+1);
+    # for large j or alpha the moment sits on the few nodes nearest x = 1
+    x, w = gauss_jacobi(n, alpha)
+    with mpmath.workdps(30):
+        for j in range(2 * n):
+            want = 2 ** (mpmath.mpf(alpha) + j + 1) * mpmath.beta(alpha + 1, j + 1)
+            assert float(np.dot(w, (1.0 + x) ** j)) == pytest.approx(float(want), rel=2e-14)
 
 
 def test_gauss_jacobi_rejects_nonintegrable_weight():
