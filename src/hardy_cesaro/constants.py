@@ -22,14 +22,14 @@ XIAO_LOG, whose log(2/t_1) factor is not a function of min(t); their
 constants are then line integrals against the density of min(t).
 COMMUTATOR_COR needs n = 1.
 
-Constants with no closed Beta form are taken on the piecewise line in
-v = ln t (``quadrature.line_power_integral``) where their kernel has
-n = 1, a PowerBeta or MinDensity psi and curves t**b with b > 0: A, A1,
-A2, XIAO and COMMUTATOR_COR_PLAIN of reduced min-power kernels,
-COMMUTATOR_MH with curves t**b, b != 1, or reduced, and XIAO_LOG at
-n = 1.  Callback kernels, XIAO_LOG at n >= 2, COMMUTATOR_COR beyond its
-folded closed form, and line values that do not converge go to the
-graded integrator.
+Every kind is one call of ``quadrature.kernel_power_integral``, with the
+kind's factor where it has one.  It takes constants with no closed Beta
+form on the piecewise line in v = ln t where their kernel has n = 1, a
+PowerBeta or MinDensity psi and curves t**b with b > 0: A, A1, A2, XIAO
+and COMMUTATOR_COR_PLAIN of reduced min-power kernels, COMMUTATOR_MH with
+curves t**b, b != 1, or reduced, and XIAO_LOG at n = 1.  Callback
+kernels, XIAO_LOG at n >= 2, COMMUTATOR_COR beyond its folded closed
+form, and line values that do not converge go to the graded integrator.
 
 A ``Divergent`` status is a valid answer for kernel constants.  The
 structural constants (C upper factor, D and E lower factors) are finite
@@ -47,9 +47,8 @@ import numpy as np
 
 from .numerics import LN2, one_minus_pow2_over, pow2m1, pow2m1_over
 from .parameters import ExponentSet, derive_aggregates
-from .quadrature import (IntegralResult, IntegralStatus, KernelFactor, KernelSpec,
-                         PowerBeta, PowerCurve, kernel_power_integral, line_power_integral,
-                         min_reduction)
+from .quadrature import (IntegralResult, KernelFactor, KernelSpec, PowerBeta, PowerCurve,
+                         kernel_power_integral, min_reduction)
 from .weights import HomogeneousWeight, product_weight
 
 
@@ -87,29 +86,6 @@ def _kind_exponents(kind: ConstantKind, e: ExponentSet) -> list:
     raise ValueError(f"unknown kind {kind!r}")  # pragma: no cover
 
 
-def _power_integral(kernel: KernelSpec, e, tol: float,
-                    factor: Optional[KernelFactor] = None) -> IntegralResult:
-    """``kernel_power_integral``, taken on the piecewise line in v = ln t
-    first where the kernel has no closed form and the line applies
-    (``line_power_integral``).  A line value that does not converge falls
-    back to the graded integrator, and the evaluations of both add up.
-
-    ``kernel_power_integral`` itself still takes reduced min-power kernels
-    on the graded path, because a test of it compares against an mpmath
-    reference that is 1.7e-13 off (ROADMAP item 2): this split is to be
-    folded into it once that reference is exact."""
-    line = None
-    if factor is not None or not kernel.is_power_closed():
-        line = line_power_integral(kernel, e, tol, factor)
-    if line is not None and line.status is not IntegralStatus.INCONCLUSIVE:
-        return line
-    res = kernel_power_integral(kernel, e, tol, factor)
-    if line is None:
-        return res
-    return IntegralResult(res.value, res.abs_error, res.status,
-                          res.evaluations + line.evaluations)
-
-
 def kernel_constant(kind: ConstantKind, exponents: ExponentSet,
                     kernel: KernelSpec, tol: float = 1e-10) -> IntegralResult:
     """Evaluate the kind's kernel integral; Divergent is a valid verdict."""
@@ -127,17 +103,17 @@ def kernel_constant(kind: ConstantKind, exponents: ExponentSet,
         kernel = min_reduction(kernel)
     e = _kind_exponents(kind, exponents)
 
-    if kind in (ConstantKind.A, ConstantKind.A1, ConstantKind.A2,
+    if kind in (ConstantKind.A, ConstantKind.A1, ConstantKind.A2, ConstantKind.XIAO,
                 ConstantKind.COMMUTATOR_COR_PLAIN):
-        return _power_integral(kernel, e, tol)
+        return kernel_power_integral(kernel, e, tol)
 
     if kind is ConstantKind.COMMUTATOR_COR:
         if kernel.is_power_closed():
             folded = KernelSpec(1, PowerBeta(kernel.psi.c, kernel.psi.e + 1.0,
                                              kernel.psi.scale), kernel.curves)
             return kernel_power_integral(folded, e, tol)
-        return _power_integral(kernel, e, tol, KernelFactor(
-            lambda t: 1.0 - t, lambda u: u, None, [(0.0, 1.0)]))
+        return kernel_power_integral(kernel, e, tol, KernelFactor(
+            lambda t: 1.0 - t, lambda u: u, lambda v: -np.expm1(v), [(0.0, 1.0)]))
 
     if kind is ConstantKind.COMMUTATOR_MH:
         if exponents.beta_i is None:
@@ -173,17 +149,13 @@ def kernel_constant(kind: ConstantKind, exponents: ExponentSet,
                   fsum(b for i, b in enumerate(betas)
                        if kernel.curve_tends_to_one_at_face(i, j)))
                  for j in range(kernel.n)]
-        return _power_integral(kernel, e, tol, KernelFactor(
+        return kernel_power_integral(kernel, e, tol, KernelFactor(
             commutator_factor, lambda u: commutator_factor(1.0 - u, u), line_factor, shift))
 
-    if kind is ConstantKind.XIAO_LOG:
-        # log(2/t_1) = ln 2 - v on the line (n = 1)
-        return _power_integral(kernel, e, tol, KernelFactor(
-            lambda t: np.log(2.0 / (t if t.ndim == 1 else t[:, 0])),
-            lambda u: np.log(2.0 / (1.0 - u)), lambda v: LN2 - v, [(0.0, 0.0)] * kernel.n))
-
-    # XIAO
-    return _power_integral(kernel, e, tol)
+    # XIAO_LOG: log(2/t_1) = ln 2 - v on the line (n = 1)
+    return kernel_power_integral(kernel, e, tol, KernelFactor(
+        lambda t: np.log(2.0 / (t if t.ndim == 1 else t[:, 0])),
+        lambda u: np.log(2.0 / (1.0 - u)), lambda v: LN2 - v, [(0.0, 0.0)] * kernel.n))
 
 
 def structural_constant(kind: StructuralKind, exponents: ExponentSet,

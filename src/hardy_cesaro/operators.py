@@ -41,8 +41,8 @@ import numpy as np
 from .numerics import LN2
 from .profiles import (PowerLaw, RadialProfile, SampledProfile, ScaledProfile,
                        TruncatedPowerLaw)
-from .quadrature import (PIECE_RULE, ROUNDING, IntegralResult, IntegralStatus, KernelSpec,
-                         PowerBeta, PowerCurve, beta_closed_form, beta_tail,
+from .quadrature import (PIECE_RULE, IntegralResult, IntegralStatus, KernelSpec, PowerBeta,
+                         PowerCurve, _line_verdicts, beta_closed_form, beta_tail,
                          integrate_unit_cube, min_reduction, piece_sums)
 
 _EPS = float(np.finfo(float).eps)
@@ -509,9 +509,11 @@ def _piece_sums(setup: dict, lo: np.ndarray, hi: np.ndarray, last: np.ndarray,
     return piece_sums(values, lo, hi, last, setup["order"])
 
 
-def _radius_sums(setup: dict, edges: np.ndarray, sizes: np.ndarray, u: np.ndarray) -> list:
-    """(value, summed piece differences) at each log2 radius u, from its
-    ``sizes`` edges in ``edges``, _BLOCK_PIECES pieces at a time."""
+def _radius_sums(setup: dict, edges: np.ndarray, sizes: np.ndarray, u: np.ndarray,
+                 tol: float) -> list:
+    """The line verdict (``quadrature._line_verdicts``) at each log2
+    radius u, from its ``sizes`` edges in ``edges``, _BLOCK_PIECES pieces
+    at a time."""
     ends = np.cumsum(sizes)
     hi = np.append(edges[1:], 0.0)
     hi[ends - 1] = 0.0
@@ -522,9 +524,7 @@ def _radius_sums(setup: dict, edges: np.ndarray, sizes: np.ndarray, u: np.ndarra
     for a in range(0, edges.size, _BLOCK_PIECES):
         b = slice(a, a + _BLOCK_PIECES)
         coarse[b], fine[b] = _piece_sums(setup, edges[b], hi[b], last[b], log2_radius[b])
-    diff = np.abs(fine - coarse)
-    return [(math.fsum(fine[b - size:b].tolist()), math.fsum(diff[b - size:b].tolist()))
-            for b, size in zip(ends.tolist(), sizes.tolist())]
+    return _line_verdicts(coarse, fine, sizes.tolist(), tol)
 
 
 def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray,
@@ -532,15 +532,13 @@ def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray,
     """Values at the radii, one IntegralResult each.
 
     Each piece is integrated with the PIECE_RULE- and the 2 * PIECE_RULE-
-    point rule; the value is the sum of the finer sums, and abs_error the
-    sum of the pieces' differences plus a rounding allowance (the
-    integrand keeps one sign).  A radius whose error is above tol * max(1, |value|), the
-    test of ``_refine``, or that needs more than _MAX_PIECES pieces, is
-    integrated by the graded cube integrator instead.  The radii go in
-    blocks of about _BLOCK candidate edges, one edge pass per block; the
-    pieces of a radius and their summation order depend on that radius
-    alone, so a value does not depend on the grid or the block it arrives
-    in.
+    point rule, and a radius takes the line verdict of its pieces
+    (``quadrature._line_verdicts``).  A radius whose verdict is not
+    converged, or that needs more than _MAX_PIECES pieces, is integrated by
+    the graded cube integrator instead.  The radii go in blocks of about
+    _BLOCK candidate edges, one edge pass per block; the pieces of a radius
+    and their summation order depend on that radius alone, so a value does
+    not depend on the grid or the block it arrives in.
     """
     results = [IntegralResult(0.0, 0.0, IntegralStatus.CONVERGED, 0)] * radii.size
 
@@ -564,14 +562,12 @@ def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray,
             graded(a + i, 0)
         fits = sizes <= _MAX_PIECES
         rows = np.flatnonzero(fits & (sizes > 0))
-        sums = _radius_sums(setup, edges[np.repeat(fits, sizes)], sizes[rows], u[a + rows])
-        for i, size, (value, diff) in zip((a + rows).tolist(), sizes[rows].tolist(), sums):
-            err = diff + ROUNDING * abs(value)
-            if math.isfinite(err) and err <= tol * max(1.0, abs(value)):
-                results[i] = IntegralResult(value, err, IntegralStatus.CONVERGED,
-                                            3 * PIECE_RULE * size)
+        sums = _radius_sums(setup, edges[np.repeat(fits, sizes)], sizes[rows], u[a + rows], tol)
+        for i, res in zip((a + rows).tolist(), sums):
+            if res.converged:
+                results[i] = res
             else:
-                graded(i, 3 * PIECE_RULE * size)
+                graded(i, res.evaluations)
         a = b
     return results
 

@@ -4,14 +4,14 @@ Two integrators live here.  The piecewise line (``integrate_log_line``)
 takes n = 1 kernel integrals with a PowerBeta or MinDensity psi and power
 curves t**b, b > 0, in v = ln t: fixed Gauss-Jacobi, Gauss-Legendre and
 Gauss-Laguerre pieces at two orders, one integrand evaluation per
-integral.  ``constants.kernel_constant`` takes every kernel constant with
-no closed form there first (``line_power_integral``), the reduced
-min-power ones included.  Both it and the operators' piecewise path sum
-their pieces with ``piece_sums``; the Gauss-Jacobi and Gauss-Laguerre
-rules come from their three-term recurrences (``_golub_welsch``, no
-eigenvectors), so a rule of a new order costs well under a millisecond.
-What the line does not take, or does not settle, goes to the graded
-integrator below.
+integral.  ``kernel_power_integral`` is the one entry point for kernel
+integrals: a Beta closed form where there is one, else the line, the
+reduced min-power kernels included.  The line and the operators'
+piecewise path sum their pieces with ``piece_sums`` and take their results
+from ``_line_verdicts``; the Gauss-Jacobi and Gauss-Laguerre rules come
+from their three-term recurrences (``_golub_welsch``, no eigenvectors), so
+a rule of a new order costs well under a millisecond.  What the line does
+not take, or does not settle, goes to the graded integrator below.
 
 The graded integrator uses composite 12-point Gauss-Legendre rules on
 meshes that are geometrically graded (ratio 1/4) toward the cube faces,
@@ -561,42 +561,60 @@ def integrate_unit_cube(integrand: Callable, n: int, tol: float,
 # -inf, so nothing is truncated.
 
 _HEAD_DECAY = 40.0   # the head starts where e^{-max(rate, decay) |v|} <= e^-40
+_RATE_SPAN = 40.0    # e^{rate v} falls by at most e^-40 across the Jacobi piece
+
+
+def _line_verdicts(coarse: np.ndarray, fine: np.ndarray, sizes: Sequence[int],
+                   tol: float) -> list:
+    """One result per row of pieces from their (coarse, fine) rule sums
+    (``piece_sums``), the rows taking ``sizes`` consecutive pieces each:
+    the value is the fsum of the row's finer sums, and abs_error the fsum
+    of its pieces' differences plus the rounding allowance on |value| (the
+    integrands keep one sign).  Converged under the test of ``_refine``,
+    |error| <= tol * max(1, |value|); inconclusive otherwise.  Every piece
+    costs 3 * PIECE_RULE evaluations."""
+    fine, diff = fine.tolist(), np.abs(fine - coarse).tolist()
+    out, a = [], 0
+    for size in sizes:
+        value = fsum(fine[a:a + size])
+        err = fsum(diff[a:a + size]) + ROUNDING * abs(value)
+        converged = math.isfinite(err) and err <= tol * max(1.0, abs(value))
+        out.append(IntegralResult(value, err, IntegralStatus.CONVERGED if converged
+                                  else IntegralStatus.INCONCLUSIVE, 3 * PIECE_RULE * size))
+        a += size
+    return out
 
 
 def integrate_log_line(reduced: Callable, rate: float, order: float, decay: float,
                        tol: float) -> IntegralResult:
     """int_{-inf}^0 e^{rate v} reduced(v) dv in one evaluation of ``reduced``.
 
-    The pieces are [-1, 0], with the Gauss-Jacobi weight (-v)**order;
-    [-2**(k+1), -2**k] for k < K, Gauss-Legendre; and the head
-    (-inf, v_L], v_L = -2**K, Gauss-Laguerre in x = rate (v_L - v).  2**K
-    is the first power of two from 40 / max(rate, decay) on, so the head
+    The pieces are [-2**-J, 0], with the Gauss-Jacobi weight (-v)**order;
+    [-2**(k+1), -2**k] for -J <= k < K, Gauss-Legendre; and the head
+    (-inf, v_L], v_L = -2**K, Gauss-Laguerre in x = rate (v_L - v).  2**-J
+    is the largest power of two up to 1 with rate 2**-J <= 40, so that
+    e^{rate v} falls by at most e^-40 across that piece; 2**K is the first
+    power of two from max(2**-J, 40 / max(rate, decay)) on, so the head
     either carries at most e^-40 of the integral or sees ``reduced`` within
-    e^-40 of its limit.  Each piece is summed at PIECE_RULE and 2 *
-    PIECE_RULE points; the value is the fsum of the finer sums, and
-    abs_error the sum of the pieces' differences plus the rounding
-    allowance on |value| (the integrands keep one sign).  Converged under
-    the test of ``_refine``, |error| <= tol * max(1, |value|); inconclusive
-    otherwise.  Divergent, with no evaluation, when rate <= 0 or
-    order <= -1.  ``tol`` must lie in [1e-14, 1e-2], as for
-    ``integrate_unit_cube``.
+    e^-40 of its limit.  Each piece is summed at PIECE_RULE and 2 * PIECE_RULE
+    points, and ``_line_verdicts`` gives the result.  Divergent, with no
+    evaluation, when rate <= 0 or order <= -1.  ``tol`` must lie in
+    [1e-14, 1e-2], as for ``integrate_unit_cube``.
     """
     _check_tol(tol)
     if not (rate > 0.0 and order > -1.0):
         return _divergent()
-    depth = math.ceil(math.log2(max(1.0, _HEAD_DECAY / max(rate, decay))))
-    edges = -np.exp2(np.arange(depth + 1.0))
+    # no narrower than the smallest normal float, also for rate = inf
+    first = math.ceil(math.log2(max(1.0, min(rate / _RATE_SPAN, 1.0 / _TINY))))
+    depth = math.ceil(math.log2(max(2.0 ** -first, _HEAD_DECAY / max(rate, decay))))
+    edges = -np.exp2(np.arange(-first, depth + 1.0))
 
     def values(v):
         return np.exp(rate * v) * np.asarray(reduced(v.ravel()), dtype=float).reshape(v.shape)
 
-    coarse, fine = piece_sums(values, edges, np.append(0.0, edges[:-1]), edges == -1.0,
+    coarse, fine = piece_sums(values, edges, np.append(0.0, edges[:-1]), edges == edges[0],
                               order, head=(float(edges[-1]), rate))
-    value = fsum(fine.tolist())
-    err = fsum(np.abs(fine - coarse).tolist()) + ROUNDING * abs(value)
-    converged = math.isfinite(err) and err <= tol * max(1.0, abs(value))
-    return IntegralResult(value, err, IntegralStatus.CONVERGED if converged
-                          else IntegralStatus.INCONCLUSIVE, 3 * PIECE_RULE * (edges.size + 1))
+    return _line_verdicts(coarse, fine, [fine.size], tol)[0]
 
 
 def beta_closed_form(a: float, e: float) -> IntegralResult:
@@ -1041,25 +1059,25 @@ class KernelFactor(NamedTuple):
     """An extra factor of a kernel power integral, at the points of each
     integrator: ``at_t(t)`` at t (an (npoints,) or (npoints, n) array),
     ``at_u(u)`` at t = 1 - u (the reflected evaluation of n = 1), and
-    ``at_v(v)`` at t = exp(v) on the line of ``integrate_log_line``, or
-    None to keep the graded path.  ``shift`` holds one (at0, at1) pair per
-    coordinate that the factor adds to the endpoint orders; a factor with
-    ``at_v`` adds nothing at t = 0, since it tends to a limit, or grows
-    like a polynomial in v, as v -> -inf.
+    ``at_v(v)`` at t = exp(v) on the line of ``integrate_log_line``.
+    ``shift`` holds one (at0, at1) pair per coordinate that the factor adds
+    to the endpoint orders.  On the line the factor must tend to a limit,
+    or grow like a polynomial in v, as v -> -inf, so that it adds nothing
+    at t = 0.
     """
 
     at_t: Callable
     at_u: Callable
-    at_v: Optional[Callable]
+    at_v: Callable
     shift: Sequence[Tuple[float, float]]
 
 
-def line_power_integral(kernel: KernelSpec, exponents: Sequence[float], tol: float,
-                        factor: Optional[KernelFactor] = None) -> Optional[IntegralResult]:
-    """The integral of ``kernel_power_integral`` (with the kernel taken as
-    it is) on the piecewise line in v = ln t, or None where the line does
-    not apply: it needs n = 1, a PowerBeta or MinDensity psi, curves t**b
-    with b > 0, and a factor, if any, with a line evaluator.
+def _line_integral(kernel: KernelSpec, orders: Tuple[float, float], tol: float,
+                   factor: Optional[KernelFactor]) -> Optional[IntegralResult]:
+    """The integral of ``kernel_power_integral`` on the piecewise line in
+    v = ln t, given its endpoint orders, or None where the line does not
+    apply: it needs n = 1, a PowerBeta or MinDensity psi and curves t**b
+    with b > 0.
 
     On the line the psi's ``line_values`` (times the factor) is the
     reduced integrand; the curves' powers t**(b e) are exp(b e v) and go to
@@ -1068,19 +1086,15 @@ def line_power_integral(kernel: KernelSpec, exponents: Sequence[float], tol: flo
     """
     psi = kernel.psi
     if not (kernel.n == 1 and isinstance(psi, (PowerBeta, MinDensity))
-            and all(isinstance(s, PowerCurve) and s.b > 0.0 for s in kernel.curves)
-            and (factor is None or factor.at_v is not None)):
+            and all(isinstance(s, PowerCurve) and s.b > 0.0 for s in kernel.curves)):
         return None
-    (at0, at1), = power_law_integrand(kernel, exponents)[2]
     reduced = psi.line_values
     if factor is not None:
-        at1 += factor.shift[0][1]
-
         def reduced(v):
             return psi.line_values(v) * factor.at_v(v)
 
     decay = min([psi.line_decay()] + [s.b for s in kernel.curves])
-    return integrate_log_line(reduced, at0 + 1.0, at1, decay, tol)
+    return integrate_log_line(reduced, orders[0] + 1.0, orders[1], decay, tol)
 
 
 def kernel_power_integral(kernel: KernelSpec, exponents: Sequence[float],
@@ -1089,13 +1103,15 @@ def kernel_power_integral(kernel: KernelSpec, exponents: Sequence[float],
     """int over [0,1]^n of prod_i |s_i(t)|**e_i * psi(t) dt, times
     ``factor`` when one is given.
 
-    Without a factor, power-shaped kernels (PowerBeta psi with PowerCurve
-    curves, n = 1) reduce to the Beta function B(c + sum e_i b_i + 1,
-    e + 1), and min-power kernels are reduced to n = 1
-    (``min_reduction``); a factor is a function on the kernel's own cube,
-    so with one the kernel is taken as it is.  Everything else goes
-    through the graded numeric integrator with endpoint orders derived
-    from the descriptors.
+    Without a factor, min-power kernels are reduced to n = 1
+    (``min_reduction``), and power-shaped kernels (PowerBeta psi with
+    PowerCurve curves, n = 1) then give the Beta function B(c + sum e_i b_i
+    + 1, e + 1); a factor is a function on the kernel's own cube, so with
+    one the kernel is taken as it is.  Everything else is taken on the
+    piecewise line in v = ln t where it applies (``_line_integral``), and
+    a line value that is inconclusive, or a kernel the line does not take,
+    goes to the graded numeric integrator with endpoint orders derived from
+    the descriptors; the evaluations of both add up.
     """
     e = [float(x) for x in exponents]
     if len(e) != kernel.m:
@@ -1122,6 +1138,13 @@ def kernel_power_integral(kernel: KernelSpec, exponents: Sequence[float],
             def reflected(u):
                 return plain_reflected(u) * factor.at_u(u)
 
-    return integrate_unit_cube(integrand, kernel.n, tol, endexp,
-                               detect_growth=kernel.has_callback(),
-                               reflected=reflected)
+    line = _line_integral(kernel, endexp[0], tol, factor)
+    if line is not None and line.status is not IntegralStatus.INCONCLUSIVE:
+        return line
+    res = integrate_unit_cube(integrand, kernel.n, tol, endexp,
+                              detect_growth=kernel.has_callback(),
+                              reflected=reflected)
+    if line is None:
+        return res
+    return IntegralResult(res.value, res.abs_error, res.status,
+                          res.evaluations + line.evaluations)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardy_cesaro import constants, quadrature
+from hardy_cesaro import quadrature
 from hardy_cesaro.constants import (ConstantKind, StructuralKind, kernel_constant,
                                     structural_constant)
 from hardy_cesaro.parameters import ExponentSet
@@ -277,6 +277,24 @@ def test_line_constants_match_mpmath(case):
     assert type(res.value) is float and type(res.abs_error) is float
 
 
+@pytest.mark.parametrize("e", [0.3, 5.0])
+@pytest.mark.parametrize("c", [60.0, 200.0, 1000.0])
+def test_high_rate_constants_settle_on_the_line(c, e):
+    # rates above 40: e^{rate v} falls by more than e^-40 across [-1, 0],
+    # so the line starts on a narrower piece; on [-1, 0] the two rules
+    # agreed on a value 98 % off for c = 1000, e = 5
+    kernel = KernelSpec(1, PowerBeta(c, e), (PowerCurve(1.0),))
+    res = kernel_constant(ConstantKind.XIAO_LOG, make(p_i=[2.0]), kernel)
+    with mpmath.workdps(40):
+        # int_0^1 t**a (1-t)**e log(2/t) dt = B(a+1, e+1) (ln 2 + psi(a+e+2) - psi(a+1))
+        a, e = c - mpmath.mpf(0.5), mpmath.mpf(e)
+        want = mpmath.beta(a + 1, e + 1) * (mpmath.log(2) + mpmath.digamma(a + e + 2)
+                                            - mpmath.digamma(a + 1))
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - want) <= res.abs_error
+    assert res.evaluations < 400
+
+
 def test_line_without_convergence_falls_back_to_graded(monkeypatch):
     # an n = 2 min-power CommutatorMH constant whose line value is made
     # inconclusive: the graded integrator's value and status, with the
@@ -284,7 +302,7 @@ def test_line_without_convergence_falls_back_to_graded(monkeypatch):
     ex = make(m=1, n=2, alpha_i=[0.3], lambda_i=[0.5], beta_i=[0.4])
     kernel = KernelSpec(2, ProductPowerBeta(((-0.2, 0.1), (0.3, -0.4)), 1.5), (MinPower(1.3),))
     with monkeypatch.context() as patch:
-        patch.setattr(constants, "line_power_integral", lambda *args: None)
+        patch.setattr(quadrature, "_line_integral", lambda *args: None)
         graded = kernel_constant(ConstantKind.COMMUTATOR_MH, ex, kernel, tol=1e-8)
     line, seen = quadrature.integrate_log_line, []
 

@@ -18,6 +18,7 @@ from hardy_cesaro.quadrature import (CurveCallback, IntegralStatus, KernelSpec,
                                      gauss_laguerre, gauss_legendre, integrate_unit_cube,
                                      kernel_power_integral, min_reduction,
                                      power_law_integrand)
+from min_reference import min_kernel_constant
 
 
 def test_constant_integrand():
@@ -141,30 +142,30 @@ def test_min_power_two_dimensional():
     assert res.value == pytest.approx(1.0 / 3.0, rel=1e-4)
 
 
-def _min_kernel_reference(c1, e1, c2, e2, power):
-    """int over [0,1]^2 of min(t1, t2)**power t1^c1 (1-t1)^e1 t2^c2 (1-t2)^e2.
-
-    By the symmetry of min this is int_0^1 m^power [phi_1 Phi_2 + phi_2 Phi_1] dm
-    with phi_j(m) = m^c_j (1-m)^e_j and Phi_j(m) = int_m^1 phi_j.
-    """
-    with mpmath.workdps(20):
-        def f(m):
-            tail1 = mpmath.betainc(c1 + 1, e1 + 1, m, 1)
-            tail2 = mpmath.betainc(c2 + 1, e2 + 1, m, 1)
-            return m ** power * (m ** c1 * (1 - m) ** e1 * tail2
-                                 + m ** c2 * (1 - m) ** e2 * tail1)
-        return mpmath.quad(f, [0, 0.5, 1])
-
-
 def test_abs_error_covers_third_level_min_power_constant():
-    # converges on the third refinement level, where the last level
-    # difference alone is below the true error
-    (c1, e1), (c2, e2) = factors = ((0.15, 0.33), (-0.22, -0.17))
+    # the graded integrator converges on its third refinement level, where
+    # the last level difference alone is below the true error
+    factors = ((0.15, 0.33), (-0.22, -0.17))
     k = KernelSpec(2, ProductPowerBeta(factors), (MinPower(1.24),))
-    res = kernel_power_integral(k, [-0.21], tol=1e-4)
-    assert res.status is IntegralStatus.CONVERGED
-    exact = _min_kernel_reference(c1, e1, c2, e2, 1.24 * -0.21)
-    assert abs(res.value - exact) <= res.abs_error
+    exact = float(min_kernel_constant(factors, 1.0, (1.24,), (-0.21,)))
+    integrand, reflected, endexp = power_law_integrand(min_reduction(k), [-0.21])
+    graded = integrate_unit_cube(integrand, 1, 1e-4, endexp, reflected=reflected)
+    # kernel_power_integral takes the piecewise line instead
+    line = kernel_power_integral(k, [-0.21], tol=1e-4)
+    assert graded.evaluations == 4800 and line.evaluations == 432
+    assert line.abs_error < 1e-13
+    for res in (graded, line):
+        assert res.status is IntegralStatus.CONVERGED
+        assert abs(res.value - exact) <= res.abs_error
+
+
+@pytest.mark.parametrize("rate", [41.0, 1e6, 1e300, math.inf])
+def test_log_line_resolves_any_rate(rate):
+    # int_{-inf}^0 e^{rate v} dv = 1/rate; the first piece narrows with the
+    # rate, down to the smallest normal float
+    res = quadrature.integrate_log_line(np.ones_like, rate, 0.0, 1.0, 1e-10)
+    assert res.status is IntegralStatus.CONVERGED and res.evaluations <= 144
+    assert abs(res.value - 1.0 / rate) <= res.abs_error
 
 
 def test_callback_psi_self_test():
@@ -304,6 +305,8 @@ def test_min_power_matches_closed_form(n, p):
     assert res.status is IntegralStatus.CONVERGED
     assert abs(res.value - exact) <= res.abs_error
     assert abs(res.value - exact) <= 1e-11 * exact
+    # the piecewise line, not the graded one
+    assert res.evaluations < 1000
 
 
 def test_min_reduction_descriptor():

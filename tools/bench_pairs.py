@@ -169,11 +169,14 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-seed", type=int)
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
+    seeds = _seeds(args.seeds)
+    if len(seeds) < 2:
+        # the quartiles of the pairs need two runs a side
+        parser.error(f"--seeds needs at least two seeds, got {args.seeds!r}")
     args.parent, args.change = args.parent.resolve(), args.change.resolve()
 
     declared = {m["name"]: m for m in
                 json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]}
-    seeds = _seeds(args.seeds)
     record = {
         "what": args.what,
         "command": f"python3 hcbench/run.py --workload W --seed N --seconds {args.seconds:g} "
