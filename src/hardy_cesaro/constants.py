@@ -16,20 +16,20 @@ extra factor:
                        comparison integral that the corollary strictly
                        improves on)
 
-Min-power kernels (ProductPowerBeta psi, MinPower curves) are reduced to
-n = 1 on entry (``quadrature.min_reduction``) for every kind but
-XIAO_LOG, whose log(2/t_1) factor is not a function of min(t); their
-constants are then line integrals against the density of min(t).
-COMMUTATOR_COR needs n = 1.
+Every kernel is reduced to n = 1 on entry (``quadrature.min_reduction``):
+the constants of min-power kernels (ProductPowerBeta psi, MinPower curves)
+at n >= 2 are line integrals against the density of min(t), and XIAO_LOG
+takes the density of min(t) under psi(t) log(2/t_1)
+(``quadrature.LogMinDensity``).  COMMUTATOR_COR needs n = 1.
 
 Every kind is one call of ``quadrature.kernel_power_integral``, with the
 kind's factor where it has one.  It takes constants with no closed Beta
-form on the piecewise line in v = ln t where their kernel has n = 1, a
-PowerBeta or MinDensity psi and curves t**b with b > 0: A, A1, A2, XIAO
-and COMMUTATOR_COR_PLAIN of reduced min-power kernels, COMMUTATOR_MH with
-curves t**b, b != 1, or reduced, and XIAO_LOG at n = 1.  Callback
-kernels, XIAO_LOG at n >= 2, COMMUTATOR_COR beyond its folded closed
-form, and line values that do not converge go to the graded integrator.
+form on the piecewise line in v = ln t where their kernel has a PowerBeta
+or MinDensity psi and curves t**b with b > 0: A, A1, A2, XIAO and
+COMMUTATOR_COR_PLAIN of reduced min-power kernels, COMMUTATOR_MH with
+curves t**b, b != 1, or reduced, and XIAO_LOG.  Callback kernels,
+COMMUTATOR_COR beyond its folded closed form, and line values that do not
+converge go to the graded integrator.
 
 A ``Divergent`` status is a valid answer for kernel constants.  The
 structural constants (C upper factor, D and E lower factors) are finite
@@ -47,8 +47,8 @@ import numpy as np
 
 from .numerics import LN2, one_minus_pow2_over, pow2m1, pow2m1_over
 from .parameters import ExponentSet, derive_aggregates
-from .quadrature import (IntegralResult, KernelFactor, KernelSpec, PowerBeta, PowerCurve,
-                         kernel_power_integral, min_reduction)
+from .quadrature import (IntegralResult, KernelFactor, KernelSpec, LogMinDensity, MinDensity,
+                         PowerBeta, PowerCurve, kernel_power_integral, min_reduction)
 from .weights import HomogeneousWeight, product_weight
 
 
@@ -98,9 +98,7 @@ def kernel_constant(kind: ConstantKind, exponents: ExponentSet,
     if kind is ConstantKind.COMMUTATOR_COR and kernel.n != 1:
         # its (1 - t) factor is one-dimensional
         raise ValueError("CommutatorCor requires n = 1")
-    if kind is not ConstantKind.XIAO_LOG:
-        # log(2/t_1) is not a function of min(t), so XiaoLog keeps the cube
-        kernel = min_reduction(kernel)
+    kernel = min_reduction(kernel)
     e = _kind_exponents(kind, exponents)
 
     if kind in (ConstantKind.A, ConstantKind.A1, ConstantKind.A2, ConstantKind.XIAO,
@@ -113,7 +111,7 @@ def kernel_constant(kind: ConstantKind, exponents: ExponentSet,
                                              kernel.psi.scale), kernel.curves)
             return kernel_power_integral(folded, e, tol)
         return kernel_power_integral(kernel, e, tol, KernelFactor(
-            lambda t: 1.0 - t, lambda u: u, lambda v: -np.expm1(v), [(0.0, 1.0)]))
+            lambda t: 1.0 - t, lambda u: u, lambda v: -np.expm1(v), (0.0, 1.0)))
 
     if kind is ConstantKind.COMMUTATOR_MH:
         if exponents.beta_i is None:
@@ -143,19 +141,22 @@ def kernel_constant(kind: ConstantKind, exponents: ExponentSet,
             return math.prod((-np.expm1(s.b * v)) ** beta
                              for s, beta in zip(kernel.curves, betas))
 
-        shift = [(fsum(b * kernel.curve_zero_exponents(i)[j]
-                       for i, b in enumerate(betas)
-                       if kernel.curve_zero_exponents(i)[j] < 0),
-                  fsum(b for i, b in enumerate(betas)
-                       if kernel.curve_tends_to_one_at_face(i, j)))
-                 for j in range(kernel.n)]
+        shift = (fsum(b * kernel.curve_zero_exponent(i) for i, b in enumerate(betas)
+                      if kernel.curve_zero_exponent(i) < 0),
+                 fsum(b for i, b in enumerate(betas) if kernel.curve_tends_to_one(i)))
         return kernel_power_integral(kernel, e, tol, KernelFactor(
             commutator_factor, lambda u: commutator_factor(1.0 - u, u), line_factor, shift))
 
-    # XIAO_LOG: log(2/t_1) = ln 2 - v on the line (n = 1)
+    # XIAO_LOG: a reduced min-power kernel takes the log into its density;
+    # otherwise log(2/t) = ln 2 - v on the line
+    psi = kernel.psi
+    if isinstance(psi, MinDensity):
+        return kernel_power_integral(KernelSpec(1, LogMinDensity(psi.factors, psi.scale,
+                                                                 psi.power), kernel.curves),
+                                     e, tol)
     return kernel_power_integral(kernel, e, tol, KernelFactor(
-        lambda t: np.log(2.0 / (t if t.ndim == 1 else t[:, 0])),
-        lambda u: np.log(2.0 / (1.0 - u)), lambda v: LN2 - v, [(0.0, 0.0)] * kernel.n))
+        lambda t: np.log(2.0 / t), lambda u: np.log(2.0 / (1.0 - u)), lambda v: LN2 - v,
+        (0.0, 0.0)))
 
 
 def structural_constant(kind: StructuralKind, exponents: ExponentSet,

@@ -9,23 +9,26 @@ the extra factor prod_k (b_k(x) - b_k(s_k(t) x)) with power symbols
 b_k(x) = c_k |x|**beta_k, which reduces to
 c_k r**beta_k (1 - |s_k(t)|**beta_k).
 
+Every kernel is first reduced to n = 1 (``quadrature.min_reduction``):
+n >= 2 min-power kernels become line integrals against the density of
+min(t), and at n = 1 a min-power curve is a power curve.
+
 Power-shaped instances are evaluated in closed form: pure power-law
 inputs with PowerBeta/PowerCurve kernels produce exact power-law outputs
 (Beta-function coefficients), and truncated power laws reduce to tail
 integrals int_{t0}^1 t^a (1-t)^e dt, given by the incomplete Beta
 function for a > -1 and by hypergeometric series for a <= -1
-(``tail_power_beta``, with graded quadrature beyond the series' range);
-a whole log2-radius grid is one array pass per term.
+(``quadrature.tail_power_beta``, with graded quadrature beyond the
+series' range); a whole log2-radius grid is one array pass per term.
 
 Inputs with no closed form that vanish near 0 (sampled or sum profiles,
 with PowerBeta/PowerCurve kernels) are integrated in v = ln t by a fixed
 Gauss rule on each piece between the inputs' breakpoints, at two orders,
 for blocks of radii at once (``_piecewise_values``).  What remains
-(callback kernels, n >= 2, inputs that do not vanish near 0, and radii
-whose two rules disagree) goes through the graded cube integrator, radius
-by radius, with endpoint orders and support breakpoints derived from the
-profiles and the kernel; n >= 2 min-power kernels go there reduced to
-n = 1 (``quadrature.min_reduction``), on the graded line.
+(callback kernels, reduced min-power kernels, inputs that do not vanish
+near 0, and radii whose two rules disagree) goes through the graded
+integrator on [0, 1], radius by radius, with endpoint orders and support
+breakpoints derived from the profiles and the kernel.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from .numerics import LN2
 from .profiles import (PowerLaw, RadialProfile, SampledProfile, ScaledProfile,
                        TruncatedPowerLaw)
 from .quadrature import (PIECE_RULE, IntegralResult, IntegralStatus, KernelSpec, PowerBeta,
-                         PowerCurve, _line_verdicts, beta_closed_form, beta_tail,
-                         integrate_unit_cube, min_reduction, piece_sums)
+                         PowerCurve, _line_verdicts, _unwrap, beta_closed_form,
+                         integrate_unit_cube, min_reduction, piece_sums, tail_power_beta)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -105,8 +108,8 @@ def _power_parts(profile: RadialProfile) -> Optional[Tuple[float, float, float]]
 
 
 def _power_kernel(kernel: KernelSpec) -> bool:
-    """n = 1, a PowerBeta psi and curves t**b with b > 0."""
-    return (kernel.n == 1 and isinstance(kernel.psi, PowerBeta)
+    """A PowerBeta psi and curves t**b with b > 0."""
+    return (isinstance(kernel.psi, PowerBeta)
             and all(isinstance(s, PowerCurve) and s.b > 0 for s in kernel.curves))
 
 
@@ -137,174 +140,6 @@ def _t_lower(fast: dict, r):
     return t0
 
 
-# Terms of a series in _binomial_series beyond which tail_power_beta
-# integrates numerically instead; 2000 terms serve e up to about 150 and
-# a down to about -560.
-_MAX_TERMS = 2000
-# Largest error bound, relative to the value, accepted from the series.
-_SERIES_RTOL = 1e-10
-_LOG2_EPS = math.log2(_EPS)
-
-
-def _split(e: float) -> float:
-    """Split point h of the a <= -1 tail: on [t0, h] the binomial series of
-    (1-t)**e cancels by at most ((1+h)/(1-h))**e <= 2**8; h = 1/2 for
-    e <= 5."""
-    return 0.5 if e <= 0.0 else min(0.5, math.tanh(4.0 * LN2 / e))
-
-
-def _term_count(p: float, q: float, hi: float) -> Optional[int]:
-    """Terms K after which the series of _binomial_series has a remainder
-    below eps/4 of its value for every upper limit up to hi < 1, with
-    p + K + 1 > 0.
-
-    Consecutive terms shrink at least by r_k = hi |k - q| / (k + 1), and
-    the value is at least (1 - hi)**max(q, 0) times the first term; the
-    bound is kept in log2.  None when more than _MAX_TERMS terms would be
-    needed.
-    """
-    log_bound = -max(q, 0.0) * math.log2(1.0 - hi)    # log2 of |term k| / value, at most
-    for k in range(_MAX_TERMS):
-        # from k >= q on, rho bounds every later r_j
-        rho = hi * max(1.0, abs(k - q) / (k + 1.0))
-        if k >= q and rho < 1.0 and log_bound + math.log2(rho / (1.0 - rho)) <= _LOG2_EPS - 2.0:
-            count = max(k + 1, math.floor(-p))
-            return count if count <= _MAX_TERMS else None
-        step = hi * abs(k - q) / (k + 1.0)
-        log_bound += math.log2(step) if step > 0.0 else -math.inf
-    return None
-
-
-def _binomial_series(p: float, q: float, lo, hi, count: int):
-    """int_lo^hi t**p (1-t)**q dt for 0 <= lo <= hi < 1, with an error bound.
-
-    The binomial series of (1-t)**q integrated term by term,
-
-        sum_k (-q)_k / k! * int_lo^hi t**(p+k) dt,
-
-    which is the Gauss series of 2F1(-q, p+1; p+2; .) (DLMF 15.2.1)
-    between the two limits.  A power p + k = -1 contributes log(hi/lo),
-    so integer p needs no special case.  ``lo`` and ``hi`` broadcast;
-    every element sums the same ``count`` terms, so its value does not
-    depend on the array it arrives in.
-    """
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    span = np.where(hi > lo, np.log1p((hi - lo) / lo), 0.0)   # log(hi/lo); inf at lo = 0
-    finite_span = np.where(np.isfinite(span), span, 0.0)
-    pow_lo, pow_hi = lo ** (p + 1.0), hi ** (p + 1.0)
-    # per-term relative error, in eps: 3 roundings per step of the
-    # coefficient recursion and 1 of the power recursion, 10 for the term
-    # itself, and the rounding of s = p + k + 1 magnified by the logarithms
-    # it multiplies
-    magnify_lo = np.abs(np.log(lo)) + finite_span
-    magnify_hi = np.abs(np.log(hi)) + finite_span
-    value = mass = err = 0.0
-    coef = 1.0
-    for k in range(count):
-        s = p + k + 1.0
-        if s > 0.0:
-            term = coef * pow_hi * (-np.expm1(-s * span) / s)
-            magnify = magnify_hi
-        elif s < 0.0:
-            term = coef * pow_lo * (-np.expm1(s * span) / -s)
-            magnify = magnify_lo
-        else:
-            term = coef * span
-            magnify = magnify_lo
-        size = np.abs(term)
-        value = value + term
-        mass = mass + size
-        err = err + size * (4.0 * k + 10.0 + abs(s) * magnify)
-        pow_lo, pow_hi = pow_lo * lo, pow_hi * hi
-        coef *= (k - q) / (k + 1.0)
-    # the terms left out, from the first one on, shrink geometrically by at
-    # most rho (count >= q, and s > 0 from count >= -p - 1 on)
-    rho = hi * max(1.0, (count - q) / (count + 1.0))
-    s = p + count + 1.0
-    rest = np.abs(coef) * pow_hi * (-np.expm1(-s * span) / s) / (1.0 - rho)
-    return value, _EPS * (err + count * mass) + rest
-
-
-def _unwrap(x):
-    return float(x) if np.ndim(x) == 0 else x
-
-
-def tail_power_beta(a: float, e: float, t0) -> IntegralResult:
-    """int_{t0}^{1} t**a (1-t)**e dt for t0 in [0, 1].
-
-    ``t0`` may be an array; value and abs_error then are arrays of its
-    shape, and each element equals the scalar call on it bit for bit.
-
-    - t0 = 0 is the complete Beta function; t0 > 0 with a > -1 uses the
-      regularized incomplete Beta, from the t = 1 side (in 1 - t0) above
-      t0 = 1/2.
-    - a <= -1 with t0 > 0 (DLMF 8.17.7 and 15.8), with h = ``_split(e)``:
-      for t0 > h the integral is
-      x**(e+1)/(e+1) * 2F1(-a, e+1; e+2; x) with x = 1 - t0 (exact in
-      floating point); for t0 <= h it is that value at x = 1 - h plus
-      int_{t0}^{h}, the difference of
-      t**(a+1)/(a+1) * 2F1(a+1, -e; a+2; t) between the limits, which
-      stays finite where a is an integer (a = -1 is the log case).
-      Both are summed term by term in ``_binomial_series``; abs_error
-      bounds the rounding and the truncation of those sums.
-    - Where the series would need more than _MAX_TERMS terms (e above
-      about 150, a below about -560), or its bound exceeds _SERIES_RTOL of
-      a finite value, that element is integrated numerically instead
-      (``_numeric_tail``), and the result takes the worst status of its
-      elements.
-    - Divergent when e <= -1, or a <= -1 and t0 = 0.
-    """
-    t = np.clip(np.asarray(t0, dtype=float), 0.0, 1.0)
-    inside = t < 1.0
-    diverges = inside & ((e <= -1.0) | ((a <= -1.0) & (t == 0.0)))
-    if np.any(diverges):
-        return IntegralResult(_unwrap(np.where(diverges, math.inf, 0.0)), math.inf,
-                              IntegralStatus.DIVERGENT, 0)
-    if not np.any(inside):
-        return IntegralResult(_unwrap(np.zeros(t.shape)), 0.0, IntegralStatus.CONVERGED, 0)
-    if a > -1.0:
-        # above t0 = 1/2 the regularized tail is taken from the t = 1 side,
-        # where 1 - t0 is exact, instead of as a difference that cancels
-        value = beta_tail(a, e, t, 1.0 - t)
-        return IntegralResult(_unwrap(value), 16.0 * _EPS * beta_closed_form(a, e).value,
-                              IntegralStatus.CONVERGED, 0)
-
-    h = _split(e)
-    upper_terms, lower_terms = _term_count(e, a, 1.0 - h), _term_count(a, e, h)
-    if upper_terms is None or lower_terms is None:
-        value, err = np.where(inside, math.nan, 0.0), np.where(inside, math.inf, 0.0)
-    else:
-        with np.errstate(all="ignore"):
-            upper, upper_err = _binomial_series(e, a, 0.0, np.where(t < h, 1.0 - h, 1.0 - t),
-                                                upper_terms)
-            lower, lower_err = _binomial_series(a, e, np.minimum(t, h), h, lower_terms)
-            value = np.where(inside, upper + lower, 0.0)
-            err = np.where(inside, upper_err + lower_err + _EPS * np.abs(value), 0.0)
-    with np.errstate(invalid="ignore"):
-        numeric = inside & ~(np.isfinite(value) & (err <= _SERIES_RTOL * np.abs(value)))
-    status, evaluations = IntegralStatus.CONVERGED, 0
-    for i in np.flatnonzero(numeric):
-        res = _numeric_tail(a, e, float(t.flat[i]))
-        value.flat[i], err.flat[i] = res.value, res.abs_error
-        evaluations += res.evaluations
-        if res.status is IntegralStatus.DIVERGENT or status is IntegralStatus.CONVERGED:
-            status = res.status
-    return IntegralResult(_unwrap(value), _unwrap(err), status, evaluations)
-
-
-def _numeric_tail(a: float, e: float, t0: float, tol: float = 1e-10) -> IntegralResult:
-    """int_{t0}^{1} t**a (1-t)**e dt by graded quadrature in u = 1 - t,
-    which puts the singularity of (1-t)**e at u = 0."""
-    span = 1.0 - t0
-
-    def fun(v):
-        # u = span * v; integrand (1-u)^a u^e du
-        u = span * v
-        return np.exp(a * np.log1p(-u) + e * np.log(u)) * span
-
-    return integrate_unit_cube(fun, 1, tol, [(e, 0.0)])
-
-
 def _scaled_result(res: IntegralResult, scale: float) -> IntegralResult:
     if res.status is IntegralStatus.DIVERGENT:
         return res
@@ -317,7 +152,7 @@ def _scaled_result(res: IntegralResult, scale: float) -> IntegralResult:
 
 
 def _local_exponent_for_curve(profile: RadialProfile, z: float) -> Optional[float]:
-    """Order of f(|s| r) in t_j as t_j -> 0, given |s| ~ t_j**z there."""
+    """Order of f(|s| r) in t as t -> 0, given |s| ~ t**z there."""
     if z == 0.0:
         return 0.0
     end = "zero" if z > 0 else "infinity"
@@ -360,29 +195,23 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
         def reflected(u):
             return kernel.psi_values_reflected(u) * factors(1.0 - u, u)
 
-    pe = kernel.psi_endpoint_exponents()
-    endexp = []
-    for j in range(kernel.n):
-        at0 = pe[j][0]
-        vanishes = False
-        for k, f in enumerate(profiles):
-            z = kernel.curve_zero_exponents(k)[j]
-            contrib = _local_exponent_for_curve(f, z)
-            if contrib is None:
-                vanishes = True
-                break
-            at0 += contrib
-            if symbols and z < 0:
-                at0 += symbols[k].beta * z
-        at1 = pe[j][1]
-        if symbols:
-            for k in range(spec.m):
-                if kernel.curve_tends_to_one_at_face(k, j):
-                    at1 += 1.0
-        endexp.append((math.inf if vanishes else at0, at1))
+    at0, at1 = kernel.psi_endpoint_exponents()
+    for k, f in enumerate(profiles):
+        z = kernel.curve_zero_exponent(k)
+        contrib = _local_exponent_for_curve(f, z)
+        if contrib is None:
+            at0 = math.inf    # the integrand vanishes near t = 0
+            break
+        at0 += contrib
+        if symbols and z < 0:
+            at0 += symbols[k].beta * z
+    if symbols:
+        for k in range(spec.m):
+            if kernel.curve_tends_to_one(k):
+                at1 += 1.0
 
     breakpoints = None
-    if kernel.n == 1 and all(isinstance(s, PowerCurve) for s in kernel.curves):
+    if all(isinstance(s, PowerCurve) for s in kernel.curves):
         pts = []
         for k, f in enumerate(profiles):
             b = kernel.curves[k].b
@@ -392,15 +221,15 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
                     pts.append(t)
         pts = sorted(set(pts))
         if 0 < len(pts) <= 24:
-            breakpoints = [pts]
+            breakpoints = pts
 
-    return integrand, reflected, endexp, breakpoints
+    return integrand, reflected, (at0, at1), breakpoints
 
 
 # --------------------------------------------------------------------------
 # piecewise Gauss evaluation of inputs with no closed form
 #
-# With n = 1, psi = PowerBeta and curves t**b_k, the integrand in v = ln t
+# With psi = PowerBeta and curves t**b_k, the integrand in v = ln t
 # is sc t**(c+1) (1-t)**e prod_k f_k(t**b_k r), times the symbol gaps
 # c_k r**beta_k (1 - t**(b_k beta_k)).  Between two breakpoints of the
 # inputs it is analytic apart from the factor (1-t)**e at v = 0, so a
@@ -419,7 +248,7 @@ _GRADING_ALLOWANCE = 8   # grading cuts assumed per radius when sizing a block o
 
 def _piecewise_setup(spec: OperatorSpec, profiles, symbols) -> Optional[dict]:
     """Data of the piecewise Gauss path, or None where it does not apply:
-    it needs n = 1, a PowerBeta psi, curves t**b with b > 0, inputs with no
+    it needs a PowerBeta psi, curves t**b with b > 0, inputs with no
     closed form, and at least one input that vanishes below some radius."""
     kernel = spec.kernel
     if not _power_kernel(kernel) or _fast_setup(spec, profiles) is not None:
@@ -535,7 +364,7 @@ def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray,
     point rule, and a radius takes the line verdict of its pieces
     (``quadrature._line_verdicts``).  A radius whose verdict is not
     converged, or that needs more than _MAX_PIECES pieces, is integrated by
-    the graded cube integrator instead.  The radii go in blocks of about
+    the graded integrator instead.  The radii go in blocks of about
     _BLOCK candidate edges, one edge pass per block; the pieces of a radius
     and their summation order depend on that radius alone, so a value does
     not depend on the grid or the block it arrives in.
@@ -618,13 +447,9 @@ def _closed_values(fast: dict, symbols, r) -> IntegralResult:
 
 
 def _graded(spec: OperatorSpec, profiles, symbols, r: float, tol: float) -> IntegralResult:
-    """Pointwise value at |x| = r by the graded cube integrator; min-power
-    kernels go to it reduced to n = 1 (``min_reduction``)."""
-    kernel = min_reduction(spec.kernel)
-    if kernel is not spec.kernel:
-        spec = OperatorSpec(spec.m, 1, kernel)
-    integrand, reflected, endexp, brks = _operator_integrand(spec, profiles, r, symbols)
-    return integrate_unit_cube(integrand, spec.n, tol, endexp, breakpoints=brks,
+    """Pointwise value at |x| = r by the graded integrator."""
+    integrand, reflected, orders, brks = _operator_integrand(spec, profiles, r, symbols)
+    return integrate_unit_cube(integrand, 1, tol, orders, breakpoints=brks,
                                detect_growth=spec.kernel.has_callback(),
                                reflected=reflected)
 
@@ -636,6 +461,7 @@ def _evaluate(spec: OperatorSpec, profiles, symbols, r: float,
     The closed and piecewise paths run the grid sampler's arithmetic on a
     single radius, so both agree with it bit for bit.
     """
+    spec = OperatorSpec(spec.m, 1, min_reduction(spec.kernel))
     fast = _fast_setup(spec, profiles)
     if fast is not None:
         res = _closed_values(fast, symbols, np.asarray(float(r)))
@@ -689,6 +515,7 @@ def _sample(spec: OperatorSpec, profiles, symbols, grid, tol) -> RadialProfile:
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     what = "commutator" if symbols else "operator"
+    spec = OperatorSpec(spec.m, 1, min_reduction(spec.kernel))
 
     fast = _fast_setup(spec, profiles)
     if fast is not None and not any(R > 0 for R in fast["radii"]):

@@ -1,4 +1,11 @@
-"""Singularity-aware quadrature on the unit cube and kernel descriptors.
+"""Singularity-aware quadrature on [0, 1] and kernel descriptors.
+
+Every kernel integral here is one-dimensional.  Kernels with n >= 2 have a
+ProductPowerBeta psi and MinPower curves, so their integrands depend on t
+through m = min(t) alone: ``min_reduction`` turns them into n = 1 kernels
+whose psi is the density of m (``MinDensity``; ``LogMinDensity`` with the
+XiaoLog factor log(2/t_1)).  At n = 1 it turns a MinPower curve into a
+power curve and a one-factor ProductPowerBeta into a PowerBeta.
 
 Two integrators live here.  The piecewise line (``integrate_log_line``)
 takes n = 1 kernel integrals with a PowerBeta or MinDensity psi and power
@@ -14,39 +21,31 @@ a rule of a new order costs well under a millisecond.  What the line does
 not take, or does not settle, goes to the graded integrator below.
 
 The graded integrator uses composite 12-point Gauss-Legendre rules on
-meshes that are geometrically graded (ratio 1/4) toward the cube faces,
-so algebraic endpoint singularities t**a with a > -1 converge
+meshes that are geometrically graded (ratio 1/4) toward both ends of
+[0, 1], so algebraic endpoint singularities t**a with a > -1 converge
 geometrically under refinement.  Refinement doubles the grading depth and also halves the
 maximum interior cell width, so interior kinks of piecewise-smooth
 integrands are resolved too.  The reported error adds to the refinement
-differences the rule's own error on the graded cells of a singular face,
+differences the rule's own error on the graded cells of a singular end,
 which is the same on every cell and so never shows in those differences.
 
-Kernels with a ProductPowerBeta psi and only MinPower curves (every n >= 2
-kernel the CLI builds) never reach the tensor mesh: their integrands
-depend on t through m = min(t) alone, so ``min_reduction`` turns them into
-n = 1 kernels whose psi is the density of m (``MinDensity``).  The tensor
-mesh serves the rest of n >= 2: callback kernels, and the XiaoLog
-constant, whose log(2/t_1) factor is not a function of m.
-
 Floating point cannot place mesh points closer to t = 1 than about 1e-13,
-which caps the achievable accuracy for singularities at that face.  For
-n == 1 the integrator therefore accepts an optional ``reflected``
-companion evaluator g(u) = f(1 - u): the right half of the axis is then
-meshed in u-coordinates, where grading toward the singularity is exact.
-All descriptor-built integrands in this package supply the companion; raw
+which caps the achievable accuracy for singularities at that end.  The
+integrator therefore accepts an optional ``reflected`` companion evaluator
+g(u) = f(1 - u): the right half of the axis is then meshed in
+u-coordinates, where grading toward the singularity is exact.  All
+descriptor-built integrands in this package supply the companion; raw
 callback integrands without one get an honest accuracy floor (reported as
 ``Inconclusive`` when the requested tolerance lies below it).
 
 Divergence is decided structurally whenever the endpoint behavior is
-known: a declared endpoint exponent <= -1 in some coordinate yields
-``Divergent`` without any function evaluation.  Numeric growth detection
-(refinement differences increasing monotonically over six levels) is the
-fallback for opaque callback kernels.
+known: a declared endpoint exponent <= -1 yields ``Divergent`` without
+any function evaluation.  Numeric growth detection (refinement
+differences increasing monotonically over six levels) is the fallback for
+opaque callback kernels.
 
-Integrands are evaluated in vectorized form: for n == 1 they receive a
-1-d ndarray of abscissas and for n > 1 an (npoints, n) array, returning
-an array of matching length.
+Integrands are evaluated in vectorized form: they receive a 1-d ndarray
+of abscissas and return an array of matching length.
 """
 
 from __future__ import annotations
@@ -59,7 +58,9 @@ from math import fsum
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import betainc, betaln
+from scipy.special import betainc, betaln, digamma
+
+from .numerics import LN2
 
 GAUSS_POINTS_PER_CELL = 12
 GRADING_RATIO = 0.25
@@ -340,15 +341,13 @@ def _looks_divergent(values: Sequence[float]) -> bool:
     return bool(np.all(mags[1:] >= _GROWTH_FACTOR * mags[:-1]))
 
 
-def _normalize_exponents(endpoint_exponents, n: int):
+def _endpoint_pair(endpoint_exponents) -> Tuple[float, float]:
+    """(at0, at1) from a pair or from a sequence holding one pair."""
     if endpoint_exponents is None:
-        return [(0.0, 0.0)] * n
+        return 0.0, 0.0
     pairs = list(endpoint_exponents)
-    if n == 1 and len(pairs) == 2 and all(np.isscalar(p) for p in pairs):
-        pairs = [tuple(pairs)]
-    if len(pairs) != n:
-        raise ValueError(f"expected {n} endpoint exponent pairs, got {len(pairs)}")
-    return [(float(a), float(b)) for a, b in pairs]
+    at0, at1 = pairs[0] if len(pairs) == 1 else pairs
+    return float(at0), float(at1)
 
 
 def _unresolved_mass(width: float, exponent: float) -> float:
@@ -373,100 +372,90 @@ def _overflow_verdict(values, evaluations, detect_growth) -> IntegralResult:
 
 # --------------------------------------------------------------------------
 # integration
-#
-# Each case supplies a per-level mesh builder, level(depth) ->
-# (npts, miss, value): the level's point count (checked against the budget
-# before anything is evaluated), the unresolved endpoint mass of its
-# innermost cells, and a thunk that evaluates the level sum and the sum of
-# its absolute terms.
 
 
-def _line_mesh(integrand, reflected, exps, anchors):
-    """n = 1: the halves [0, 1/2] in t and, mirrored, [0, 1/2] in u = 1 - t.
+def integrate_unit_cube(integrand: Callable, n: int, tol: float,
+                        endpoint_exponents=None, *,
+                        breakpoints=None,
+                        detect_growth: bool = True,
+                        reflected: Optional[Callable] = None,
+                        budget: int = DEFAULT_BUDGET) -> IntegralResult:
+    """Integrate ``integrand`` over [0, 1] with endpoint grading.
 
-    The right half goes through ``reflected`` when given (exact grading
-    toward t = 1); otherwise through ``integrand`` at 1 - u, kept below 1.
+    Each level meshes the halves [0, 1/2] in t and, mirrored, [0, 1/2] in
+    u = 1 - t; the right half goes through ``reflected`` when given (and
+    then grades toward u = 0 exactly), otherwise through ``integrand`` at
+    1 - u, kept below 1.  The grading depth doubles until two successive
+    level differences and the unresolved endpoint mass are all within
+    tolerance.  ``abs_error`` is the largest of the last two level
+    differences and the unresolved mass (times max(1, |value|)), plus, in
+    proportion to the sum of the absolute terms, the cell rule's error on
+    the graded cells (which no level difference shows) and a rounding
+    allowance.
+
+    Parameters
+    ----------
+    integrand : callable
+        Vectorized evaluator of a 1-d array of abscissas.
+    n : int
+        The dimension, which must be 1: every kernel integral of the
+        package is one-dimensional (``min_reduction``).
+    tol : float
+        Relative tolerance in [1e-14, 1e-2]; convergence is declared when
+        two successive refinement levels agree within tol * max(1, |value|).
+    endpoint_exponents : (at0, at1), or a sequence holding that one pair
+        Declared singularity orders: the integrand behaves like t**at0
+        near t = 0 and (1-t)**at1 near t = 1.  ``math.inf`` declares that
+        the integrand vanishes identically near that end.  A declared
+        exponent <= -1 (-inf included) returns ``Divergent`` immediately.
+    breakpoints : sequence of floats
+        Known kinks/jumps; they become cell boundaries.
+    detect_growth : bool
+        Numeric divergence fallback for callback kernels.
+    reflected : callable, optional
+        Companion evaluator g(u) = integrand(1 - u), enabling exact
+        grading toward t = 1.
+    budget : int
+        Total evaluation-point budget; exceeding it yields ``Inconclusive``.
     """
-    at0, at1 = exps
-    left_anchors = [a for a in anchors if 0.0 < a < 0.5]
-    right_anchors = [1.0 - a for a in anchors if 0.5 < a < 1.0]
-
+    if n != 1:
+        raise ValueError(f"n must be 1, got {n}")
+    _check_tol(tol)
+    at0, at1 = _endpoint_pair(endpoint_exponents)
+    if at0 <= -1.0 or at1 <= -1.0:
+        return _divergent()
+    anchors = () if breakpoints is None else tuple(breakpoints)
+    left = [a for a in anchors if 0.0 < a < 0.5]
+    right = [1.0 - a for a in anchors if 0.5 < a < 1.0]
     graded_right = reflected is not None
     if reflected is None:
         def reflected(u):
             return integrand(np.minimum(1.0 - u, 1.0 - 2.0 * _EPS))
 
-    def level(depth):
-        maxw = 4.0 / depth
-        lb = _compose_axis(left_anchors, depth, maxw, 0.0, 0.5, deep_lo=True)
-        rb = _compose_axis(right_anchors, depth, maxw, 0.0, 0.5, deep_lo=graded_right)
-        xl, wl = _axis_nodes(lb)
-        xu, wu = _axis_nodes(rb)
-        miss = max(_unresolved_mass(float(lb[1] - lb[0]), at0),
-                   _unresolved_mass(float(rb[1] - rb[0]), at1))
-
-        def value():
-            fl = np.asarray(integrand(xl), dtype=float)
-            fu = np.asarray(reflected(xu), dtype=float)
-            return (float(np.dot(wl, fl)) + float(np.dot(wu, fu)),
-                    float(np.dot(wl, np.abs(fl))) + float(np.dot(wu, np.abs(fu))))
-
-        return xl.size + xu.size, miss, value
-
-    return level
-
-
-def _cube_mesh(integrand, exps, brks):
-    """n >= 2: tensor product of per-axis meshes graded toward t_j = 0."""
-    def level(depth):
-        maxw = 4.0 / depth
-        breaks = [_compose_axis(b, depth, maxw, 0.0, 1.0, deep_lo=True) for b in brks]
-        axes = [_axis_nodes(b) for b in breaks]
-        miss = max(max(_unresolved_mass(float(b[1] - b[0]), at0),
-                       _unresolved_mass(float(b[-1] - b[-2]), at1))
-                   for b, (at0, at1) in zip(breaks, exps))
-
-        def value():
-            grids = np.meshgrid(*[np.minimum(x, 1.0 - 2.0 * _EPS) for x, _ in axes],
-                                indexing="ij")
-            pts = np.stack([g.ravel() for g in grids], axis=-1)
-            w = axes[0][1]
-            for _, wj in axes[1:]:
-                w = np.multiply.outer(w, wj)
-            f = np.asarray(integrand(pts), dtype=float)
-            w = w.ravel()
-            return float(np.dot(w, f)), float(np.dot(w, np.abs(f)))
-
-        return math.prod(x.size for x, _ in axes), miss, value
-
-    return level
-
-
-def _refine(level, depth, tol, detect_growth, budget, rule_error) -> IntegralResult:
-    """Double the grading depth until two successive level differences and
-    the unresolved endpoint mass are all within tolerance.
-
-    ``abs_error`` is the largest of the last two level differences and the
-    unresolved mass (times max(1, |value|)), plus, in proportion to the
-    sum of the absolute terms, the cell rule's error on the graded cells
-    (``rule_error``, which no level difference shows) and a rounding
-    allowance.
-    """
+    rule_error = fsum(_cell_error(a) for a in (at0, at1))
     values: list = []
     diffs: list = []
     evaluations = 0
     miss = math.inf
+    depth = 8
     while True:
-        npts, level_miss, level_value = level(depth)
-        if evaluations + npts > budget:
+        maxw = 4.0 / depth
+        lb = _compose_axis(left, depth, maxw, 0.0, 0.5, deep_lo=True)
+        rb = _compose_axis(right, depth, maxw, 0.0, 0.5, deep_lo=graded_right)
+        (xl, wl), (xu, wu) = _axis_nodes(lb), _axis_nodes(rb)
+        if evaluations + xl.size + xu.size > budget:
             break
-        v, mass = level_value()
-        floor = (rule_error + ROUNDING) * mass
-        evaluations += npts
+        fl = np.asarray(integrand(xl), dtype=float)
+        fu = np.asarray(reflected(xu), dtype=float)
+        v = float(np.dot(wl, fl)) + float(np.dot(wu, fu))
+        floor = (rule_error + ROUNDING) * (float(np.dot(wl, np.abs(fl)))
+                                           + float(np.dot(wu, np.abs(fu))))
+        evaluations += xl.size + xu.size
         values.append(v)
         if not math.isfinite(v):
             return _overflow_verdict(values, evaluations, detect_growth)
-        miss = level_miss
+        miss = max(_unresolved_mass(float(lb[1] - lb[0]), at0),
+                   _unresolved_mass(float(rb[1] - rb[0]), at1))
         if len(values) >= 2:
             diffs.append(abs(values[-1] - values[-2]))
             scale = max(1.0, abs(v))
@@ -487,65 +476,6 @@ def _refine(level, depth, tol, detect_growth, budget, rule_error) -> IntegralRes
     scale = max(1.0, abs(values[-1]))
     abs_error = max(max(diffs[-2:], default=math.inf), miss * scale) + floor
     return IntegralResult(values[-1], abs_error, IntegralStatus.INCONCLUSIVE, evaluations)
-
-
-def integrate_unit_cube(integrand: Callable, n: int, tol: float,
-                        endpoint_exponents=None, *,
-                        breakpoints=None,
-                        detect_growth: bool = True,
-                        reflected: Optional[Callable] = None,
-                        budget: int = DEFAULT_BUDGET) -> IntegralResult:
-    """Integrate ``integrand`` over [0,1]^n with endpoint grading.
-
-    Parameters
-    ----------
-    integrand : callable
-        Vectorized evaluator (module docstring has the array convention).
-    n : int
-        Cube dimension, 1 to 3.
-    tol : float
-        Relative tolerance in [1e-14, 1e-2]; convergence is declared when
-        two successive refinement levels agree within tol * max(1, |value|).
-    endpoint_exponents : sequence of (at0, at1) pairs, one per coordinate
-        Declared singularity orders: the integrand behaves like t_j**at0
-        near t_j = 0 and (1-t_j)**at1 near t_j = 1.  ``math.inf`` declares
-        that the integrand vanishes identically near that face.  A finite
-        declared exponent <= -1 returns ``Divergent`` immediately.
-    breakpoints : interior anchor points (n == 1: flat sequence)
-        Known kinks/jumps; they become cell boundaries.
-    detect_growth : bool
-        Numeric divergence fallback for callback kernels.
-    reflected : callable, optional (n == 1 only)
-        Companion evaluator g(u) = integrand(1 - u), enabling exact
-        grading toward t = 1.
-    budget : int
-        Total evaluation-point budget; exceeding it yields ``Inconclusive``.
-    """
-    if n not in (1, 2, 3):
-        raise ValueError(f"n must be 1, 2, or 3, got {n}")
-    _check_tol(tol)
-    exps = _normalize_exponents(endpoint_exponents, n)
-    for a0, a1 in exps:
-        if (math.isfinite(a0) and a0 <= -1.0) or (math.isfinite(a1) and a1 <= -1.0):
-            return _divergent()
-
-    if breakpoints is None:
-        brks = [()] * n
-    elif n == 1 and breakpoints and np.isscalar(breakpoints[0]):
-        brks = [tuple(breakpoints)]
-    else:
-        brks = [tuple(b) for b in breakpoints]
-        if len(brks) != n:
-            raise ValueError(f"expected {n} breakpoint sequences, got {len(brks)}")
-
-    rule_error = fsum(_cell_error(a) for pair in exps for a in pair)
-    if n == 1:
-        return _refine(_line_mesh(integrand, reflected, exps[0], brks[0]), 8, tol,
-                       detect_growth, budget, rule_error)
-    if reflected is not None:
-        raise ValueError("reflected evaluators are only supported for n == 1")
-    return _refine(_cube_mesh(integrand, exps, brks), 4, tol, detect_growth, budget,
-                   rule_error)
 
 
 # --------------------------------------------------------------------------
@@ -570,9 +500,9 @@ def _line_verdicts(coarse: np.ndarray, fine: np.ndarray, sizes: Sequence[int],
     (``piece_sums``), the rows taking ``sizes`` consecutive pieces each:
     the value is the fsum of the row's finer sums, and abs_error the fsum
     of its pieces' differences plus the rounding allowance on |value| (the
-    integrands keep one sign).  Converged under the test of ``_refine``,
-    |error| <= tol * max(1, |value|); inconclusive otherwise.  Every piece
-    costs 3 * PIECE_RULE evaluations."""
+    integrands keep one sign).  Converged under the test of
+    ``integrate_unit_cube``, |error| <= tol * max(1, |value|); inconclusive
+    otherwise.  Every piece costs 3 * PIECE_RULE evaluations."""
     fine, diff = fine.tolist(), np.abs(fine - coarse).tolist()
     out, a = [], 0
     for size in sizes:
@@ -586,26 +516,27 @@ def _line_verdicts(coarse: np.ndarray, fine: np.ndarray, sizes: Sequence[int],
 
 
 def integrate_log_line(reduced: Callable, rate: float, order: float, decay: float,
-                       tol: float) -> IntegralResult:
+                       tol: float, steepness: float = 0.0) -> IntegralResult:
     """int_{-inf}^0 e^{rate v} reduced(v) dv in one evaluation of ``reduced``.
 
     The pieces are [-2**-J, 0], with the Gauss-Jacobi weight (-v)**order;
     [-2**(k+1), -2**k] for -J <= k < K, Gauss-Legendre; and the head
     (-inf, v_L], v_L = -2**K, Gauss-Laguerre in x = rate (v_L - v).  2**-J
-    is the largest power of two up to 1 with rate 2**-J <= 40, so that
-    e^{rate v} falls by at most e^-40 across that piece; 2**K is the first
-    power of two from max(2**-J, 40 / max(rate, decay)) on, so the head
-    either carries at most e^-40 of the integral or sees ``reduced`` within
-    e^-40 of its limit.  Each piece is summed at PIECE_RULE and 2 * PIECE_RULE
-    points, and ``_line_verdicts`` gives the result.  Divergent, with no
-    evaluation, when rate <= 0 or order <= -1.  ``tol`` must lie in
-    [1e-14, 1e-2], as for ``integrate_unit_cube``.
+    is the largest power of two up to 1 with max(rate, steepness) 2**-J
+    <= 40, so that across that piece e^{rate v} falls by at most e^-40 and
+    ``reduced``, which varies like e^{steepness v} near v = 0, by no more;
+    2**K is the first power of two from max(2**-J, 40 / max(rate, decay))
+    on, so the head either carries at most e^-40 of the integral or sees
+    ``reduced`` within e^-40 of its limit.  Each piece is summed at
+    PIECE_RULE and 2 * PIECE_RULE points, and ``_line_verdicts`` gives the
+    result.  Divergent, with no evaluation, when rate <= 0 or order <= -1.
+    ``tol`` must lie in [1e-14, 1e-2], as for ``integrate_unit_cube``.
     """
     _check_tol(tol)
     if not (rate > 0.0 and order > -1.0):
         return _divergent()
     # no narrower than the smallest normal float, also for rate = inf
-    first = math.ceil(math.log2(max(1.0, min(rate / _RATE_SPAN, 1.0 / _TINY))))
+    first = math.ceil(math.log2(max(1.0, min(max(rate, steepness) / _RATE_SPAN, 1.0 / _TINY))))
     depth = math.ceil(math.log2(max(2.0 ** -first, _HEAD_DECAY / max(rate, decay))))
     edges = -np.exp2(np.arange(-first, depth + 1.0))
 
@@ -644,6 +575,232 @@ def beta_tail(c: float, e: float, t: np.ndarray, u: np.ndarray) -> np.ndarray:
     return beta_closed_form(c, e).value * tail
 
 
+def log_beta_tail(c: float, e: float, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """int_t^1 log(2/x) x**c (1-x)**e dx for c, e > -1, elementwise, given
+    t and u = 1 - t, as ``beta_tail`` takes them.
+
+    The complete integral is B(c+1, e+1) (ln 2 + psi(c+e+2) - psi(c+1))
+    (DLMF 5.12).  Up to t = 1/2 the binomial series of (1-x)**e gives the
+    part int_0^t to subtract, sum_k (-e)_k/k! t**s/s (log(2/t) + 1/s) with
+    s = c + k + 1; above, the integral is summed in u, sum_k (a_k ln 2 -
+    b_k) u**(e+k+1)/(e+k+1), a_k the binomial coefficients of (1-y)**c and
+    b_k = da_k/dc.  Every element sums the same number of terms.  Where a
+    bound on their rounding exceeds _SERIES_RTOL of the value (exponents of
+    about 10 and more, whose terms cancel), the element is NaN, so that an
+    integral over it comes back inconclusive.
+    """
+    if not (c > -1.0 and e > -1.0):
+        raise ValueError(f"log_beta_tail needs c, e > -1, got {c}, {e}")
+    lower, upper = digamma(c + 1.0), digamma(c + e + 2.0)
+    beta = beta_closed_form(c, e).value
+    complete = beta * (LN2 + (upper - lower))
+    # terms shrink by at least about 1/2 from k = max(c, e) on
+    count = 64 + math.ceil(3.0 * max(c, e, 0.0))
+    low, high = (t > 0.0) & (t <= 0.5), t > 0.5
+    x, y = t[low], u[high]
+    log_term = LN2 - np.log(x)
+    pow_x, pow_y = x ** (c + 1.0), y ** (e + 1.0)
+    sum_x, mass_x = np.zeros(x.shape), np.zeros(x.shape)
+    sum_y, mass_y = np.zeros(y.shape), np.zeros(y.shape)
+    coef, a, b = 1.0, 1.0, 0.0
+    for k in range(count):
+        s = c + k + 1.0
+        term = coef * pow_x * (log_term + 1.0 / s) / s
+        sum_x, mass_x = sum_x + term, mass_x + np.abs(term)
+        s = e + k + 1.0
+        term = (LN2 * a - b) * pow_y / s
+        sum_y, mass_y = sum_y + term, mass_y + np.abs(term)
+        pow_x, pow_y = pow_x * x, pow_y * y
+        coef *= (k - e) / (k + 1.0)
+        a, b = a * (k - c) / (k + 1.0), (b * (k - c) - a) / (k + 1.0)
+    out = np.full(t.shape, complete)
+    err = np.full(t.shape, 4.0 * _EPS * beta * (LN2 + abs(upper) + abs(lower)))
+    out[low] = complete - sum_x
+    err[low] += _EPS * count * mass_x
+    out[high] = sum_y
+    err[high] = _EPS * count * mass_y
+    out[~(err <= _SERIES_RTOL * np.abs(out))] = math.nan
+    return out
+
+
+# Terms of a series in _binomial_series beyond which tail_power_beta
+# integrates numerically instead; 2000 terms serve e up to about 150 and
+# a down to about -560.
+_MAX_TERMS = 2000
+# Largest error bound, relative to the value, accepted from the series.
+_SERIES_RTOL = 1e-10
+_LOG2_EPS = math.log2(_EPS)
+
+
+def _split(e: float) -> float:
+    """Split point h of the a <= -1 tail: on [t0, h] the binomial series of
+    (1-t)**e cancels by at most ((1+h)/(1-h))**e <= 2**8; h = 1/2 for
+    e <= 5."""
+    return 0.5 if e <= 0.0 else min(0.5, math.tanh(4.0 * LN2 / e))
+
+
+def _term_count(p: float, q: float, hi: float) -> Optional[int]:
+    """Terms K after which the series of _binomial_series has a remainder
+    below eps/4 of its value for every upper limit up to hi < 1, with
+    p + K + 1 > 0.
+
+    Consecutive terms shrink at least by r_k = hi |k - q| / (k + 1), and
+    the value is at least (1 - hi)**max(q, 0) times the first term; the
+    bound is kept in log2.  None when more than _MAX_TERMS terms would be
+    needed.
+    """
+    log_bound = -max(q, 0.0) * math.log2(1.0 - hi)    # log2 of |term k| / value, at most
+    for k in range(_MAX_TERMS):
+        # from k >= q on, rho bounds every later r_j
+        rho = hi * max(1.0, abs(k - q) / (k + 1.0))
+        if k >= q and rho < 1.0 and log_bound + math.log2(rho / (1.0 - rho)) <= _LOG2_EPS - 2.0:
+            count = max(k + 1, math.floor(-p))
+            return count if count <= _MAX_TERMS else None
+        step = hi * abs(k - q) / (k + 1.0)
+        log_bound += math.log2(step) if step > 0.0 else -math.inf
+    return None
+
+
+def _binomial_series(p: float, q: float, lo, hi, count: int, scaled: bool = False):
+    """int_lo^hi t**p (1-t)**q dt for 0 <= lo <= hi < 1, with an error bound;
+    with ``scaled``, divided by lo**(p+1) (lo > 0), which keeps the sum
+    finite where that power overflows.
+
+    The binomial series of (1-t)**q integrated term by term,
+
+        sum_k (-q)_k / k! * int_lo^hi t**(p+k) dt,
+
+    which is the Gauss series of 2F1(-q, p+1; p+2; .) (DLMF 15.2.1)
+    between the two limits.  A power p + k = -1 contributes log(hi/lo),
+    so integer p needs no special case.  ``lo`` and ``hi`` broadcast;
+    every element sums the same ``count`` terms, so its value does not
+    depend on the array it arrives in.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    span = np.where(hi > lo, np.log1p((hi - lo) / lo), 0.0)   # log(hi/lo); inf at lo = 0
+    finite_span = np.where(np.isfinite(span), span, 0.0)
+    pow_lo, pow_hi = lo ** (p + 1.0), hi ** (p + 1.0)
+    if scaled:
+        pow_lo, pow_hi = np.ones(lo.shape), pow_hi * lo ** -(p + 1.0)
+    # per-term relative error, in eps: 3 roundings per step of the
+    # coefficient recursion and 1 of the power recursion, 10 for the term
+    # itself, and the rounding of s = p + k + 1 magnified by the logarithms
+    # it multiplies
+    magnify_lo = np.abs(np.log(lo)) + finite_span
+    magnify_hi = np.abs(np.log(hi)) + finite_span
+    value = mass = err = 0.0
+    coef = 1.0
+    for k in range(count):
+        s = p + k + 1.0
+        if s > 0.0:
+            term = coef * pow_hi * (-np.expm1(-s * span) / s)
+            magnify = magnify_hi
+        elif s < 0.0:
+            term = coef * pow_lo * (-np.expm1(s * span) / -s)
+            magnify = magnify_lo
+        else:
+            term = coef * span * (pow_lo if scaled else 1.0)
+            magnify = magnify_lo
+        size = np.abs(term)
+        value = value + term
+        mass = mass + size
+        err = err + size * (4.0 * k + 10.0 + abs(s) * magnify)
+        pow_lo, pow_hi = pow_lo * lo, pow_hi * hi
+        coef *= (k - q) / (k + 1.0)
+    # the terms left out, from the first one on, shrink geometrically by at
+    # most rho (count >= q, and s > 0 from count >= -p - 1 on)
+    rho = hi * max(1.0, (count - q) / (count + 1.0))
+    s = p + count + 1.0
+    rest = np.abs(coef) * pow_hi * (-np.expm1(-s * span) / s) / (1.0 - rho)
+    return value, _EPS * (err + count * mass) + rest
+
+
+def _unwrap(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralResult:
+    """int_{t0}^{1} t**a (1-t)**e dt for t0 in [0, 1].
+
+    ``t0`` may be an array; value and abs_error then are arrays of its
+    shape, and each element equals the scalar call on it bit for bit.
+
+    - t0 = 0 is the complete Beta function; t0 > 0 with a > -1 uses the
+      regularized incomplete Beta, from the t = 1 side (in 1 - t0) above
+      t0 = 1/2.
+    - a <= -1 with t0 > 0 (DLMF 8.17.7 and 15.8), with h = ``_split(e)``:
+      for t0 > h the integral is
+      x**(e+1)/(e+1) * 2F1(-a, e+1; e+2; x) with x = 1 - t0 (exact in
+      floating point); for t0 <= h it is that value at x = 1 - h plus
+      int_{t0}^{h}, the difference of
+      t**(a+1)/(a+1) * 2F1(a+1, -e; a+2; t) between the limits, which
+      stays finite where a is an integer (a = -1 is the log case).
+      Both are summed term by term in ``_binomial_series``; abs_error
+      bounds the rounding and the truncation of those sums.
+    - Where the series would need more than _MAX_TERMS terms (e above
+      about 150, a below about -560), or its bound exceeds _SERIES_RTOL of
+      a finite value, that element is integrated numerically instead
+      (``_numeric_tail``), and the result takes the worst status of its
+      elements.
+    - Divergent when e <= -1, or a <= -1 and t0 = 0.
+    - With ``scaled`` and a <= -1, value and abs_error are multiplied by
+      t0**-(a+1) (t0 > 0): the lower series is summed divided by that
+      power, so the value stays finite where t0**(a+1) overflows.
+    """
+    t = np.clip(np.asarray(t0, dtype=float), 0.0, 1.0)
+    inside = t < 1.0
+    diverges = inside & ((e <= -1.0) | ((a <= -1.0) & (t == 0.0)))
+    if np.any(diverges):
+        return IntegralResult(_unwrap(np.where(diverges, math.inf, 0.0)), math.inf,
+                              IntegralStatus.DIVERGENT, 0)
+    if not np.any(inside):
+        return IntegralResult(_unwrap(np.zeros(t.shape)), 0.0, IntegralStatus.CONVERGED, 0)
+    if a > -1.0:
+        # above t0 = 1/2 the regularized tail is taken from the t = 1 side,
+        # where 1 - t0 is exact, instead of as a difference that cancels
+        value = beta_tail(a, e, t, 1.0 - t)
+        return IntegralResult(_unwrap(value), 16.0 * _EPS * beta_closed_form(a, e).value,
+                              IntegralStatus.CONVERGED, 0)
+
+    h = _split(e)
+    upper_terms, lower_terms = _term_count(e, a, 1.0 - h), _term_count(a, e, h)
+    if upper_terms is None or lower_terms is None:
+        value, err = np.where(inside, math.nan, 0.0), np.where(inside, math.inf, 0.0)
+    else:
+        with np.errstate(all="ignore"):
+            upper, upper_err = _binomial_series(e, a, 0.0, np.where(t < h, 1.0 - h, 1.0 - t),
+                                                upper_terms)
+            lower, lower_err = _binomial_series(a, e, np.minimum(t, h), h, lower_terms, scaled)
+            if scaled:
+                upper, upper_err = upper * t ** -(a + 1.0), upper_err * t ** -(a + 1.0)
+            value = np.where(inside, upper + lower, 0.0)
+            err = np.where(inside, upper_err + lower_err + _EPS * np.abs(value), 0.0)
+    with np.errstate(invalid="ignore"):
+        numeric = inside & ~(np.isfinite(value) & (err <= _SERIES_RTOL * np.abs(value)))
+    status, evaluations = IntegralStatus.CONVERGED, 0
+    for i in np.flatnonzero(numeric):
+        res = _numeric_tail(a, e, float(t.flat[i]))
+        factor = float(t.flat[i]) ** -(a + 1.0) if scaled else 1.0
+        value.flat[i], err.flat[i] = factor * res.value, factor * res.abs_error
+        evaluations += res.evaluations
+        if res.status is IntegralStatus.DIVERGENT or status is IntegralStatus.CONVERGED:
+            status = res.status
+    return IntegralResult(_unwrap(value), _unwrap(err), status, evaluations)
+
+
+def _numeric_tail(a: float, e: float, t0: float, tol: float = 1e-10) -> IntegralResult:
+    """int_{t0}^{1} t**a (1-t)**e dt by graded quadrature in u = 1 - t,
+    which puts the singularity of (1-t)**e at u = 0."""
+    span = 1.0 - t0
+
+    def fun(v):
+        # u = span * v; integrand (1-u)^a u^e du
+        u = span * v
+        return np.exp(a * np.log1p(-u) + e * np.log(u)) * span
+
+    return integrate_unit_cube(fun, 1, tol, [(e, 0.0)])
+
+
 # --------------------------------------------------------------------------
 # kernel descriptors
 
@@ -660,18 +817,25 @@ class PowerBeta:
         if not (self.scale >= 0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
+    def values(self, t: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """psi at t, given t and u = 1 - t."""
+        return self.scale * t ** self.c * u ** self.e
+
     def line_values(self, v: np.ndarray) -> np.ndarray:
         """psi(t) / t**c at t = exp(v), with 1 - t = -expm1(v)."""
         return self.scale * (-np.expm1(v)) ** self.e
 
-    def line_decay(self) -> float:
-        """Rate at which ``line_values`` tends to its limit as v -> -inf."""
-        return 1.0 if self.e != 0.0 else math.inf
+    def line_rates(self) -> Tuple[float, float]:
+        """(decay, steepness): the rate at which ``line_values`` tends to
+        its limit as v -> -inf, and at which it varies near v = 0 beyond
+        the factor (-v)**e that the line's Jacobi weight takes (none)."""
+        return (1.0 if self.e != 0.0 else math.inf), 0.0
 
 
 @dataclass(frozen=True)
 class ProductPowerBeta:
-    """Coordinatewise product of t_j**c_j * (1-t_j)**e_j factors (n > 1)."""
+    """Coordinatewise product of t_j**c_j * (1-t_j)**e_j factors, one per
+    coordinate (with MinPower curves; ``min_reduction`` reduces it)."""
 
     factors: Tuple[Tuple[float, float], ...]
     scale: float = 1.0
@@ -689,8 +853,13 @@ class MinDensity:
 
     g(m) = scale * sum_j phi_j(m) prod_{i != j} Phi_i(m), with
     phi_j(t) = t**c_j (1-t)**e_j and Phi_i(m) = int_m^1 phi_i, so that
-    int_{[0,1]^n} F(min(t)) psi(t) dt = int_0^1 F(m) g(m) dm.  Every c_j
-    and e_j must exceed -1, which keeps the Phi_i finite.
+    int_{[0,1]^n} F(min(t)) psi(t) dt = int_0^1 F(m) g(m) dm.  A tail with
+    c_i <= -1 grows like m**(c_i + 1) toward m = 0; it is taken from
+    ``tail_power_beta`` divided by that power, which goes into the orders
+    of the other terms (no power of m overflows): the term j has order
+    o_j = c_j + sum_{i != j} min(c_i + 1, 0) at m = 0.  Some e_j <= -1
+    makes the density infinite: its order at m = 1 is then -inf, which
+    every integrator takes as divergent before evaluating anything.
 
     With ``power`` P != 1 the variable is v = m**P instead: the density is
     g(m) dm/dv at m = v**(1/P).
@@ -703,12 +872,41 @@ class MinDensity:
     def __post_init__(self):
         object.__setattr__(self, "factors",
                            tuple((float(c), float(e)) for c, e in self.factors))
-        if not all(c > -1.0 and e > -1.0 for c, e in self.factors):
-            raise ValueError(f"MinDensity needs every c_j, e_j > -1, got {self.factors}")
         if not (self.scale >= 0 and math.isfinite(self.scale)):
             raise ValueError(f"scale must be nonnegative, got {self.scale}")
         if not (self.power > 0 and math.isfinite(self.power)):
             raise ValueError(f"power must be positive, got {self.power}")
+
+    def _orders(self) -> list:
+        """The order o_j at m = 0 of each term phi_j prod_{i != j} Phi_i."""
+        grown = [min(c + 1.0, 0.0) for c, _ in self.factors]
+        return [c + fsum(g for i, g in enumerate(grown) if i != j)
+                for j, (c, _) in enumerate(self.factors)]
+
+    def _parts(self, log_m: np.ndarray, m: np.ndarray, u: np.ndarray, low: float):
+        """The terms phi_j(m) / m**(low + the grown tails' orders) and the
+        tails Phi_i(m) / m**min(c_i + 1, 0), given log m, m and u = 1 - m."""
+        phis = [np.exp((order - low) * log_m) * u ** e
+                for order, (_, e) in zip(self._orders(), self.factors)]
+        return phis, [self._tail(i, m, u) for i in range(len(self.factors))]
+
+    def _tail(self, i: int, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+        c, e = self.factors[i]
+        if c > -1.0:
+            return beta_tail(c, e, m, u)
+        return tail_power_beta(c, e, np.maximum(m, _TINY), scaled=True).value
+
+    def _density(self, log_m: np.ndarray, m: np.ndarray, u: np.ndarray,
+                 low: float) -> np.ndarray:
+        """g(m) / (scale * m**low), given log m, m and u = 1 - m."""
+        phis, tails = self._parts(log_m, m, u, low)
+        out = np.zeros(m.shape)
+        for j, phi in enumerate(phis):
+            for i, tail in enumerate(tails):
+                if i != j:
+                    phi = phi * tail
+            out = out + phi
+        return out
 
     def values(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """The density at v, given v and w = 1 - v (see ``beta_tail``)."""
@@ -720,62 +918,73 @@ class MinDensity:
             near = v > 0.5
             u[near] = -np.expm1(np.log1p(-w[near]) / self.power)
             jacobian = m / (self.power * v)
-        return self.scale * jacobian * self._mix([m ** c * u ** e for c, e in self.factors],
-                                                 m, u)
+        return self.scale * jacobian * self._density(np.log(m), m, u, 0.0)
 
     def line_values(self, v: np.ndarray) -> np.ndarray:
         """The density over x**a0 at x = exp(v), a0 its order at 0 (see
-        ``endpoint_exponents``): scale / power * sum_j m**(c_j - c_min)
-        (1-m)**e_j prod_{i != j} Phi_i(m), at m = exp(v / power), with
-        1 - m = -expm1(v / power)."""
+        ``endpoint_exponents``): scale / power * sum_j m**(o_j - o_min)
+        (1-m)**e_j prod_{i != j} Phi_i(m) (each tail over its grown power),
+        at m = exp(v / power), with 1 - m = -expm1(v / power)."""
         log_m = v / self.power
         m, u = np.exp(log_m), -np.expm1(log_m)
-        low = min(c for c, _ in self.factors)
-        phis = [np.exp((c - low) * log_m) * u ** e for c, e in self.factors]
-        return self.scale / self.power * self._mix(phis, m, u)
+        return self.scale / self.power * self._density(log_m, m, u, min(self._orders()))
 
-    def line_decay(self) -> float:
-        """A rate at which ``line_values`` tends to its limit as v -> -inf,
-        at most the slowest one: the Phi_i approach theirs like
-        m**(c_i + 1), the other phi_j vanish like m**(c_j - c_min), and
-        (1-m)**e_j tends to 1 like m."""
-        low = min(c for c, _ in self.factors)
-        rates = [c + 1.0 for c, _ in self.factors] + [c - low for c, _ in self.factors
-                                                     if c > low]
-        return min(rates + [1.0]) / self.power
-
-    def _mix(self, phis, m, u) -> np.ndarray:
-        """sum_j phis[j] prod_{i != j} Phi_i(m), given m and u = 1 - m."""
-        tails = [beta_tail(c, e, m, u) for c, e in self.factors]
-        out = np.zeros(m.shape)
-        for j, phi in enumerate(phis):
-            for i, tail in enumerate(tails):
-                if i != j:
-                    phi = phi * tail
-            out = out + phi
-        return out
+    def line_rates(self) -> Tuple[float, float]:
+        """(decay, steepness) of ``line_values``: a rate at which it tends
+        to its limit as v -> -inf, at most the slowest one (the tails
+        approach theirs like m**|c_i + 1|, the other terms vanish like
+        m**(o_j - o_min), and (1-m)**e_j tends to 1 like m), and the rate
+        at which it varies near v = 0 (like m**c_i and m**(o_j - o_min))."""
+        orders = self._orders()
+        low = min(orders)
+        rates = [abs(c + 1.0) for c, _ in self.factors] + [o - low for o in orders if o > low]
+        steep = [c for c, _ in self.factors] + [o - low for o in orders]
+        return min(rates + [1.0]) / self.power, max(steep) / self.power
 
     def endpoint_exponents(self) -> Tuple[float, float]:
-        """Orders of the density at v = 0 and at v = 1."""
-        return ((min(c for c, _ in self.factors) + 1.0) / self.power - 1.0,
-                fsum(e + 1.0 for _, e in self.factors) - 1.0)
+        """Orders of the density at v = 0 and at v = 1 (-inf where it is
+        infinite)."""
+        at1 = fsum(e + 1.0 for _, e in self.factors) - 1.0
+        if any(e <= -1.0 for _, e in self.factors):
+            at1 = -math.inf
+        return (min(self._orders()) + 1.0) / self.power - 1.0, at1
+
+
+@dataclass(frozen=True)
+class LogMinDensity(MinDensity):
+    """The MinDensity of psi(t) log(2/t_1), the XiaoLog integrand (n = 1):
+    phi_1(m) carries log(2/m) and Phi_1 is Psi_1(m) = int_m^1 log(2/t)
+    phi_1(t) dt (``log_beta_tail``).  The log leaves the orders as they
+    are.  Psi_1 needs c_1 > -1; otherwise the order at m = 0 is at most
+    c_1 <= -1, and against XiaoLog's decreasing curve power the integral
+    is divergent before any evaluation.
+    """
+
+    def _parts(self, log_m: np.ndarray, m: np.ndarray, u: np.ndarray, low: float):
+        phis, tails = super()._parts(log_m, m, u, low)
+        phis[0] = phis[0] * (LN2 - log_m)
+        return phis, tails
+
+    def _tail(self, i: int, m: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return log_beta_tail(*self.factors[0], m, u) if i == 0 else super()._tail(i, m, u)
 
 
 @dataclass(frozen=True, eq=False)
 class PsiCallback:
-    """Opaque psi evaluator with user-declared endpoint exponents.
+    """Opaque psi evaluator on [0, 1] (n = 1) with user-declared endpoint
+    exponents.
 
-    ``endpoint_exponents`` holds one (at0, at1) pair per coordinate; the
-    declared orders are probed against the evaluator when the owning
-    :class:`KernelSpec` is constructed.
+    ``endpoint_exponents`` is the (at0, at1) pair of its orders at t = 0
+    and t = 1 (or a sequence holding that pair); the declared orders are
+    probed against the evaluator when the owning :class:`KernelSpec` is
+    constructed.
     """
 
     evaluate: Callable
-    endpoint_exponents: Tuple[Tuple[float, float], ...]
+    endpoint_exponents: Tuple[float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "endpoint_exponents",
-                           tuple((float(a), float(b)) for a, b in self.endpoint_exponents))
+        object.__setattr__(self, "endpoint_exponents", _endpoint_pair(self.endpoint_exponents))
 
 
 @dataclass(frozen=True)
@@ -787,7 +996,8 @@ class PowerCurve:
 
 @dataclass(frozen=True)
 class MinPower:
-    """s(t) = min(t_1, ..., t_n)**beta."""
+    """s(t) = min(t_1, ..., t_n)**beta (``min_reduction`` makes it a power
+    curve)."""
 
     beta: float
 
@@ -798,7 +1008,8 @@ class MinPower:
 
 @dataclass(frozen=True, eq=False)
 class CurveCallback:
-    """Opaque curve with a declared lower growth exponent near the origin."""
+    """Opaque curve on [0, 1] (n = 1) with a declared lower growth exponent
+    near the origin."""
 
     evaluate: Callable
     growth_exponent: float
@@ -817,9 +1028,13 @@ def _exponents_agree(measured: float, declared: float) -> bool:
 class KernelSpec:
     """The kernel data (psi, s_1..s_m) of one operator instance.
 
-    Construction self-tests callback descriptors: declared endpoint
-    exponents must match probed local behavior within a factor of two,
-    and curves must be nonzero at sampled interior points.
+    Kernels with n = 2 or 3 have a ProductPowerBeta psi and MinPower
+    curves, which ``min_reduction`` turns into n = 1 kernels; every other
+    descriptor is n = 1, and the evaluation methods below take n = 1
+    kernels as ``min_reduction`` leaves them.  Construction self-tests
+    callback descriptors: declared endpoint exponents must match probed
+    local behavior within a factor of two, and curves must be nonzero at
+    sampled interior points.
     """
 
     # annotations only: a module-level typing.Union of these classes would
@@ -834,15 +1049,11 @@ class KernelSpec:
         object.__setattr__(self, "curves", tuple(self.curves))
         if not self.curves:
             raise ValueError("kernel needs at least one curve")
-        if isinstance(self.psi, (PowerBeta, MinDensity)) and self.n != 1:
-            raise ValueError(f"{type(self.psi).__name__} psi requires n == 1")
+        if self.n != 1 and not (isinstance(self.psi, ProductPowerBeta)
+                                and all(isinstance(s, MinPower) for s in self.curves)):
+            raise ValueError(f"n = {self.n} needs a ProductPowerBeta psi and MinPower curves")
         if isinstance(self.psi, ProductPowerBeta) and len(self.psi.factors) != self.n:
             raise ValueError(f"ProductPowerBeta needs {self.n} factors")
-        if isinstance(self.psi, PsiCallback) and len(self.psi.endpoint_exponents) != self.n:
-            raise ValueError(f"PsiCallback needs {self.n} endpoint exponent pairs")
-        for s in self.curves:
-            if isinstance(s, PowerCurve) and self.n != 1:
-                raise ValueError("PowerCurve requires n == 1")
         self._self_test()
 
     @property
@@ -855,160 +1066,120 @@ class KernelSpec:
 
     def is_power_closed(self) -> bool:
         """True when the kernel admits the closed Beta-function path."""
-        return (self.n == 1 and isinstance(self.psi, PowerBeta)
+        return (isinstance(self.psi, PowerBeta)
                 and all(isinstance(s, PowerCurve) for s in self.curves))
 
     def supports_reflection(self) -> bool:
         """psi can be evaluated stably in u = 1 - t coordinates."""
-        return self.n == 1 and isinstance(self.psi, (PowerBeta, MinDensity))
+        return isinstance(self.psi, (PowerBeta, MinDensity))
 
     # -- evaluation ---------------------------------------------------------
 
     def psi_values(self, t: np.ndarray) -> np.ndarray:
-        if isinstance(self.psi, PowerBeta):
-            return self.psi.scale * t ** self.psi.c * (1.0 - t) ** self.psi.e
-        if isinstance(self.psi, MinDensity):
+        if self.supports_reflection():
             return self.psi.values(t, 1.0 - t)
-        if isinstance(self.psi, ProductPowerBeta):
-            out = np.full(t.shape[0], self.psi.scale)
-            for j, (c, e) in enumerate(self.psi.factors):
-                out = out * t[:, j] ** c * (1.0 - t[:, j]) ** e
-            return out
         return np.asarray(self.psi.evaluate(t), dtype=float)
 
     def psi_values_reflected(self, u: np.ndarray) -> np.ndarray:
         """psi(1-u) with the near-1 factor computed from u exactly."""
-        if isinstance(self.psi, MinDensity):
-            return self.psi.values(1.0 - u, u)
-        if not isinstance(self.psi, PowerBeta):
+        if not self.supports_reflection():
             raise ValueError("reflected psi evaluation needs a PowerBeta or MinDensity descriptor")
-        return self.psi.scale * (1.0 - u) ** self.psi.c * u ** self.psi.e
+        return self.psi.values(1.0 - u, u)
 
     def curve_values(self, i: int, t: np.ndarray) -> np.ndarray:
         s = self.curves[i]
         if isinstance(s, PowerCurve):
             return t ** s.b
-        if isinstance(s, MinPower):
-            tt = t if t.ndim > 1 else t[:, None]
-            return np.min(tt, axis=1) ** s.beta
         return np.asarray(s.evaluate(t), dtype=float)
 
     # -- declared endpoint behavior ----------------------------------------
 
-    def psi_endpoint_exponents(self) -> list:
+    def psi_endpoint_exponents(self) -> Tuple[float, float]:
         if isinstance(self.psi, PowerBeta):
-            return [(self.psi.c, self.psi.e)]
-        if isinstance(self.psi, ProductPowerBeta):
-            return [(c, e) for c, e in self.psi.factors]
+            return self.psi.c, self.psi.e
         if isinstance(self.psi, MinDensity):
-            return [self.psi.endpoint_exponents()]
-        return list(self.psi.endpoint_exponents)
+            return self.psi.endpoint_exponents()
+        return self.psi.endpoint_exponents
 
-    def curve_zero_exponents(self, i: int) -> list:
-        """Growth order of |s_i| as t_j -> 0, per coordinate j."""
+    def curve_zero_exponent(self, i: int) -> float:
+        """Growth order of |s_i(t)| as t -> 0."""
         s = self.curves[i]
-        if isinstance(s, PowerCurve):
-            return [s.b]
-        if isinstance(s, MinPower):
-            return [s.beta] * self.n
-        return [s.growth_exponent] * self.n
+        return s.b if isinstance(s, PowerCurve) else s.growth_exponent
 
-    def curve_tends_to_one_at_face(self, i: int, j: int) -> bool:
-        """Whether |s_i(t)| -> 1 as t_j -> 1 (provably, from the descriptor)."""
-        s = self.curves[i]
-        if isinstance(s, PowerCurve):
-            return True
-        if isinstance(s, MinPower):
-            return self.n == 1
-        return False
+    def curve_tends_to_one(self, i: int) -> bool:
+        """Whether |s_i(t)| -> 1 as t -> 1 (provably, from the descriptor)."""
+        return isinstance(self.curves[i], PowerCurve)
 
     # -- construction self-tests --------------------------------------------
 
-    def _probe_point(self, j: int, tj: float) -> np.ndarray:
-        if self.n == 1:
-            return np.array([tj])
-        base = np.full((1, self.n), 0.5)
-        base[0, j] = tj
-        return base
-
     def _self_test(self):
         if isinstance(self.psi, PsiCallback):
-            for j, (a0, a1) in enumerate(self.psi.endpoint_exponents):
-                self._probe_exponent(j, a0, near_zero=True)
-                self._probe_exponent(j, a1, near_zero=False)
-        rng = np.random.default_rng(0)
-        samples = rng.uniform(1e-6, 1.0, size=(64, self.n))
-        t = samples[:, 0] if self.n == 1 else samples
+            at0, at1 = self.psi.endpoint_exponents
+            _probe_order(self.psi.evaluate, at0, lambda d: d, "psi: endpoint exponent at t=0")
+            _probe_order(self.psi.evaluate, at1, lambda d: 1.0 - d,
+                         "psi: endpoint exponent at t=1")
         for i, s in enumerate(self.curves):
             if isinstance(s, CurveCallback):
-                vals = np.abs(np.asarray(s.evaluate(t), dtype=float))
-                if np.any(vals == 0.0):
+                t = np.random.default_rng(0).uniform(1e-6, 1.0, size=64)
+                if np.any(np.asarray(s.evaluate(t), dtype=float) == 0.0):
                     raise ValueError(f"curve {i} vanished at a sampled interior point")
-                d1, d2 = 1e-3, 1e-6
-                v1 = float(np.abs(np.asarray(s.evaluate(self._probe_curve_arg(d1)),
-                                             dtype=float)).ravel()[0])
-                v2 = float(np.abs(np.asarray(s.evaluate(self._probe_curve_arg(d2)),
-                                             dtype=float)).ravel()[0])
-                if v1 > 0 and v2 > 0 and s.growth_exponent != 0:
-                    measured = math.log(v2 / v1) / math.log(d2 / d1)
-                    if not _exponents_agree(measured, s.growth_exponent):
-                        raise ValueError(
-                            f"curve {i}: declared growth exponent {s.growth_exponent} "
-                            f"does not match probed behavior {measured:.3g}")
+                if s.growth_exponent != 0:
+                    _probe_order(s.evaluate, s.growth_exponent, lambda d: d,
+                                 f"curve {i}: growth exponent")
 
-    def _probe_curve_arg(self, delta: float) -> np.ndarray:
-        if self.n == 1:
-            return np.array([delta])
-        return np.full((1, self.n), delta)
 
-    def _probe_exponent(self, j: int, declared: float, near_zero: bool):
-        if not math.isfinite(declared):
-            return
-        d1, d2 = 1e-3, 1e-6
-        if near_zero:
-            p1, p2 = self._probe_point(j, d1), self._probe_point(j, d2)
-        else:
-            p1, p2 = self._probe_point(j, 1.0 - d1), self._probe_point(j, 1.0 - d2)
-        f1 = float(np.asarray(self.psi.evaluate(p1), dtype=float).ravel()[0])
-        f2 = float(np.asarray(self.psi.evaluate(p2), dtype=float).ravel()[0])
-        if f1 <= 0 or f2 <= 0:
-            return  # vanishing probes carry no slope information
+def _probe_order(evaluate: Callable, declared: float, at: Callable, what: str) -> None:
+    """Raise ValueError unless |evaluate| scales like d**declared between
+    the points at(1e-3) and at(1e-6), within a factor of two; an infinite
+    order or a vanishing probe carries no slope information."""
+    if not math.isfinite(declared):
+        return
+    d1, d2 = 1e-3, 1e-6
+    f1, f2 = (abs(float(np.asarray(evaluate(np.array([at(d)])), dtype=float).ravel()[0]))
+              for d in (d1, d2))
+    if f1 > 0 and f2 > 0:
         measured = math.log(f2 / f1) / math.log(d2 / d1)
         if not _exponents_agree(measured, declared):
-            side = "0" if near_zero else "1"
-            raise ValueError(
-                f"psi: declared endpoint exponent {declared} at t_{j}={side} "
-                f"does not match probed behavior {measured:.3g}")
+            raise ValueError(f"{what}: declared {declared} does not match probed behavior "
+                             f"{measured:.3g}")
 
 
 def min_reduction(kernel: KernelSpec) -> KernelSpec:
-    """The n = 1 kernel with the same power integrals as ``kernel``, or
-    ``kernel`` itself where the reduction does not apply.
+    """The n = 1 kernel, with a PowerBeta, MinDensity or callback psi and
+    power or callback curves, that has the same power integrals as
+    ``kernel``; ``kernel`` itself where it is one already.
 
-    With psi = prod_j phi_j(t_j) (ProductPowerBeta) and only MinPower
-    curves, every curve, and so every integrand built from the curves,
-    depends on t through m = min(t) alone; then the cube integral of
-    F(m) psi is int_0^1 F(m) g(m) dm with g the MinDensity of psi, and
+    With n >= 2, psi = prod_j phi_j(t_j) (ProductPowerBeta) and only
+    MinPower curves, every curve, and so every integrand built from the
+    curves, depends on t through m = min(t) alone; then the cube integral
+    of F(m) psi is int_0^1 F(m) g(m) dm with g the MinDensity of psi, and
     each curve min(t)**beta becomes the power curve m**beta.  Where some
     beta exceeds 1 the variable is v = m**P with P the largest beta, so
     that no curve v**(beta/P) falls below the smallest graded node (m**beta
-    would underflow there).  Kernels with some c_j or e_j <= -1 keep the
-    cube path, which gives their verdict.
+    would underflow there).  At n = 1, min(t)**beta is t**beta and a
+    one-factor ProductPowerBeta is the PowerBeta of its factor.
     """
-    psi = kernel.psi
-    if not (kernel.n >= 2 and isinstance(psi, ProductPowerBeta)
-            and all(isinstance(s, MinPower) for s in kernel.curves)
-            and all(c > -1.0 and e > -1.0 for c, e in psi.factors)):
+    psi, curves = kernel.psi, kernel.curves
+    if kernel.n != 1:
+        power = max(1.0, max(s.beta for s in curves))
+        return KernelSpec(1, MinDensity(psi.factors, psi.scale, power),
+                          tuple(PowerCurve(s.beta / power) for s in curves))
+    if not (isinstance(psi, ProductPowerBeta) or any(isinstance(s, MinPower) for s in curves)):
         return kernel
-    power = max(1.0, max(s.beta for s in kernel.curves))
-    return KernelSpec(1, MinDensity(psi.factors, psi.scale, power),
-                      tuple(PowerCurve(s.beta / power) for s in kernel.curves))
+    if isinstance(psi, ProductPowerBeta):
+        (c, e), = psi.factors
+        psi = PowerBeta(c, e, psi.scale)
+    return KernelSpec(1, psi, tuple(PowerCurve(s.beta) if isinstance(s, MinPower) else s
+                                    for s in curves))
 
 
-def power_law_integrand(kernel: KernelSpec, exponents: Sequence[float]):
-    """Evaluators and declared endpoint orders for prod |s_i|**e_i * psi.
+def power_law_integrand(kernel: KernelSpec, exponents: Sequence[float],
+                        factor: Optional[KernelFactor] = None):
+    """Evaluators and declared endpoint orders for prod |s_i|**e_i * psi,
+    times ``factor`` when one is given, for an n = 1 kernel as
+    ``min_reduction`` leaves it.
 
-    Returns ``(integrand, reflected, endpoint_exponents)`` ready for
+    Returns ``(integrand, reflected, (at0, at1))`` ready for
     :func:`integrate_unit_cube`; ``reflected`` is None when the kernel
     cannot be evaluated stably in reflected coordinates.
     """
@@ -1037,47 +1208,46 @@ def power_law_integrand(kernel: KernelSpec, exponents: Sequence[float]):
     def integrand(t):
         out = kernel.psi_values(t)
         cf = curve_factor(t)
-        return out if cf is None else out * cf
+        out = out if cf is None else out * cf
+        return out if factor is None else out * factor.at_t(t)
 
     reflected = None
     if kernel.supports_reflection():
         def reflected(u):
             out = kernel.psi_values_reflected(u)
             cf = curve_factor(1.0 - u)
-            return out if cf is None else out * cf
+            out = out if cf is None else out * cf
+            return out if factor is None else out * factor.at_u(u)
 
-    pe = kernel.psi_endpoint_exponents()
-    endexp = []
-    for j in range(kernel.n):
-        at0 = pe[j][0] + fsum(e[i] * kernel.curve_zero_exponents(i)[j]
-                              for i in range(kernel.m))
-        endexp.append((at0, pe[j][1]))
-    return integrand, reflected, endexp
+    at0, at1 = kernel.psi_endpoint_exponents()
+    at0 += fsum(e[i] * kernel.curve_zero_exponent(i) for i in range(kernel.m))
+    if factor is not None:
+        at0, at1 = at0 + factor.shift[0], at1 + factor.shift[1]
+    return integrand, reflected, (at0, at1)
 
 
 class KernelFactor(NamedTuple):
-    """An extra factor of a kernel power integral, at the points of each
-    integrator: ``at_t(t)`` at t (an (npoints,) or (npoints, n) array),
-    ``at_u(u)`` at t = 1 - u (the reflected evaluation of n = 1), and
-    ``at_v(v)`` at t = exp(v) on the line of ``integrate_log_line``.
-    ``shift`` holds one (at0, at1) pair per coordinate that the factor adds
-    to the endpoint orders.  On the line the factor must tend to a limit,
-    or grow like a polynomial in v, as v -> -inf, so that it adds nothing
-    at t = 0.
+    """An extra factor of a kernel power integral of an n = 1 kernel, at
+    the points of each integrator: ``at_t(t)`` at t, ``at_u(u)`` at
+    t = 1 - u (the reflected evaluation), and ``at_v(v)`` at t = exp(v) on
+    the line of ``integrate_log_line``.  ``shift`` is the (at0, at1) pair
+    that the factor adds to the endpoint orders.  On the line the factor
+    must tend to a limit, or grow like a polynomial in v, as v -> -inf, so
+    that it adds nothing at t = 0.
     """
 
     at_t: Callable
     at_u: Callable
     at_v: Callable
-    shift: Sequence[Tuple[float, float]]
+    shift: Tuple[float, float]
 
 
 def _line_integral(kernel: KernelSpec, orders: Tuple[float, float], tol: float,
                    factor: Optional[KernelFactor]) -> Optional[IntegralResult]:
     """The integral of ``kernel_power_integral`` on the piecewise line in
     v = ln t, given its endpoint orders, or None where the line does not
-    apply: it needs n = 1, a PowerBeta or MinDensity psi and curves t**b
-    with b > 0.
+    apply: it needs a PowerBeta or MinDensity psi and curves t**b with
+    b > 0.
 
     On the line the psi's ``line_values`` (times the factor) is the
     reduced integrand; the curves' powers t**(b e) are exp(b e v) and go to
@@ -1085,7 +1255,7 @@ def _line_integral(kernel: KernelSpec, orders: Tuple[float, float], tol: float,
     b counts as a decay rate.
     """
     psi = kernel.psi
-    if not (kernel.n == 1 and isinstance(psi, (PowerBeta, MinDensity))
+    if not (isinstance(psi, (PowerBeta, MinDensity))
             and all(isinstance(s, PowerCurve) and s.b > 0.0 for s in kernel.curves)):
         return None
     reduced = psi.line_values
@@ -1093,8 +1263,9 @@ def _line_integral(kernel: KernelSpec, orders: Tuple[float, float], tol: float,
         def reduced(v):
             return psi.line_values(v) * factor.at_v(v)
 
-    decay = min([psi.line_decay()] + [s.b for s in kernel.curves])
-    return integrate_log_line(reduced, orders[0] + 1.0, orders[1], decay, tol)
+    decay, steepness = psi.line_rates()
+    decay = min([decay] + [s.b for s in kernel.curves])
+    return integrate_log_line(reduced, orders[0] + 1.0, orders[1], decay, tol, steepness)
 
 
 def kernel_power_integral(kernel: KernelSpec, exponents: Sequence[float],
@@ -1103,11 +1274,12 @@ def kernel_power_integral(kernel: KernelSpec, exponents: Sequence[float],
     """int over [0,1]^n of prod_i |s_i(t)|**e_i * psi(t) dt, times
     ``factor`` when one is given.
 
-    Without a factor, min-power kernels are reduced to n = 1
-    (``min_reduction``), and power-shaped kernels (PowerBeta psi with
-    PowerCurve curves, n = 1) then give the Beta function B(c + sum e_i b_i
-    + 1, e + 1); a factor is a function on the kernel's own cube, so with
-    one the kernel is taken as it is.  Everything else is taken on the
+    The kernel is first reduced to n = 1 (``min_reduction``); a factor is
+    a function on the reduced kernel's [0, 1], so a caller with a factor
+    reduces first and builds it from the reduced curves, as
+    ``constants.kernel_constant`` does.  Power-shaped kernels (PowerBeta
+    psi with PowerCurve curves) with no factor give the Beta function
+    B(c + sum e_i b_i + 1, e + 1).  Everything else is taken on the
     piecewise line in v = ln t where it applies (``_line_integral``), and
     a line value that is inconclusive, or a kernel the line does not take,
     goes to the graded numeric integrator with endpoint orders derived from
@@ -1116,32 +1288,20 @@ def kernel_power_integral(kernel: KernelSpec, exponents: Sequence[float],
     e = [float(x) for x in exponents]
     if len(e) != kernel.m:
         raise ValueError(f"expected {kernel.m} exponents, got {len(e)}")
-    if factor is None:
-        kernel = min_reduction(kernel)
-        if kernel.is_power_closed():
-            a = kernel.psi.c + fsum(ei * s.b for ei, s in zip(e, kernel.curves))
-            res = beta_closed_form(a, kernel.psi.e)
-            if res.status is IntegralStatus.CONVERGED:
-                res = IntegralResult(kernel.psi.scale * res.value,
-                                     kernel.psi.scale * res.abs_error,
-                                     res.status, res.evaluations)
-            return res
-    integrand, reflected, endexp = power_law_integrand(kernel, e)
-    if factor is not None:
-        endexp = [(at0 + s0, at1 + s1) for (at0, at1), (s0, s1) in zip(endexp, factor.shift)]
-        plain, plain_reflected = integrand, reflected
-
-        def integrand(t):
-            return plain(t) * factor.at_t(t)
-
-        if plain_reflected is not None:
-            def reflected(u):
-                return plain_reflected(u) * factor.at_u(u)
-
-    line = _line_integral(kernel, endexp[0], tol, factor)
+    kernel = min_reduction(kernel)
+    if factor is None and kernel.is_power_closed():
+        a = kernel.psi.c + fsum(ei * s.b for ei, s in zip(e, kernel.curves))
+        res = beta_closed_form(a, kernel.psi.e)
+        if res.status is IntegralStatus.CONVERGED:
+            res = IntegralResult(kernel.psi.scale * res.value,
+                                 kernel.psi.scale * res.abs_error,
+                                 res.status, res.evaluations)
+        return res
+    integrand, reflected, orders = power_law_integrand(kernel, e, factor)
+    line = _line_integral(kernel, orders, tol, factor)
     if line is not None and line.status is not IntegralStatus.INCONCLUSIVE:
         return line
-    res = integrate_unit_cube(integrand, kernel.n, tol, endexp,
+    res = integrate_unit_cube(integrand, 1, tol, orders,
                               detect_growth=kernel.has_callback(),
                               reflected=reflected)
     if line is None:

@@ -67,3 +67,29 @@ def min_kernel_constant(factors, scale, curve_betas, exponents, commutator_betas
         a_lo = float(min(c for c, _ in factors) + power)
         a_hi = float(mpmath.fsum(e + 1 for _, e in factors) - 1) + sum(commutator_betas)
         return integral(f, 0, a_lo, a_hi)
+
+
+def log_min_kernel_constant(factors, scale, curve_beta, exponent):
+    """int over [0,1]^n of min(t)**(b e) psi(t) log(2/t_1) dt: the density
+    of m under psi(t) log(2/t_1) is that of ``density`` with phi_1(m) times
+    log(2/m) and Phi_1 replaced by Psi_1(m) = int_m^1 log(2/t) phi_1(t) dt
+    = ln 2 I - dI/dc_1, I = int_0^u y**e_1 (1-y)**c_1 dy (u = 1 - m, exact
+    near m = 1)."""
+    with mpmath.workdps(DPS):
+        factors = [(mpmath.mpf(c), mpmath.mpf(e)) for c, e in factors]
+        c1, e1 = factors[0]
+        power = mpmath.mpf(curve_beta) * exponent
+
+        def f(m, u):
+            phis = [m ** c * u ** e for c, e in factors]
+            phis[0] *= mpmath.log(2 / m)
+            tails = [mpmath.betainc(e + 1, c + 1, 0, u) for c, e in factors]
+            tails[0] = mpmath.log(2) * tails[0] - mpmath.diff(
+                lambda c: mpmath.betainc(e1 + 1, c + 1, 0, u), c1)
+            return scale * m ** power * mpmath.fsum(
+                phi * mpmath.fprod(tail for i, tail in enumerate(tails) if i != j)
+                for j, phi in enumerate(phis))
+
+        a_lo = float(min(c for c, _ in factors) + power)
+        a_hi = float(mpmath.fsum(e + 1 for _, e in factors) - 1)
+        return integral(f, 0, a_lo, a_hi)

@@ -304,6 +304,33 @@ def test_constant_job_three_dimensional_min_power_converges(tmp_path):
     assert abs(float(fields[2]) - want) <= float(fields[4])
 
 
+@pytest.mark.parametrize("psi", [
+    {"kind": "product_power_beta", "factors": [[0.2, 0.3]]},
+    {"kind": "power_beta", "c": 0.2, "e": 0.3},
+])
+def test_constant_job_one_dimensional_min_power(tmp_path, psi):
+    # at n = 1 min(t)**beta is t**beta: the product kernel exited 1 with
+    # "IndexError: too many indices" in KernelSpec.psi_values
+    out = tmp_path / "a.csv"
+    cfg = {"job": "constant", "kind": "A", "exponents": XIAO_EXP,
+           "kernel": {"n": 1, "psi": psi, "curves": [{"kind": "min_power", "beta": 1.0}]},
+           "output": str(out)}
+    assert main(["--config", str(write_config(tmp_path, cfg))]) == 0
+    fields = out.read_text().splitlines()[1].split(",")
+    assert fields[3] == "converged"
+    # int_0^1 t**0.2 (1-t)**0.3 t**-0.5 dt = B(0.7, 1.3)
+    assert abs(float(fields[2]) - math.gamma(0.7) * math.gamma(1.3) / math.gamma(2.0)) \
+        <= float(fields[4])
+
+
+def test_kernel_beyond_min_power_at_n_two_exit_2(tmp_path, capsys):
+    # n >= 2 needs a product_power_beta psi with min_power curves only
+    kernel = dict(MIN_POWER_A1["kernel"], curves=[{"kind": "power", "b": 1.0}])
+    cfg = dict(MIN_POWER_A1, kernel=kernel, output=str(tmp_path / "x.csv"))
+    assert main(["--config", str(write_config(tmp_path, cfg))]) == 2
+    assert "needs a ProductPowerBeta psi and MinPower curves" in capsys.readouterr().err
+
+
 def test_tol_outside_integrator_range_exit_2(tmp_path):
     for job in (MIN_POWER_A1,
                 {"job": "operator-eval", "kernel": KERNEL,

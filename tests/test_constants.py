@@ -14,7 +14,7 @@ from hardy_cesaro.quadrature import (CurveCallback, IntegralResult, IntegralStat
                                      ProductPowerBeta)
 from hardy_cesaro.weights import HomogeneousWeight
 import mpmath
-from min_reference import DPS, integral, min_kernel_constant
+from min_reference import DPS, integral, log_min_kernel_constant, min_kernel_constant
 
 IDENTITY = KernelSpec(1, PowerBeta(0.0, 0.0), (PowerCurve(1.0),))
 
@@ -318,3 +318,43 @@ def test_line_without_convergence_falls_back_to_graded(monkeypatch):
     assert (res.value, res.abs_error, res.status) == (graded.value, graded.abs_error,
                                                         graded.status)
     assert res.evaluations == graded.evaluations + seen[0]
+
+
+@pytest.mark.parametrize("factors, beta", [
+    (((0.2, 0.3),) * 2, 1.0),
+    (((0.2, 0.3),) * 3, 1.0),
+    (((0.3, -0.2), (-0.1, 0.5), (0.1, 0.2)), 1.2),
+])
+def test_xiao_log_min_power_matches_mpmath(factors, beta):
+    # log(2/t_1) goes into the density of min(t); on the tensor mesh these
+    # were inconclusive after 2.16 M (n = 2) and 1.73 M (n = 3) evaluations
+    n = len(factors)
+    kernel = KernelSpec(n, ProductPowerBeta(factors, 1.5), (MinPower(beta),))
+    res = kernel_constant(ConstantKind.XIAO_LOG, make(n=n, p_i=[2.0]), kernel)
+    want = float(log_min_kernel_constant(factors, 1.5, beta, -0.5))
+    if factors[0] == (0.2, 0.3) and n == 2:
+        assert want == pytest.approx(1.5 * 1.95928355589664, rel=1e-14)
+    assert res.status is IntegralStatus.CONVERGED and res.evaluations < 1000
+    assert abs(res.value - want) <= res.abs_error
+    # without the log: Xiao, and the log strictly adds to it
+    plain = kernel_constant(ConstantKind.XIAO, make(n=n, p_i=[2.0]), kernel)
+    assert plain.value < res.value
+
+
+def test_xiao_log_with_c_below_minus_one_is_divergent():
+    # the order at min(t) = 0 is at most c_1 <= -1, and -d/p < 0
+    kernel = KernelSpec(2, ProductPowerBeta(((-1.2, 0.3), (0.2, 0.1))), (MinPower(1.0),))
+    res = kernel_constant(ConstantKind.XIAO_LOG, make(n=2, p_i=[2.0]), kernel)
+    assert res.status is IntegralStatus.DIVERGENT and res.evaluations == 0
+
+
+def test_a1_with_c_below_minus_one_at_n_three_matches_mpmath():
+    # Phi_1(m) grows like m**-0.3 toward m = 0; the order there is
+    # -1.3 + 0.8 * 0.6 = -0.82
+    factors = ((-1.3, 0.2), (0.4, 0.1), (0.6, -0.2))
+    kernel = KernelSpec(3, ProductPowerBeta(factors), (MinPower(0.8),))
+    e = make(n=3, alpha_i=[-0.6], lambda_i=[0.5])      # A1 exponent 0.6
+    res = kernel_constant(ConstantKind.A1, e, kernel)
+    want = float(min_kernel_constant(factors, 1.0, (0.8,), (0.6,)))
+    assert res.status is IntegralStatus.CONVERGED and res.evaluations < 1000
+    assert abs(res.value - want) <= res.abs_error

@@ -297,8 +297,8 @@ def test_tail_power_beta_large_exponents():
 def test_tail_power_beta_checks_the_series_bound(monkeypatch):
     # split at 1/2 whatever e: at (-1.5, 40, 0.45) the series then loses
     # every digit, its bound says so, and the graded quadrature takes over
-    import hardy_cesaro.operators as operators
-    monkeypatch.setattr(operators, "_split", lambda e: 0.5)
+    import hardy_cesaro.quadrature as quadrature
+    monkeypatch.setattr(quadrature, "_split", lambda e: 0.5)
     res = tail_power_beta(-1.5, 40.0, 0.45)
     assert res.status is IntegralStatus.CONVERGED
     assert res.evaluations > 0

@@ -46,13 +46,6 @@ def test_growth_detection_fallback():
     assert res.status is IntegralStatus.DIVERGENT
 
 
-def test_two_dimensional_product():
-    res = integrate_unit_cube(lambda p: p[:, 0] * p[:, 1], 2, 1e-10,
-                              [(0.0, 0.0), (0.0, 0.0)])
-    assert res.status is IntegralStatus.CONVERGED
-    assert res.value == pytest.approx(0.25, abs=1e-10)
-
-
 def test_budget_exhaustion_is_inconclusive():
     res = integrate_unit_cube(lambda t: t ** -0.97, 1, 1e-13, [(-0.97, 0.0)],
                               budget=5000)
@@ -317,7 +310,7 @@ def test_min_reduction_descriptor():
     assert r.curves == (PowerCurve(0.7), PowerCurve(0.9))
     assert r.supports_reflection() and not r.is_power_closed()
     # orders: min c_j at m = 0, sum (e_j + 1) - 1 at m = 1
-    assert r.psi_endpoint_exponents() == [(-0.5, pytest.approx(2.2))]
+    assert r.psi_endpoint_exponents() == (-0.5, pytest.approx(2.2))
     u = np.array([1e-300, 1e-9, 0.25, 0.5])
     assert np.array_equal(r.psi_values_reflected(u), r.psi.values(1.0 - u, u))
     # a curve steeper than m: the variable is v = m**1.2, and the density
@@ -326,17 +319,21 @@ def test_min_reduction_descriptor():
     r = min_reduction(k)
     assert r.psi == MinDensity(factors, 1.5, 1.2)
     assert r.curves == (PowerCurve(0.5), PowerCurve(1.0))
-    assert r.psi_endpoint_exponents() == [(pytest.approx(-7.0 / 12.0), pytest.approx(2.2))]
+    assert r.psi_endpoint_exponents() == (pytest.approx(-7.0 / 12.0), pytest.approx(2.2))
     v = np.array([1e-300, 1e-9, 0.25, 0.5, 0.75])
     m = v ** (1.0 / 1.2)
     want = MinDensity(factors, 1.5).values(m, 1.0 - m) * m / (1.2 * v)
     assert np.allclose(r.psi_values(v), want, rtol=1e-13, atol=0.0)
-    for kernel in (KernelSpec(1, PowerBeta(0.3, 0.2), (PowerCurve(1.0),)),
-                   KernelSpec(2, ProductPowerBeta(((0.0, -1.0), (0.0, 0.0))), (MinPower(1.0),)),
-                   KernelSpec(2, ProductPowerBeta(((-1.2, 0.0), (0.0, 0.0))), (MinPower(1.0),))):
-        assert min_reduction(kernel) is kernel
-    with pytest.raises(ValueError):
-        MinDensity(((0.0, -1.0), (0.0, 0.0)))
+    kernel = KernelSpec(1, PowerBeta(0.3, 0.2), (PowerCurve(1.0),))
+    assert min_reduction(kernel) is kernel
+    # every n >= 2 kernel reduces: c_j <= -1 through its scaled tail, with
+    # order c_j + sum_{i != j} min(c_i + 1, 0) for each term at m = 0; some
+    # e_j <= -1 makes the density infinite, order -inf at m = 1
+    r = min_reduction(KernelSpec(2, ProductPowerBeta(((-1.2, 0.0), (0.0, 0.0))), (MinPower(1.0),)))
+    assert r.psi == MinDensity(((-1.2, 0.0), (0.0, 0.0)))
+    assert r.psi_endpoint_exponents() == (pytest.approx(-1.2), pytest.approx(1.0))
+    r = min_reduction(KernelSpec(2, ProductPowerBeta(((0.0, -1.0), (0.0, 0.0))), (MinPower(1.0),)))
+    assert r.psi_endpoint_exponents() == (0.0, -math.inf)
     with pytest.raises(ValueError):
         KernelSpec(2, MinDensity(((0.0, 0.0), (0.0, 0.0))), (MinPower(1.0),))
 
@@ -360,21 +357,13 @@ def test_min_power_divergent_verdicts_are_kept():
     (((-0.28, 0.06), (-0.02, 0.34)), 1.1, 0.4),
 ])
 def test_min_reduction_agrees_with_cube_path(factors, beta, x):
-    # the same psi as a callback is not reduced and goes through the cube
-    def psi(t):
-        out = np.ones(t.shape[0])
-        for j, (c, e) in enumerate(factors):
-            out = out * t[:, j] ** c * (1.0 - t[:, j]) ** e
-        return out
-
+    # the cube integral of the kernel, from the 1-D mpmath reference (the
+    # n = 2 callback kernel that took the tensor mesh for it is gone)
     reduced = KernelSpec(2, ProductPowerBeta(factors), (MinPower(beta),))
-    cube = KernelSpec(2, PsiCallback(psi, factors), (MinPower(beta),))
-    assert min_reduction(cube) is cube
-    a = kernel_power_integral(reduced, [x], tol=1e-4)
-    b = kernel_power_integral(cube, [x], tol=1e-4)
-    assert a.status is IntegralStatus.CONVERGED and b.status is IntegralStatus.CONVERGED
-    assert 20 * a.evaluations < b.evaluations
-    assert abs(a.value - b.value) <= a.abs_error + b.abs_error
+    res = kernel_power_integral(reduced, [x], tol=1e-4)
+    want = float(min_kernel_constant(factors, 1.0, (beta,), (x,)))
+    assert res.status is IntegralStatus.CONVERGED and res.evaluations < 1000
+    assert abs(res.value - want) <= res.abs_error
 
 
 @pytest.mark.parametrize("c, e", [(-0.9, 0.3), (0.4, -0.7)])
@@ -404,3 +393,114 @@ def test_line_integral_matches_beta_closed_form(a, e, tol):
     assert abs(res.value - exact) <= res.abs_error
     if res.status is IntegralStatus.CONVERGED:
         assert abs(res.value - exact) <= tol * max(1.0, exact)
+
+
+def test_kernels_beyond_min_power_are_one_dimensional():
+    # callback kernels and raw integrands at n >= 2 took the tensor mesh,
+    # which is gone
+    psi = PsiCallback(lambda t: np.ones_like(t), (0.0, 0.0))
+    curve = CurveCallback(lambda t: t, 1.0)
+    for n in (2, 3):
+        with pytest.raises(ValueError):
+            KernelSpec(n, psi, (MinPower(1.0),))
+        with pytest.raises(ValueError):
+            KernelSpec(n, ProductPowerBeta(((0.0, 0.0),) * n), (curve,))
+        with pytest.raises(ValueError):
+            KernelSpec(n, ProductPowerBeta(((0.0, 0.0),) * n), (MinPower(1.0), PowerCurve(1.0)))
+        with pytest.raises(ValueError):
+            integrate_unit_cube(lambda t: np.ones(len(t)), n, 1e-8, [(0.0, 0.0)] * n)
+
+
+def test_min_reduction_at_n_one():
+    # min(t)**beta is t**beta, and a one-factor product is its PowerBeta
+    k = KernelSpec(1, ProductPowerBeta(((0.2, 0.3),), 1.5), (MinPower(1.3),))
+    r = min_reduction(k)
+    assert r.psi == PowerBeta(0.2, 0.3, 1.5) and r.curves == (PowerCurve(1.3),)
+    res = kernel_power_integral(k, [-0.4])
+    assert res.status is IntegralStatus.CONVERGED and res.evaluations == 0
+    assert res.value == pytest.approx(1.5 * beta_closed_form(0.2 - 0.52, 0.3).value, rel=1e-14)
+    callback = PsiCallback(lambda t: t ** 0.5, (0.5, 0.0))
+    r = min_reduction(KernelSpec(1, callback, (MinPower(2.0),)))
+    assert r.psi is callback and r.curves == (PowerCurve(2.0),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(c=st.floats(-0.95, 3.0), e=st.floats(-0.95, 3.0), near_one=st.booleans(),
+       digits=st.floats(0.0, 1.0))
+def test_log_beta_tail_matches_mpmath(c, e, near_one, digits):
+    # int_t^1 log(2/x) x**c (1-x)**e dx = ln 2 I - dI/dc with
+    # I = int_t^1 x**c (1-x)**e dx; above t = 1/2 I is taken in u = 1 - t,
+    # where a difference of incomplete Betas at dps 40 loses the value
+    if near_one:
+        u = 10.0 ** (-15.0 + digits * (15.0 + math.log10(0.5)))
+        t = 1.0 - u
+    else:
+        t = 10.0 ** (-300.0 + digits * (300.0 + math.log10(0.5)))
+        u = 1.0 - t
+    got = float(quadrature.log_beta_tail(c, e, np.array([t]), np.array([u]))[0])
+    with mpmath.workdps(40):
+        cc, ee = mpmath.mpf(c), mpmath.mpf(e)
+        if near_one:
+            def tail(x):
+                return mpmath.betainc(ee + 1, x + 1, 0, mpmath.mpf(u))
+        else:
+            def tail(x):
+                return mpmath.betainc(x + 1, ee + 1, mpmath.mpf(t), 1)
+        want = mpmath.log(2) * tail(cc) - mpmath.diff(tail, cc)
+    assert abs(got - float(want)) <= 1e-12 * float(want)
+
+
+def test_log_beta_tail_gives_nan_where_its_terms_cancel():
+    # exponents of 10 and more: the alternating terms cancel beyond the
+    # series' rounding bound, so the element is NaN instead of a wrong value
+    t = np.array([1e-3, 0.5, 0.6, 0.999])
+    got = quadrature.log_beta_tail(10.0, 10.0, t, 1.0 - t)
+    assert np.isnan(got[1])
+    with mpmath.workdps(40):
+        for g, x in zip(got, t.tolist()):
+            if not math.isnan(g):
+                want = mpmath.quad(lambda y: mpmath.log(2 / y) * y ** 10 * (1 - y) ** 10,
+                                   [x, 0.5, 1])
+                assert abs(g - float(want)) <= 1e-12 * float(want)
+
+
+def test_min_power_with_large_c_settles_on_the_line(monkeypatch):
+    # the tails vary like m**c_i near m = 1, so the line's first piece is
+    # sized by max c_i / power as well as by the rate; on [-1, 0] the two
+    # rules disagreed and the constant took the graded integrator too
+    factors = ((200.0, 0.3), (300.0, -0.4))
+    k = KernelSpec(2, ProductPowerBeta(factors), (MinPower(1.3),))
+
+    def no_graded(*args, **kwargs):
+        raise AssertionError("the graded integrator was called")
+
+    monkeypatch.setattr(quadrature, "integrate_unit_cube", no_graded)
+    res = kernel_power_integral(k, [2.0])
+    want = float(min_kernel_constant(factors, 1.0, (1.3,), (2.0,)))
+    assert res.status is IntegralStatus.CONVERGED and res.evaluations < 300
+    assert abs(res.value - want) <= res.abs_error
+
+
+def test_min_power_with_c_below_minus_one_matches_mpmath():
+    # Phi_1(m) grows like m**-0.2 toward m = 0; the order at 0 is -0.7.
+    # On the tensor mesh: inconclusive after 2.16 M evaluations
+    factors = ((-1.2, 0.3), (0.2, 0.1))
+    k = KernelSpec(2, ProductPowerBeta(factors), (MinPower(1.0),))
+    res = kernel_power_integral(k, [0.5])
+    want = float(min_kernel_constant(factors, 1.0, (1.0,), (0.5,)))
+    assert want == pytest.approx(2.1359928457855094, rel=1e-15)
+    assert res.status is IntegralStatus.CONVERGED and res.evaluations < 1000
+    assert abs(res.value - want) <= res.abs_error
+
+
+def test_scaled_tail_stays_on_its_series_at_deep_nodes():
+    # m**(c + 1) overflows at the line's deepest nodes; unscaled, those
+    # elements went to the numeric tail (about a million evaluations)
+    m = np.exp(-np.linspace(0.0, 690.0, 480))[1:]
+    res = quadrature.tail_power_beta(-2.5, 0.4, m, scaled=True)
+    assert res.status is IntegralStatus.CONVERGED and res.evaluations == 0
+    with mpmath.workdps(40):
+        for x, got in list(zip(m.tolist(), res.value.tolist()))[::53]:
+            x = mpmath.mpf(x)
+            want = x ** 1.5 * mpmath.betainc(-1.5, 1.4, x, 1)
+            assert abs(got - float(want)) <= 1e-13 * float(want)
