@@ -21,14 +21,19 @@ function for a > -1 and by hypergeometric series for a <= -1
 (``quadrature.tail_power_beta``, with graded quadrature beyond the
 series' range); a whole log2-radius grid is one array pass per term.
 
-Inputs with no closed form that vanish near 0 (sampled or sum profiles,
-with PowerBeta/PowerCurve kernels) are integrated in v = ln t by a fixed
-Gauss rule on each piece between the inputs' breakpoints, at two orders,
-for blocks of radii at once (``_piecewise_values``).  What remains
-(callback kernels, reduced min-power kernels, inputs that do not vanish
-near 0, and radii whose two rules disagree) goes through the graded
-integrator on [0, 1], radius by radius, with endpoint orders and support
-breakpoints derived from the profiles and the kernel.
+Sampled and sum inputs (every built-in profile, with PowerBeta/PowerCurve
+kernels) are taken piece by piece between the inputs' breakpoints, for
+blocks of radii at once (``_piecewise_values``): on a piece each input is
+a sum of power terms or a ramp (a sampled segment with one zero node), so
+a piece with no ramp is a sum of incomplete Beta integrals
+(``quadrature.beta_pieces``; from t = 0 where the inputs do not vanish
+near 0, divergent where a term has A <= -1 there), and a piece with a ramp
+is integrated in v = ln t by a fixed Gauss rule at two orders.  What
+remains (callback kernels, reduced min-power kernels, profiles that define
+only ``evaluate``, integrands with no integrable order at t = 1, and radii
+whose verdict is not certified) goes through the graded integrator on
+[0, 1], radius by radius, with endpoint orders and support breakpoints
+derived from the profiles and the kernel.
 """
 
 from __future__ import annotations
@@ -44,9 +49,10 @@ import numpy as np
 from .numerics import LN2
 from .profiles import (PowerLaw, RadialProfile, SampledProfile, ScaledProfile,
                        TruncatedPowerLaw)
-from .quadrature import (PIECE_RULE, IntegralResult, IntegralStatus, KernelSpec, PowerBeta,
-                         PowerCurve, _line_verdicts, _unwrap, beta_closed_form,
-                         integrate_unit_cube, min_reduction, piece_sums, tail_power_beta)
+from .quadrature import (PIECE_RULE, ROUNDING, IntegralResult, IntegralStatus, KernelSpec,
+                         PowerBeta, PowerCurve, _divergent, _unwrap, beta_closed_form,
+                         beta_pieces, integrate_unit_cube, min_reduction, piece_sums,
+                         tail_power_beta)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -227,98 +233,153 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
 
 
 # --------------------------------------------------------------------------
-# piecewise Gauss evaluation of inputs with no closed form
+# piecewise closed forms for inputs with no single power form
 #
-# With psi = PowerBeta and curves t**b_k, the integrand in v = ln t
-# is sc t**(c+1) (1-t)**e prod_k f_k(t**b_k r), times the symbol gaps
-# c_k r**beta_k (1 - t**(b_k beta_k)).  Between two breakpoints of the
-# inputs it is analytic apart from the factor (1-t)**e at v = 0, so a
-# fixed Gauss rule per piece converges fast once the pieces keep their
-# distance from v = 0, and the piece that ends there carries that factor
-# in a Gauss-Jacobi weight.
+# With psi = PowerBeta and curves t**b_k, every built-in input at t**b_k r
+# is, between two of the inputs' breakpoints, a sum of terms P t**(a b_k)
+# or a ramp, a sampled segment with one zero node, linear in ln t
+# (``RadialProfile.log2_terms``); the symbol gap c_k r**beta_k
+# (1 - t**(b_k beta_k)) is two such terms.  A piece with no ramp expands
+# into terms coef t**A (1-t)**e, each an incomplete Beta integral
+# (``quadrature.beta_pieces``).  A piece with a ramp is integrated in
+# v = ln t by the Gauss pair (``piece_sums``), cut so that no sub-piece is
+# wider than _PIECE_WIDTH or than its distance to v = 0; the sub-piece
+# that ends there carries the factor (1-t)**e, and the symbol gaps, in a
+# Gauss-Jacobi weight.  So does the piece that ends at t = 1 where
+# e <= -1 < e + m: there the commutator converges, but each term of its
+# expansion diverges.
 
-_PIECE_WIDTH = 1.0       # widest piece in v = ln t
-_MAX_PIECES = 2 ** 12    # a radius needing more goes to the graded integrator
-# elements of the temporary arrays: radii x candidate edges in the edge
-# pass, and nodes x pieces, _BLOCK_PIECES pieces at a time, in the sums
+_PIECE_WIDTH = 1.0       # widest Gauss piece in v = ln t
+_MAX_PIECES = 2 ** 12    # a radius needing more Gauss pieces goes to the graded integrator
+# elements of the temporary arrays: pieces x terms in a block of radii,
+# and nodes x pieces, _BLOCK_PIECES Gauss pieces at a time, in the sums
 _BLOCK = 2 ** 13
 _BLOCK_PIECES = _BLOCK // (3 * PIECE_RULE)
-_GRADING_ALLOWANCE = 8   # grading cuts assumed per radius when sizing a block of radii
 
 
 def _piecewise_setup(spec: OperatorSpec, profiles, symbols) -> Optional[dict]:
-    """Data of the piecewise Gauss path, or None where it does not apply:
-    it needs a PowerBeta psi, curves t**b with b > 0, inputs with no
-    closed form, and at least one input that vanishes below some radius."""
+    """Data of the piecewise path, or None where it does not apply: it needs
+    a PowerBeta psi, curves t**b with b > 0, an integrand that vanishes
+    faster than (1-t)**-1 at t = 1 (e plus one per symbol gap), and inputs
+    with no single power form that all split into terms (``log2_terms``)."""
     kernel = spec.kernel
     if not _power_kernel(kernel) or _fast_setup(spec, profiles) is not None:
         return None
-    starts = [f.support_start() for f in profiles]
-    # each symbol gap vanishes like (1-t) at t = 1
+    probe = np.empty(0)
+    terms = [f.log2_terms(probe, probe) for f in profiles]
     order = kernel.psi.e + len(symbols)
-    if all(a is None for a in starts) or not order > -1.0:
+    if not order > -1.0 or None in terms:
         return None
     return {
         "c": kernel.psi.c, "e": kernel.psi.e, "scale": kernel.psi.scale,
-        "order": order, "bs": [s.b for s in kernel.curves], "starts": starts,
-        "breaks": [np.asarray(f.log2_breakpoints(), dtype=float) for f in profiles],
+        "order": order, "bs": [s.b for s in kernel.curves],
+        "starts": [f.support_start() for f in profiles],
+        "breaks": [np.sort(np.asarray(f.log2_breakpoints(), dtype=float)) for f in profiles],
         "profiles": tuple(profiles), "symbols": tuple(symbols),
+        # terms of the expansion of a piece with no ramp
+        "terms": math.prod(len(t) for t in terms) * 2 ** len(symbols),
     }
 
 
-def _lower_limits(setup: dict, u: np.ndarray) -> np.ndarray:
-    """Lower limit in v = ln t at each log2 radius u: the largest support
-    start, (a - u) ln 2 / b; the integrand vanishes below it."""
-    return np.max([(a - u) * LN2 / b for a, b in zip(setup["starts"], setup["bs"])
-                   if a is not None], axis=0)
+def _breakpoint_ranges(setup: dict, u: np.ndarray):
+    """For each input, the index ranges [first, last) of its breakpoints
+    that can cut the pieces at the log2 radii u: below u, and not below
+    the largest support start (less a margin; pieces below it vanish)."""
+    low = np.full(u.shape, -np.inf)     # log2 t of the largest support start
+    for a, b in zip(setup["starts"], setup["bs"]):
+        if a is not None:
+            low = np.maximum(low, (a - u) / b)
+    ranges = []
+    for rho, b in zip(setup["breaks"], setup["bs"]):
+        floor = u + b * low
+        last = np.searchsorted(rho, u)
+        ranges.append((np.minimum(np.searchsorted(rho, floor - 1e-9 * (1.0 + np.abs(floor))),
+                                  last), last))
+    return ranges
 
 
-def _block_edges(setup: dict, u: np.ndarray, lower: np.ndarray):
-    """Edges in v = ln t of the pieces at the log2 radii u (with lower
-    limits ``lower``): every radius's edges in increasing order, radius
-    after radius, from its lower limit up to -h, where [-h, 0] is its last
-    piece; and the number of edges of each radius, 0 where the integrand
-    vanishes.
+def _block_edges(setup: dict, u: np.ndarray, ranges):
+    """Pieces at the log2 radii u, from the breakpoint ``ranges``
+    (``_breakpoint_ranges``): the arrays (lo, hi) in v = ln t of every
+    radius's pieces in increasing order, radius after radius, and the
+    number of pieces of each radius.
 
-    The edges are the inputs' breakpoints (rho - u) ln 2 / b_k above the
-    lower limit, and grading cuts -h, -2h, -4h, ... and then steps of
-    _PIECE_WIDTH, so that no piece is wider than _PIECE_WIDTH or than its
-    distance to v = 0.  Breakpoints within rounding of log2 r sit at t = 1
-    itself and are dropped.  The steps stop after _MAX_PIECES, so a radius
-    has a bounded number of edges; one with more than _MAX_PIECES is left
-    to the graded integrator.  Each radius is one row of candidate edges,
-    sorted and cleared of repeats on its own, so its edges do not depend
-    on the block.
-    """
-    uu, lo = u[:, None], lower[:, None]
-    cuts = np.concatenate(
-        [np.where(rho < uu - 4.0 * _EPS * np.maximum(np.abs(uu), np.abs(rho)),
-                  (rho - uu) * (LN2 / b), -np.inf)
-         for rho, b in zip(setup["breaks"], setup["bs"])], axis=1)
-    cuts[~(cuts > lo)] = -np.inf
-    h = np.minimum(_PIECE_WIDTH, -np.maximum(lower, cuts.max(axis=1, initial=-np.inf)))
-    h[~(lower < 0.0)] = _PIECE_WIDTH
-    depth = np.array([max(0, math.ceil(math.log2(_PIECE_WIDTH / x))) for x in h.tolist()])
-    deepest = -h * np.exp2(depth)        # the last grading cut
-    steps = np.clip(np.ceil((deepest - lower) / _PIECE_WIDTH), 0, _MAX_PIECES)
-    j = np.arange(depth.max() + 1.0)
-    k = np.arange(1.0, steps.max() + 1.0)
-    grading = np.concatenate(
-        [np.where(j <= depth[:, None], -h[:, None] * np.exp2(j), -np.inf),
-         np.where(k <= steps[:, None], deepest[:, None] - _PIECE_WIDTH * k, -np.inf)], axis=1)
-    rows = np.concatenate([lo, cuts, grading], axis=1)
-    rows[~(rows > lo)] = np.inf
-    rows[:, 0] = np.where(lower < 0.0, lower, np.inf)
-    rows.sort(axis=1)
-    keep = np.isfinite(rows)
-    keep[:, 1:] &= rows[:, 1:] != rows[:, :-1]
-    return rows[keep], keep.sum(axis=1)
+    The edges are the breakpoints (rho - u) ln 2 / b_k, cleared of
+    repeats; the lowest piece starts at -inf and the highest ends at 0.
+    Breakpoints within rounding of log2 r sit at t = 1 itself and are
+    dropped.  Each radius's edges are sorted on their own, so they do not
+    depend on the block."""
+    rows, edges = [], []
+    for rho, b, (first, last) in zip(setup["breaks"], setup["bs"], ranges):
+        count = last - first
+        row = np.repeat(np.arange(u.size), count)
+        index = np.arange(row.size) - np.repeat(np.cumsum(count) - count, count) + first[row]
+        x, ux = rho[index], u[row]
+        keep = x < ux - 4.0 * _EPS * np.maximum(np.abs(ux), np.abs(x))
+        rows.append(row[keep])
+        edges.append((x[keep] - ux[keep]) * (LN2 / b))
+    row, v = np.concatenate(rows), np.concatenate(edges)
+    order = np.lexsort((v, row))
+    row, v = row[order], v[order]
+    fresh = np.ones(v.size, dtype=bool)
+    fresh[1:] = (row[1:] != row[:-1]) | (v[1:] != v[:-1])
+    row, v = row[fresh], v[fresh]
+    # edge i of the sorted list ends piece i + row and starts piece i + row + 1
+    position = np.arange(v.size) + row
+    lo, hi = np.full(v.size + u.size, -np.inf), np.zeros(v.size + u.size)
+    lo[position + 1], hi[position] = v, v
+    return lo, hi, np.bincount(row, minlength=u.size) + 1
+
+
+def _closed_sums(setup: dict, terms, log2_radius: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray):
+    """(value, error, divergent) of the pieces [lo, hi] in v with no ramp,
+    given each input's ``terms`` (P, a) on them (``log2_terms``).
+
+    The integrand expands into terms coef t**A (1-t)**e, one per choice of
+    a term of every input and a subset S of the symbols: coef carries the
+    psi scale and the signed symbol factors, A = c + sum_k a_k b_k +
+    sum_{k in S} beta_k b_k.  Each term is an integral of ``beta_pieces``;
+    its error is coef times the integral's bound plus the rounding of coef,
+    whose factors come from exp2 of rounded arguments.  A piece adds its
+    terms in a fixed order.  A piece from t = 0 with a term A <= -1 is
+    divergent."""
+    gaps = [sym.coefficient * np.exp2(sym.beta * log2_radius) for sym in setup["symbols"]]
+    size = sum(abs(sym.beta) * np.abs(log2_radius) for sym in setup["symbols"])
+    coefs, powers, sizes = [], [], []
+    for choice in itertools.product(*terms):
+        coef = setup["scale"] * math.prod(p for p, _ in choice)
+        power = setup["c"] + sum(a * b for (_, a), b in zip(choice, setup["bs"]))
+        with np.errstate(divide="ignore"):
+            magnitude = size + sum(np.abs(np.log2(p)) for p, _ in choice)
+        for subset in itertools.product((0, 1), repeat=len(gaps)):
+            sign = -1.0 if sum(subset) % 2 else 1.0
+            coefs.append(sign * coef * math.prod(gaps))
+            powers.append(power + fsum(sym.beta * b for sym, b, bit in
+                                       zip(setup["symbols"], setup["bs"], subset) if bit))
+            sizes.append(magnitude)
+    coef, power, size = np.array(coefs), np.array(powers), np.array(sizes)
+    live = coef != 0.0
+    diverges = live & (power <= -1.0) & ~np.isfinite(lo)
+    live &= ~diverges
+    piece = np.broadcast_to(np.arange(lo.size), coef.shape)[live]
+    integral, bound = beta_pieces(power[live], setup["e"], np.exp(lo[piece]),
+                                  -np.expm1(lo[piece]), np.exp(hi[piece]), -np.expm1(hi[piece]))
+    term, err = np.zeros(coef.shape), np.zeros(coef.shape)
+    term[live] = coef[live] * integral
+    err[live] = (np.abs(coef[live]) * bound
+                 + _EPS * (4.0 * len(coefs) + LN2 * size[live]) * np.abs(term[live]))
+    value, error = term[0].copy(), err[0].copy()
+    for k in range(1, len(coefs)):
+        value += term[k]
+        error += err[k]
+    return value, error, np.any(diverges, axis=0)
 
 
 def _piece_sums(setup: dict, lo: np.ndarray, hi: np.ndarray, last: np.ndarray,
                 log2_radius: np.ndarray):
-    """(coarse, fine) rule sums of each piece [lo, hi] in v at its log2
-    radius; ``last`` marks the pieces [-h, 0], integrated against
+    """(coarse, fine) rule sums of each Gauss piece [lo, hi] in v at its
+    log2 radius; ``last`` marks the pieces [-h, 0], integrated against
     (-v)**order.  Nodes run down the rows, pieces along them, and a piece's
     sums add its column in a fixed order, whatever the block."""
     mid = 0.5 * (hi + lo)
@@ -326,8 +387,8 @@ def _piece_sums(setup: dict, lo: np.ndarray, hi: np.ndarray, last: np.ndarray,
     def values(v):
         g = setup["scale"] * np.exp((setup["c"] + 1.0) * v) * (-np.expm1(v)) ** setup["e"]
         for f, b in zip(setup["profiles"], setup["bs"]):
-            # at log2(t**b r); the edges include every input's breakpoints,
-            # so the piece's midpoint names its smooth piece of the input
+            # at log2(t**b r); the piece lies between two breakpoints of
+            # every input, so its midpoint names its smooth piece of the input
             g = g * f.log2_evaluate(log2_radius + (b / LN2) * v,
                                     at=log2_radius + (b / LN2) * mid)
         for sym, b in zip(setup["symbols"], setup["bs"]):
@@ -338,65 +399,153 @@ def _piece_sums(setup: dict, lo: np.ndarray, hi: np.ndarray, last: np.ndarray,
     return piece_sums(values, lo, hi, last, setup["order"])
 
 
-def _radius_sums(setup: dict, edges: np.ndarray, sizes: np.ndarray, u: np.ndarray,
-                 tol: float) -> list:
-    """The line verdict (``quadrature._line_verdicts``) at each log2
-    radius u, from its ``sizes`` edges in ``edges``, _BLOCK_PIECES pieces
-    at a time."""
+def _gauss_plan(lo: np.ndarray, hi: np.ndarray):
+    """How ``_gauss_pieces`` cuts the pieces [lo, hi] in v (lo finite,
+    hi <= 0): (h, depth, count).  The cuts are -h 2**j for j <= depth, h
+    the distance of hi to 0 (for hi = 0 the width min(_PIECE_WIDTH, -lo)),
+    so that a sub-piece is no wider than its distance to v = 0 until
+    -h 2**depth, and then steps of _PIECE_WIDTH down to lo; ``count``
+    bounds the number of sub-pieces."""
+    h = np.where(hi < 0.0, -hi, np.minimum(_PIECE_WIDTH, -lo))
+    depth = np.maximum(0.0, np.ceil(np.log2(_PIECE_WIDTH / h)))
+    steps = np.clip(np.ceil((-h * np.exp2(depth) - lo) / _PIECE_WIDTH), 0.0, _MAX_PIECES)
+    return h, depth, (depth + 1.0 + steps).astype(int)
+
+
+def _gauss_pieces(lo: np.ndarray, hi: np.ndarray, plan):
+    """Gauss sub-pieces of the pieces [lo, hi] cut as ``plan`` says
+    (``_gauss_plan``): the sub-pieces (lo, hi) in decreasing order, piece
+    after piece, and the number of sub-pieces of each piece."""
+    h, depth, count = plan
+    piece = np.repeat(np.arange(lo.size), count)
+    j = np.arange(piece.size) - np.repeat(np.cumsum(count) - count, count)
+    top = depth[piece]
+    cut = np.where(j <= top, -h[piece] * np.exp2(np.minimum(j, top)),
+                   -h[piece] * np.exp2(top) - _PIECE_WIDTH * (j - top))
+    keep = (cut > lo[piece]) & (cut < hi[piece])
+    piece, cut = piece[keep], cut[keep]
+    sizes = np.bincount(piece, minlength=lo.size) + 1
+    # cut i of the list ends sub-piece i + piece and starts sub-piece i + piece + 1
+    position = np.arange(cut.size) + piece
+    sub_lo, sub_hi = np.empty(cut.size + lo.size), np.empty(cut.size + lo.size)
+    sub_lo[position], sub_hi[position + 1] = cut, cut
     ends = np.cumsum(sizes)
-    hi = np.append(edges[1:], 0.0)
-    hi[ends - 1] = 0.0
-    last = np.zeros(edges.size, dtype=bool)
-    last[ends - 1] = True
-    log2_radius = np.repeat(u, sizes)
-    coarse, fine = np.empty(edges.size), np.empty(edges.size)
-    for a in range(0, edges.size, _BLOCK_PIECES):
-        b = slice(a, a + _BLOCK_PIECES)
-        coarse[b], fine[b] = _piece_sums(setup, edges[b], hi[b], last[b], log2_radius[b])
-    return _line_verdicts(coarse, fine, sizes.tolist(), tol)
+    sub_hi[ends - sizes], sub_lo[ends - 1] = hi, lo
+    return sub_lo, sub_hi, sizes
+
+
+def _gauss_sums(setup: dict, lo: np.ndarray, hi: np.ndarray, log2_radius: np.ndarray, plan):
+    """(fine sum, |fine - coarse|, piece) of every Gauss sub-piece of the
+    pieces [lo, hi] cut as ``plan`` says, about _BLOCK_PIECES sub-pieces at a
+    time; ``piece`` indexes the piece a sub-piece belongs to."""
+    ends = np.cumsum(plan[2])
+    fine, diff, owner = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=int)]
+    a = 0
+    while a < lo.size:
+        b = max(a + 1, int(np.searchsorted(ends, (ends[a - 1] if a else 0) + _BLOCK_PIECES,
+                                           side="right")))
+        sub_lo, sub_hi, counts = _gauss_pieces(lo[a:b], hi[a:b], [x[a:b] for x in plan])
+        owner.append(np.repeat(np.arange(a, b), counts))
+        coarse, sums = _piece_sums(setup, sub_lo, sub_hi, sub_hi == 0.0,
+                                   log2_radius[owner[-1]])
+        fine.append(sums)
+        diff.append(np.abs(sums - coarse))
+        a = b
+    return np.concatenate(fine), np.concatenate(diff), np.concatenate(owner)
+
+
+def _block_values(setup: dict, u: np.ndarray, ranges, tol: float) -> list:
+    """The verdicts at the log2 radii u of one block: an IntegralResult,
+    or None for a radius this path leaves to the graded integrator (a ramp
+    that reaches t = 0, or more than _MAX_PIECES Gauss pieces)."""
+    lo, hi, sizes = _block_edges(setup, u, ranges)
+    row = np.repeat(np.arange(u.size), sizes)
+    mid = np.where(np.isfinite(lo), 0.5 * (lo + hi), hi - 1.0)
+    terms = [f.log2_terms(u[row], u[row] + (b / LN2) * mid)
+             for f, b in zip(setup["profiles"], setup["bs"])]
+    nonzero = np.all([np.any([(p != 0.0) | r for p, _, r in parts], axis=0)
+                      for parts in terms], axis=0)
+    ramp = nonzero & (np.any([r for parts in terms for _, _, r in parts], axis=0)
+                      | ((hi == 0.0) & (setup["e"] <= -1.0)))
+
+    unsettled = np.zeros(u.size, dtype=bool)
+    unsettled[row[ramp & ~np.isfinite(lo)]] = True
+    ramps = np.flatnonzero(ramp & np.isfinite(lo))
+    plan = _gauss_plan(lo[ramps], hi[ramps])
+    unsettled |= np.bincount(row[ramps], plan[2], minlength=u.size) > _MAX_PIECES
+    keep = ~unsettled[row[ramps]]
+    ramps, plan = ramps[keep], [x[keep] for x in plan]
+    fine, diff, piece = _gauss_sums(setup, lo[ramps], hi[ramps], u[row[ramps]], plan)
+    gauss = np.bincount(row[ramps[piece]], minlength=u.size)
+
+    closed = np.flatnonzero(nonzero & ~ramp)
+    values, errors, diverges = _closed_sums(
+        setup, [[(p[closed], a[closed]) for p, a, _ in parts] for parts in terms],
+        u[row[closed]], lo[closed], hi[closed])
+    divergent = np.zeros(u.size, dtype=bool)
+    divergent[row[closed[diverges]]] = True
+
+    owner = np.concatenate([row[closed], row[ramps[piece]]])
+    order = np.argsort(owner, kind="stable")
+    value, err = _row_sums(np.concatenate([values, fine])[order],
+                           np.concatenate([errors, diff])[order],
+                           np.bincount(owner, minlength=u.size))
+    converged = np.isfinite(err) & (err <= tol * np.maximum(1.0, np.abs(value)))
+    return [None if unsettled[i] else _divergent() if divergent[i]
+            else IntegralResult(v, e, IntegralStatus.CONVERGED if ok
+                                else IntegralStatus.INCONCLUSIVE, 3 * PIECE_RULE * n)
+            for i, (v, e, ok, n) in enumerate(zip(value.tolist(), err.tolist(),
+                                                  converged.tolist(), gauss.tolist()))]
+
+
+def _row_sums(values: np.ndarray, errors: np.ndarray, sizes: np.ndarray):
+    """(value, abs_error) of rows of pieces, ``sizes`` consecutive pieces
+    each: the sum of the row's values, and of its errors plus the rounding
+    of that sum and ROUNDING of |value|, as ``quadrature._line_verdicts``
+    allows.  Each row is summed on its own, in its own order."""
+    full = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[full]
+    value, mass, err = np.zeros((3, sizes.size))
+    if starts.size:
+        value[full] = np.add.reduceat(values, starts)
+        mass[full] = np.add.reduceat(np.abs(values), starts)
+        err[full] = np.add.reduceat(errors, starts)
+    return value, err + _EPS * sizes * mass + ROUNDING * np.abs(value)
 
 
 def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray,
                       tol: float) -> list:
     """Values at the radii, one IntegralResult each.
 
-    Each piece is integrated with the PIECE_RULE- and the 2 * PIECE_RULE-
-    point rule, and a radius takes the line verdict of its pieces
-    (``quadrature._line_verdicts``).  A radius whose verdict is not
-    converged, or that needs more than _MAX_PIECES pieces, is integrated by
-    the graded integrator instead.  The radii go in blocks of about
-    _BLOCK candidate edges, one edge pass per block; the pieces of a radius
-    and their summation order depend on that radius alone, so a value does
-    not depend on the grid or the block it arrives in.
+    A radius sums its closed pieces, whose errors are the bounds of their
+    special-function values, and its Gauss pieces, each summed with the
+    PIECE_RULE- and the 2 * PIECE_RULE-point rule (``_row_sums``), and is
+    converged under the test of the line (``quadrature._line_verdicts``),
+    divergent where a piece from t = 0 diverges, and inconclusive
+    otherwise.  A radius that is inconclusive, or that needs more than
+    _MAX_PIECES Gauss pieces, is integrated by the graded integrator
+    instead.  The radii go in blocks of
+    about _BLOCK pieces times terms; the pieces of a radius and their
+    summation order depend on that radius alone, so a value does not
+    depend on the grid or the block it arrives in.
     """
-    results = [IntegralResult(0.0, 0.0, IntegralStatus.CONVERGED, 0)] * radii.size
-
-    def graded(i, evaluations):
-        res = _graded(spec, setup["profiles"], setup["symbols"], float(radii[i]), tol)
-        results[i] = IntegralResult(res.value, res.abs_error, res.status,
-                                    res.evaluations + evaluations)
-
     u = np.log2(radii)
-    lower = _lower_limits(setup, u)
-    # a radius has at most 2 + breakpoints + grading cuts + steps candidate
-    # edges, and at most -1 - lower steps
-    width = np.cumsum(2 + _GRADING_ALLOWANCE + sum(rho.size for rho in setup["breaks"])
-                      + np.clip(np.ceil(-1.0 - lower), 0, _MAX_PIECES))
+    ranges = _breakpoint_ranges(setup, u)
+    width = np.cumsum((1 + sum(last - first for first, last in ranges)) * setup["terms"])
+    results = []
     a = 0
     while a < radii.size:
-        b = max(a + 1, int(np.searchsorted(width, (width[a - 1] if a else 0.0) + _BLOCK,
+        b = max(a + 1, int(np.searchsorted(width, (width[a - 1] if a else 0) + _BLOCK,
                                            side="right")))
-        edges, sizes = _block_edges(setup, u[a:b], lower[a:b])
-        for i in np.flatnonzero(sizes > _MAX_PIECES).tolist():
-            graded(a + i, 0)
-        fits = sizes <= _MAX_PIECES
-        rows = np.flatnonzero(fits & (sizes > 0))
-        sums = _radius_sums(setup, edges[np.repeat(fits, sizes)], sizes[rows], u[a + rows], tol)
-        for i, res in zip((a + rows).tolist(), sums):
-            if res.converged:
-                results[i] = res
-            else:
-                graded(i, res.evaluations)
+        block = _block_values(setup, u[a:b], [(first[a:b], last[a:b]) for first, last in ranges],
+                              tol)
+        for i, res in enumerate(block, start=a):
+            if res is None or res.status is IntegralStatus.INCONCLUSIVE:
+                evaluations = 0 if res is None else res.evaluations
+                res = _graded(spec, setup["profiles"], setup["symbols"], float(radii[i]), tol)
+                res = IntegralResult(res.value, res.abs_error, res.status,
+                                     res.evaluations + evaluations)
+            results.append(res)
         a = b
     return results
 
@@ -507,8 +656,8 @@ def _sample(spec: OperatorSpec, profiles, symbols, grid, tol) -> RadialProfile:
 
     Pure power-law inputs with power-shaped kernels give the exact output
     PowerLaw; other power-shaped inputs are evaluated on the whole
-    log2-radius grid at once, and inputs for the piecewise Gauss path in
-    blocks of radii; otherwise each radius goes to the graded integrator.
+    log2-radius grid at once, and inputs for the piecewise path in blocks
+    of radii; otherwise each radius goes to the graded integrator.
     Any divergent value rejects the profile.
     """
     grid = np.asarray(grid, dtype=float)

@@ -53,6 +53,17 @@ class RadialProfile:
         the piece is looked up once per ``at`` value."""
         return self.evaluate(np.exp2(u))
 
+    def log2_terms(self, u, at) -> Optional[list]:
+        """The profile on the smooth piece named by ``at`` as a sum of
+        terms, relative to the log2 radii ``u``: a list of (P, a, ramp),
+        arrays of the shape of ``u``, such that at the log2 radii x of that
+        piece the profile is the sum of the terms P 2**(a (x - u)), except
+        that a term whose ``ramp`` is set is linear in x instead (a sampled
+        segment with one zero node; its P and a are 0).  The number of terms
+        does not depend on the arguments.  None for a profile with no such
+        form, as for one that defines only ``evaluate``."""
+        return None
+
     def local_exponent(self, end: str) -> Optional[float]:
         """Power-law exponent governing the profile near ``end``.
 
@@ -92,6 +103,11 @@ class PowerLaw(RadialProfile):
     def log2_evaluate(self, u, at=None):
         return self.coefficient * np.exp2(self.exponent * np.asarray(u, dtype=float))
 
+    def log2_terms(self, u, at):
+        u = np.asarray(u, dtype=float)
+        return [(self.log2_evaluate(u), np.full(u.shape, self.exponent),
+                 np.zeros(u.shape, dtype=bool))]
+
     def local_exponent(self, end):
         return self.exponent
 
@@ -125,6 +141,11 @@ class TruncatedPowerLaw(RadialProfile):
         u = np.asarray(u, dtype=float)
         inside = (u if at is None else np.asarray(at)) > math.log2(self.inner_radius)
         return np.where(inside, self.coefficient * np.exp2(self.exponent * u), 0.0)
+
+    def log2_terms(self, u, at):
+        u = np.asarray(u, dtype=float)
+        return [(self.log2_evaluate(u, at), np.full(u.shape, self.exponent),
+                 np.zeros(u.shape, dtype=bool))]
 
     def local_exponent(self, end):
         return self.exponent if end == "infinity" else None
@@ -188,6 +209,20 @@ class SampledProfile(RadialProfile):
             geo = np.exp2(np.where(both, w0 + t * (w1 - w0), 0.0))
         lin = np.maximum(v0 + t * (v1 - v0), 0.0)
         return np.where(both, geo, lin)
+
+    def log2_terms(self, u, at):
+        u, at = np.asarray(u, dtype=float), np.asarray(at, dtype=float)
+        idx = np.clip(np.searchsorted(self._u, at, side="right") - 1, 0, self._u.size - 2)
+        u0, u1 = self._u[idx], self._u[idx + 1]
+        v0, v1 = self._v[idx], self._v[idx + 1]
+        w0, w1 = self._w[idx], self._w[idx + 1]
+        both = (v0 > 0) & (v1 > 0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            slope = np.where(both, (w1 - w0) / (u1 - u0), 0.0)
+            power = np.where(both, np.exp2(np.where(both, w0 + slope * (u - u0), 0.0)), 0.0)
+        # one zero node: linear, and where the line is negative clamped to 0
+        ramp = ((v0 > 0) != (v1 > 0)) & (v0 + (at - u0) / (u1 - u0) * (v1 - v0) > 0.0)
+        return [(power, slope, ramp)]
 
     def local_exponent(self, end):
         if end == "zero":
@@ -327,6 +362,10 @@ class SumProfile(RadialProfile):
             out = out + t.log2_evaluate(u, at)
         return out
 
+    def log2_terms(self, u, at):
+        parts = [t.log2_terms(u, at) for t in self.terms]
+        return None if None in parts else [term for part in parts for term in part]
+
     def local_exponent(self, end):
         exps = [t.local_exponent(end) for t in self.terms]
         exps = [e for e in exps if e is not None]
@@ -363,6 +402,12 @@ class ScaledProfile(RadialProfile):
 
     def log2_evaluate(self, u, at=None):
         return self.factor * self.base.log2_evaluate(u, at)
+
+    def log2_terms(self, u, at):
+        terms = self.base.log2_terms(u, at)
+        if terms is None:
+            return None
+        return [(self.factor * p, a, ramp & (self.factor > 0)) for p, a, ramp in terms]
 
     def local_exponent(self, end):
         if self.factor == 0:

@@ -13,9 +13,10 @@ curves t**b, b > 0, in v = ln t: fixed Gauss-Jacobi, Gauss-Legendre and
 Gauss-Laguerre pieces at two orders, one integrand evaluation per
 integral.  ``kernel_power_integral`` is the one entry point for kernel
 integrals: a Beta closed form where there is one, else the line, the
-reduced min-power kernels included.  The line and the operators'
-piecewise path sum their pieces with ``piece_sums`` and take their results
-from ``_line_verdicts``; the Gauss-Jacobi and Gauss-Laguerre rules come
+reduced min-power kernels included.  The line and the operators' ramp
+pieces sum their pieces with ``piece_sums``, and the line takes its result
+from ``_line_verdicts``; the operators' other pieces are incomplete Beta
+integrals (``beta_pieces``).  The Gauss-Jacobi and Gauss-Laguerre rules come
 from their three-term recurrences (``_golub_welsch``, no eigenvectors), so
 a rule of a new order costs well under a millisecond.  What the line does
 not take, or does not settle, goes to the graded integrator below.
@@ -639,6 +640,7 @@ def _split(e: float) -> float:
     return 0.5 if e <= 0.0 else min(0.5, math.tanh(4.0 * LN2 / e))
 
 
+@functools.lru_cache(maxsize=256)
 def _term_count(p: float, q: float, hi: float) -> Optional[int]:
     """Terms K after which the series of _binomial_series has a remainder
     below eps/4 of its value for every upper limit up to hi < 1, with
@@ -661,10 +663,11 @@ def _term_count(p: float, q: float, hi: float) -> Optional[int]:
     return None
 
 
-def _binomial_series(p: float, q: float, lo, hi, count: int, scaled: bool = False):
+def _binomial_series(p, q, lo, hi, count, scaled: bool = False):
     """int_lo^hi t**p (1-t)**q dt for 0 <= lo <= hi < 1, with an error bound;
     with ``scaled``, divided by lo**(p+1) (lo > 0), which keeps the sum
-    finite where that power overflows.
+    finite where that power overflows.  ``p``, ``q`` and ``count`` are
+    numbers, or arrays that broadcast with the limits.
 
     The binomial series of (1-t)**q integrated term by term,
 
@@ -673,8 +676,8 @@ def _binomial_series(p: float, q: float, lo, hi, count: int, scaled: bool = Fals
     which is the Gauss series of 2F1(-q, p+1; p+2; .) (DLMF 15.2.1)
     between the two limits.  A power p + k = -1 contributes log(hi/lo),
     so integer p needs no special case.  ``lo`` and ``hi`` broadcast;
-    every element sums the same ``count`` terms, so its value does not
-    depend on the array it arrives in.
+    every element sums its ``count`` terms, so its value does not depend on
+    the array it arrives in.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     span = np.where(hi > lo, np.log1p((hi - lo) / lo), 0.0)   # log(hi/lo); inf at lo = 0
@@ -690,26 +693,37 @@ def _binomial_series(p: float, q: float, lo, hi, count: int, scaled: bool = Fals
     magnify_hi = np.abs(np.log(hi)) + finite_span
     value = mass = err = 0.0
     coef = 1.0
-    for k in range(count):
+    # with a count of each element: the counts at which elements stop, and
+    # the coefficient and power at each element's stop
+    stops = set(np.unique(count).tolist()) if np.ndim(count) else set()
+    stop_coef, stop_pow = np.zeros(lo.shape), np.zeros(lo.shape)
+    for k in range(int(np.max(count))):
         s = p + k + 1.0
-        if s > 0.0:
+        if (s > 0.0) if isinstance(s, float) else np.all(s > 0.0):
             term = coef * pow_hi * (-np.expm1(-s * span) / s)
             magnify = magnify_hi
-        elif s < 0.0:
-            term = coef * pow_lo * (-np.expm1(s * span) / -s)
-            magnify = magnify_lo
         else:
-            term = coef * span * (pow_lo if scaled else 1.0)
-            magnify = magnify_lo
+            term = np.where(s > 0.0, coef * pow_hi * (-np.expm1(-s * span) / s),
+                            np.where(s < 0.0, coef * pow_lo * (-np.expm1(s * span) / -s),
+                                     coef * span * (pow_lo if scaled else 1.0)))
+            magnify = np.where(s > 0.0, magnify_hi, magnify_lo)
+        if stops and k >= min(stops):
+            term = np.where(k < count, term, 0.0)
         size = np.abs(term)
         value = value + term
         mass = mass + size
         err = err + size * (4.0 * k + 10.0 + abs(s) * magnify)
         pow_lo, pow_hi = pow_lo * lo, pow_hi * hi
         coef *= (k - q) / (k + 1.0)
+        if k + 1 in stops:
+            stop = k + 1 == count
+            stop_coef = np.where(stop, coef, stop_coef)
+            stop_pow = np.where(stop, pow_hi, stop_pow)
+    if stops:
+        coef, pow_hi = stop_coef, stop_pow
     # the terms left out, from the first one on, shrink geometrically by at
     # most rho (count >= q, and s > 0 from count >= -p - 1 on)
-    rho = hi * max(1.0, (count - q) / (count + 1.0))
+    rho = hi * np.maximum(1.0, (count - q) / (count + 1.0))
     s = p + count + 1.0
     rest = np.abs(coef) * pow_hi * (-np.expm1(-s * span) / s) / (1.0 - rho)
     return value, _EPS * (err + count * mass) + rest
@@ -786,6 +800,90 @@ def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralRes
         if res.status is IntegralStatus.DIVERGENT or status is IntegralStatus.CONVERGED:
             status = res.status
     return IntegralResult(_unwrap(value), _unwrap(err), status, evaluations)
+
+
+def beta_pieces(a, e: float, lo, lo_c, hi, hi_c):
+    """int_lo^hi t**a (1-t)**e dt elementwise, with an error bound: arrays
+    a and 0 <= lo <= hi <= 1, with lo_c = 1 - lo and hi_c = 1 - hi given
+    apart (exact where t rounds); lo > 0 where a <= -1, and hi < 1 where
+    e <= -1.
+
+    - a > -1 and e > -1: B(a+1, e+1) times a difference of regularized
+      incomplete Beta functions, each end taken from the side where its
+      argument is exact, as in ``beta_tail``: I_t(a+1, e+1) up to t = 1/2,
+      and 1 - I_{1-t}(e+1, a+1) above.  The bound is 16 eps of every value
+      the difference takes, so a difference that cancels shows in it.
+    - otherwise the binomial series of ``_binomial_series``, in t up to
+      h = ``_split(e)`` and in 1 - t above (as in ``tail_power_beta``),
+      every element with the terms ``_term_count`` asks for at -ceil(-a),
+      so that its value does not depend on the array it arrives in.  NaN,
+      with an infinite bound, where that is more than _MAX_TERMS terms.
+      The series also takes the elements with lo > 0 whose incomplete Beta
+      difference cancels beyond _CANCELLATION of its value (a just above
+      -1, or a narrow piece), where its own bound is the smaller one.
+    """
+    a, lo, lo_c, hi, hi_c = np.broadcast_arrays(
+        *(np.asarray(x, dtype=float) for x in (a, lo, lo_c, hi, hi_c)))
+    # -expm1(0) is -0.0, and a series from -0.0 would take log1p(-inf)
+    lo_c, hi_c = np.abs(lo_c), np.abs(hi_c)
+    value, err = np.full(a.shape, math.nan), np.full(a.shape, math.inf)
+    with np.errstate(all="ignore"):
+        done = (a > -1.0) & (e > -1.0)
+        if np.any(done):
+            value[done], err[done] = _incomplete_pieces(a[done], e, lo[done], lo_c[done],
+                                                        hi[done], hi_c[done])
+        part = ~done | ((lo > 0.0) & ~(err <= _CANCELLATION * np.abs(value)))
+        if np.any(part):
+            series, bound = _series_pieces(a[part], e, lo[part], lo_c[part], hi[part], hi_c[part])
+            better = ~(err[part] <= bound)
+            value[part] = np.where(better, series, value[part])
+            err[part] = np.where(better, bound, err[part])
+    return value, err
+
+
+# Bound, relative to the value, above which an incomplete Beta difference
+# of beta_pieces is taken again by the series.
+_CANCELLATION = 1e-13
+
+
+def _incomplete_pieces(a, e, lo, lo_c, hi, hi_c):
+    """The a > -1 elements of ``beta_pieces``."""
+    x, y = a + 1.0, e + 1.0
+    log_beta = betaln(x, y)
+    below = np.zeros((4,) + a.shape)     # I_lo, I'_lo, I_hi, I'_hi, I' = I_{1-t}(y, x)
+    for row, ends, t, side in ((0, lo <= 0.5, lo, False), (1, lo > 0.5, lo_c, True),
+                               (2, hi <= 0.5, hi, False), (3, hi > 0.5, hi_c, True)):
+        take = ends & (t > 0.0)
+        below[row, take] = betainc(y, x[take], t[take]) if side else betainc(x[take], y, t[take])
+    left, right = lo <= 0.5, hi <= 0.5
+    diff = np.where(right, below[2] - below[0],
+                    np.where(left, (1.0 - below[3]) - below[0], below[1] - below[3]))
+    mass = below.sum(axis=0) + (left & ~right)
+    beta = np.exp(log_beta)
+    return beta * diff, beta * _EPS * (16.0 * mass + 4.0 * (1.0 + np.abs(log_beta)) * np.abs(diff))
+
+
+def _series_pieces(a, e, lo, lo_c, hi, hi_c):
+    """The series elements of ``beta_pieces``: the part below h in t and
+    the part above h in 1 - t, one series of each element either way (a
+    part outside [lo, hi] is empty), in one ``_binomial_series`` call."""
+    h = _split(e)
+    key = np.ceil(-a)
+    count = np.zeros(a.shape, dtype=int)
+    for j in np.unique(key).tolist():
+        terms = _term_count(-j, e, h), _term_count(e, -j, 1.0 - h)
+        count[key == j] = -1 if None in terms else max(terms)
+    ok = count > 0
+    a, lo, lo_c, hi, hi_c, count = (x[ok] for x in (a, lo, lo_c, hi, hi_c, count))
+    top = np.minimum(lo_c, 1.0 - h)
+    sums, bounds = _binomial_series(
+        np.concatenate([a, np.full(a.size, e)]), np.concatenate([np.full(a.size, e), a]),
+        np.concatenate([np.minimum(lo, h), np.minimum(hi_c, top)]),
+        np.concatenate([np.minimum(hi, h), top]), np.concatenate([count, count]))
+    value, err = np.full(ok.shape, math.nan), np.full(ok.shape, math.inf)
+    value[ok] = sums[:a.size] + sums[a.size:]
+    err[ok] = bounds[:a.size] + bounds[a.size:] + _EPS * np.abs(value[ok])
+    return value, err
 
 
 def _numeric_tail(a: float, e: float, t0: float, tol: float = 1e-10) -> IntegralResult:

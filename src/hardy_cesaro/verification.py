@@ -363,9 +363,9 @@ def verify_commutator(exponents: ExponentSet, kernel: KernelSpec,
 # randomized families for the property suites (seeded, rejection-sampled so
 # that every norm in play is comfortably classifiable inside the window)
 
-# Attempts per draw before a family gives up.  For m = 1 and 2 the families
-# need at most a few dozen; for larger m their ranges may admit no case at
-# all (sample_upper_case with m >= 3 always has aggregate q < 1).
+# Attempts per draw before a family gives up.  For m up to 4 the families
+# need at most a few dozen; sample_commutator_case admits no case from
+# m = 5 on.
 _MAX_ATTEMPTS = 1000
 
 
@@ -376,7 +376,8 @@ def sample_upper_case(rng: np.random.Generator, m: int, low_p: bool = False):
     """
     for _ in range(_MAX_ATTEMPTS):
         d = int(rng.integers(1, 3))
-        q_i = rng.uniform(1.0, 2.5, m)
+        # q_i up to 2.5 would put the aggregate q below 1 for m >= 3
+        q_i = rng.uniform(1.0, 2.5, m) if m <= 2 else rng.uniform(m, 2.5 * m, m)
         if low_p:
             p_i = rng.uniform(0.5, 0.9, m) if m == 1 else rng.uniform(1.0, 1.8, m)
             lambda_i = rng.uniform(0.5, 1.2, m)

@@ -8,7 +8,9 @@ integrand F(m) of m = min(t) alone,
 
 with phi_j(m) = m**c_j (1-m)**e_j and Phi_i(m) = int_m^1 phi_i, since
 the coordinate j that is the minimum has density phi_j(m) and every other
-coordinate lies above m.
+coordinate lies above m.  In u = 1 - m, Phi_i(m) = int_0^u y**e_i
+(1-y)**c_i dy = u**(e_i+1)/(e_i+1) 2F1(e_i+1, -c_i; e_i+2; u) (DLMF
+8.17.7), finite for u < 1 at every c_i, c_i = -1 included.
 """
 
 import mpmath
@@ -16,10 +18,20 @@ import mpmath
 DPS = 30
 
 
+def _tail(c, e, m, u):
+    """Phi(m) = int_m^1 t**c (1-t)**e dt, given m and u = 1 - m."""
+    if u == 1 and c <= -1:
+        # m lies below the working precision, where Phi is infinite at
+        # u = 1 itself: take u at a precision that keeps m
+        with mpmath.workdps(mpmath.mp.dps + int(-mpmath.log10(m)) + 10):
+            return +_tail(c, e, m, 1 - m)
+    return u ** (e + 1) / (e + 1) * mpmath.hyp2f1(e + 1, -c, e + 2, u)
+
+
 def density(factors, scale, m, u):
     """g(m), given m and u = 1 - m (both mpmath numbers)."""
     phis = [m ** c * u ** e for c, e in factors]
-    tails = [mpmath.betainc(e + 1, c + 1, 0, u) for c, e in factors]
+    tails = [_tail(c, e, m, u) for c, e in factors]
     return scale * mpmath.fsum(
         phi * mpmath.fprod(tail for i, tail in enumerate(tails) if i != j)
         for j, phi in enumerate(phis))

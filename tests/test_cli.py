@@ -242,11 +242,11 @@ def test_console_entry_point(tmp_path):
 
 
 def test_verify_family_without_admissible_case_exit_2(tmp_path):
-    # the T31 family draws q_i <= 2.5, so for m = 3 the aggregate q is
-    # always below 1 and no case is admissible: a config error, not a hang
-    exps = {"m": 3, "n": 1, "d": 1, "alpha_i": [0, 0, 0], "p_i": [6, 6, 6],
-            "q_i": [6, 6, 6], "lambda_i": [0, 0, 0], "gamma_i": [0, 0, 0]}
-    cfg = {"job": "verify", "theorem": "T31_upper", "cases": 2, "exponents": exps,
+    # the T41 family admits no case for m = 5 in its 1000 draws: a config
+    # error, not a hang
+    exps = {"m": 5, "n": 1, "d": 1, "alpha_i": [0] * 5, "p_i": [10] * 5,
+            "q_i": [10] * 5, "lambda_i": [0] * 5, "gamma_i": [0] * 5, "beta_i": [0.1] * 5}
+    cfg = {"job": "verify", "theorem": "T41_bound", "cases": 2, "exponents": exps,
            "kernel": KERNEL, "weights": [{"degree": 0}],
            "output": str(tmp_path / "fam.csv")}
     path = write_config(tmp_path, cfg)
@@ -254,6 +254,19 @@ def test_verify_family_without_admissible_case_exit_2(tmp_path):
                           capture_output=True, text=True, env=child_env(), timeout=60)
     assert proc.returncode == 2
     assert "no admissible" in proc.stderr
+
+
+def test_verify_family_at_m_three(tmp_path):
+    # the T31 family scales its q_i with m from m = 3 on; with q_i <= 2.5
+    # the aggregate q was below 1 and no case was admissible
+    out = tmp_path / "fam.csv"
+    exps = {"m": 3, "n": 1, "d": 1, "alpha_i": [0, 0, 0], "p_i": [6, 6, 6],
+            "q_i": [6, 6, 6], "lambda_i": [0, 0, 0], "gamma_i": [0, 0, 0]}
+    cfg = {"job": "verify", "theorem": "T31_upper", "cases": 2, "exponents": exps,
+           "kernel": KERNEL, "weights": [{"degree": 0}], "output": str(out)}
+    assert main(["--config", str(write_config(tmp_path, cfg))]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 2 and all(r[0] == "T31_upper" and r[5] == "true" for r in rows)
 
 
 MIN_POWER_A1 = {

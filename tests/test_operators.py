@@ -349,7 +349,7 @@ def test_tail_power_beta_near_one_for_a_above_minus_one():
 
 
 # --------------------------------------------------------------------------
-# piecewise Gauss path: sampled and sum inputs that vanish near 0
+# piecewise path: sampled and sum inputs, closed pieces and Gauss ramp pieces
 
 
 def _mp_profile(profile):
@@ -383,8 +383,9 @@ def _mp_commutator(psi, bs, profiles, symbols, r):
         def t_of(rho, b):
             return (2 ** mpmath.mpf(rho) / r) ** (1 / mpmath.mpf(b))
 
-        lo = max(t_of(p.support_start(), b) for p, b in zip(profiles, bs)
-                 if p.support_start() is not None)
+        starts = [t_of(p.support_start(), b) for p, b in zip(profiles, bs)
+                  if p.support_start() is not None]
+        lo = max(starts, default=mpmath.mpf(0))
         if lo >= 1:
             return mpmath.mpf(0)
         cuts = sorted({t for p, b in zip(profiles, bs) for t in
@@ -401,16 +402,27 @@ def _mp_commutator(psi, bs, profiles, symbols, r):
             return out
 
         edges = [lo] + cuts
+        head = 0
+        if lo == 0:
+            # below their first breakpoints the inputs are power laws, and the
+            # integrand is t**a0; x = t**(1 + a0) takes that off
+            a0 = c + sum(b * p.local_exponent("zero") for p, b in zip(profiles, bs))
+            q = 1 / (1 + mpmath.mpf(a0))
+            edges = cuts or [mpmath.mpf(1) / 2]
+            head = mpmath.quad(lambda x: g(x ** q, 1 - x ** q) * q * x ** (q - 1),
+                               [0, edges[0] ** (1 / q)])
         inner = mpmath.quad(lambda t: g(t, 1 - t), edges) if len(edges) > 1 else 0
         # s = y**p takes the s**(e + m) behaviour at t = 1 off the integrand
         p = 1 / (1 + mpmath.mpf(e) + len(symbols))
-        return inner + mpmath.quad(lambda y: g(1 - y ** p, y ** p) * p * y ** (p - 1),
-                                   [0, (1 - edges[-1]) ** (1 / p)])
+        return head + inner + mpmath.quad(lambda y: g(1 - y ** p, y ** p) * p * y ** (p - 1),
+                                          [0, (1 - edges[-1]) ** (1 / p)])
 
 
 @st.composite
-def _vanishing_input(draw):
-    """A sampled input whose first node is 0, alone or plus a cut-off power law."""
+def _sampled_input(draw, vanishing=True):
+    """A sampled input, alone or plus a cut-off power law.  Its first node
+    is 0 when ``vanishing``, else positive with a first slope in [0, 1/2]
+    (its power extension toward 0); sometimes an interior node is 0 too."""
     count = draw(st.integers(3, 7))
     start = draw(st.floats(-3.0, 1.0))
     step = draw(st.floats(0.4, 1.5))
@@ -418,6 +430,10 @@ def _vanishing_input(draw):
     factors = draw(st.lists(st.floats(0.6, 1.4), min_size=count, max_size=count))
     u = [start + step * i for i in range(count)]
     v = [0.0] + [2.0 ** (slope * x) * k for x, k in zip(u[1:], factors[1:])]
+    if not vanishing:
+        v[0] = v[1] * 2.0 ** (-step * draw(st.floats(0.0, 0.5)))
+    if count > 4 and draw(st.integers(0, 3)) == 0:
+        v[3] = 0.0
     sampled = SampledProfile(tuple(u), tuple(v))
     if not draw(st.booleans()):
         return sampled
@@ -426,21 +442,34 @@ def _vanishing_input(draw):
     return SumProfile((sampled, cut))
 
 
-@settings(max_examples=24, deadline=None)
-@given(m=st.integers(1, 2), data=st.data())
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 3), data=st.data())
 def test_piecewise_path_matches_mpmath(m, data):
-    psi = (data.draw(st.floats(-0.5, 1.0)), data.draw(st.floats(-0.6, 1.5)),
-           data.draw(st.floats(0.5, 2.0)))
+    # near: c puts the exponent A of the second segment of a one-input
+    # integrand within 1e-6 of -1, where incomplete Beta differences cancel
+    near = m == 1 and data.draw(st.booleans())
+    vanishing = near or data.draw(st.booleans())
+    psi = [data.draw(st.floats(-0.5, 1.0)), data.draw(st.floats(-0.6, 1.5)),
+           data.draw(st.floats(0.5, 2.0))]
     bs = [data.draw(st.floats(0.5, 2.0)) for _ in range(m)]
-    profiles = [data.draw(_vanishing_input()) for _ in range(m)]
+    profiles = [data.draw(_sampled_input(vanishing)) for _ in range(m)]
     symbols = []
     if data.draw(st.booleans()):
         symbols = [PowerSymbol(data.draw(st.floats(0.1, 0.9)),
                                data.draw(st.sampled_from([-1.3, 0.6, 1.0])))
                    for _ in range(m)]
+    first = profiles[0].terms[0] if isinstance(profiles[0], SumProfile) else profiles[0]
+    nodes = first.log2_radii
+    if near:
+        slope = math.log2(first.values[2] / first.values[1]) / (nodes[2] - nodes[1])
+        psi[0] = -1.0 + data.draw(st.floats(-1e-6, 1e-6)) - slope * bs[0]
     spec = OperatorSpec(m, 1, KernelSpec(1, PowerBeta(*psi), tuple(PowerCurve(b) for b in bs)))
-    start = max(p.support_start() for p in profiles)
-    r = 2.0 ** (start + data.draw(st.floats(0.2, 12.0)))
+    if near:
+        r = 2.0 ** (nodes[2] + data.draw(st.floats(0.2, 12.0)))
+    elif vanishing:
+        r = 2.0 ** (max(p.support_start() for p in profiles) + data.draw(st.floats(0.2, 12.0)))
+    else:
+        r = 2.0 ** (nodes[0] + data.draw(st.floats(-3.0, 12.0)))
     assert operators._piecewise_setup(spec, profiles, symbols) is not None
     if symbols:
         res = apply_commutator(spec, profiles, symbols, r)
@@ -450,6 +479,26 @@ def test_piecewise_path_matches_mpmath(m, data):
     assert res.status is IntegralStatus.CONVERGED
     assert abs(res.value - want) <= 1e-9 * abs(want)
     assert abs(res.value - want) <= res.abs_error
+
+
+@pytest.mark.parametrize("with_symbols", [False, True])
+def test_piecewise_divergent_at_zero_gives_the_graded_verdict(with_symbols):
+    # not vanishing near 0, with c + b a(0) = 0.25 + 1.25 * -1 = -1: the
+    # lowest piece, from t = 0, diverges
+    profile = SumProfile((SampledProfile((0.0, 1.0, 2.0), (1.0, 0.5, 0.4)),
+                          TruncatedPowerLaw(0.3, 1.0, 2.0)))
+    spec = OperatorSpec(1, 1, KernelSpec(1, PowerBeta(0.25, 0.3), (PowerCurve(1.25),)))
+    symbols = [PowerSymbol(0.5, 1.0)] if with_symbols else []
+    for r in (0.5, 3.0, 40.0):
+        res = (apply_commutator(spec, [profile], symbols, r) if symbols
+               else apply_hardy_cesaro(spec, [profile], r))
+        graded = operators._graded(spec, [profile], symbols, r, 1e-10)
+        assert res.status is graded.status is IntegralStatus.DIVERGENT
+    with pytest.raises(OperatorDivergenceError):
+        if symbols:
+            commutator_to_profile(spec, [profile], symbols, log2_grid(-2, 2))
+        else:
+            apply_to_profile(spec, [profile], log2_grid(-2, 2))
 
 
 def _sampled_case():
@@ -484,6 +533,20 @@ def test_piecewise_values_independent_of_grid_and_pointwise(with_symbols):
         else:
             res = apply_hardy_cesaro(spec, profiles, r)
         assert abs(res.value) == v
+
+
+def test_piecewise_commutator_with_e_below_minus_one_matches_mpmath(monkeypatch):
+    # e = -1.4 < -1 < e + m: each term of the expanded gaps diverges at
+    # t = 1, so the piece that ends there takes the Gauss pair
+    spec, profiles, symbols = _sampled_case()
+    spec = OperatorSpec(2, 1, KernelSpec(1, PowerBeta(0.3, -1.4, 1.2), spec.kernel.curves))
+    monkeypatch.setattr(operators, "integrate_unit_cube", None)
+    for r in (2.0 ** 0.1, 5.0, 2.0 ** 7.3):
+        res = apply_commutator(spec, profiles, symbols, r)
+        want = float(_mp_commutator((0.3, -1.4, 1.2), (0.8, 1.3), profiles, symbols, r))
+        assert res.status is IntegralStatus.CONVERGED
+        assert abs(res.value - want) <= 1e-9 * abs(want)
+        assert abs(res.value - want) <= res.abs_error
 
 
 def test_piecewise_radius_missing_tol_goes_to_graded_integrator(monkeypatch):
@@ -566,22 +629,16 @@ def test_min_power_operator_with_steep_curve_and_strong_singularity():
 
 
 def _reference_edges(setup, u):
-    """Edges of the pieces at one log2 radius u, or None where the integrand
-    vanishes: the per-radius construction the block-wide edges must equal."""
-    eps, width = np.finfo(float).eps, operators._PIECE_WIDTH
-    lower = max((a - u) * math.log(2.0) / b for a, b in zip(setup["starts"], setup["bs"])
-                if a is not None)
-    if not lower < 0.0:
-        return None
+    """The largest support start ``lower`` in v at one log2 radius u, and
+    the edges above it: the per-radius construction the block-wide edges
+    must equal there."""
+    eps = np.finfo(float).eps
+    lower = max(((a - u) * math.log(2.0) / b for a, b in zip(setup["starts"], setup["bs"])
+                 if a is not None), default=-math.inf)
     cuts = np.concatenate([
         (rho[rho < u - 4.0 * eps * np.maximum(abs(u), np.abs(rho))] - u) * (math.log(2.0) / b)
         for rho, b in zip(setup["breaks"], setup["bs"])])
-    cuts = cuts[cuts > lower]
-    h = min(width, -float(np.max(cuts, initial=lower)))
-    grading = -h * np.exp2(np.arange(max(0, math.ceil(math.log2(width / h))) + 1.0))
-    steps = min(math.ceil((grading[-1] - lower) / width), operators._MAX_PIECES)
-    grading = np.append(grading, grading[-1] - width * np.arange(1.0, steps + 1.0))
-    return np.unique(np.concatenate(([lower], cuts, grading[grading > lower])))
+    return lower, np.unique(cuts[cuts > lower])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -592,32 +649,56 @@ def test_block_edges_match_per_radius_reference(seed):
         u = np.unique(np.round(rng.uniform(-10.0, 10.0, count) * 8.0) / 8.0)
         profiles.append(SampledProfile(tuple(u.tolist()), (0.0,) + (1.0,) * (u.size - 1)))
     profiles[1] = SumProfile((profiles[1], TruncatedPowerLaw(-0.5, 1.0, 2.0 ** rng.uniform(-4, 4))))
-    # curves this flat put radii far above the support starts over _MAX_PIECES
     bs = (2e-3, 1e-3) if seed % 2 else (float(rng.choice([0.5, 1.7])), float(rng.choice([0.8, 2.0])))
     spec = OperatorSpec(2, 1, KernelSpec(1, PowerBeta(0.2, 0.1), tuple(PowerCurve(b) for b in bs)))
     setup = operators._piecewise_setup(spec, profiles, ())
     nodes = np.concatenate([p.log2_breakpoints() for p in profiles])
-    # radii below the support start (no pieces), on breakpoints and just off them
+    # radii below the support start (only vanishing pieces), on breakpoints and just off them
     u = np.concatenate([rng.uniform(-30.0, 30.0, 200), nodes, nodes + 1e-15, nodes - 1e-13])
-    reference = [_reference_edges(setup, x) for x in u.tolist()]
-    assert any(e is None for e in reference)
-    assert any(e is not None and e.size > operators._MAX_PIECES for e in reference) == seed % 2
-    lower = operators._lower_limits(setup, u)
-    # one block, and blocks split at random rows
+    ranges = operators._breakpoint_ranges(setup, u)
+    # one block, blocks split at random rows, and one radius at a time
     cuts = [0] + sorted(rng.choice(np.arange(1, u.size), size=5, replace=False).tolist()) + [u.size]
-    for bounds in ([0, u.size], cuts):
-        edges, sizes = [], []
+    blockings = []
+    for bounds in ([0, u.size], cuts, list(range(u.size + 1))):
+        pieces = []
         for a, b in zip(bounds[:-1], bounds[1:]):
-            e, s = operators._block_edges(setup, u[a:b], lower[a:b])
-            edges.append(e)
-            sizes.extend(s.tolist())
-        ends = np.cumsum(sizes)
-        edges = np.concatenate(edges)
-        for ref, size, end in zip(reference, sizes, ends.tolist()):
-            if ref is None:
-                assert size == 0
-            else:
-                assert np.array_equal(edges[end - size:end], ref)
+            lo, hi, sizes = operators._block_edges(setup, u[a:b], [(f[a:b], l[a:b])
+                                                                   for f, l in ranges])
+            ends = np.cumsum(sizes)
+            pieces += [(lo[end - size:end], hi[end - size:end])
+                       for size, end in zip(sizes.tolist(), ends.tolist())]
+        blockings.append(pieces)
+    assert all(np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
+               for other in blockings[1:] for x, y in zip(blockings[0], other))
+    for x, (lo, hi) in zip(u.tolist(), blockings[0]):
+        lower, reference = _reference_edges(setup, x)
+        # pieces from t = 0 to t = 1, one after the other
+        assert lo[0] == -np.inf and hi[-1] == 0.0 and np.array_equal(lo[1:], hi[:-1])
+        edges = hi[:-1]
+        assert np.array_equal(edges[edges > lower], reference)
+        assert np.all(edges >= lower - 1e-6 * (1.0 + abs(lower)))
+    # Gauss sub-pieces of pieces as the ramps have them
+    lo = np.concatenate([-np.exp2(rng.uniform(-8.0, 10.0, 50)), [-3.0, -0.5]])
+    hi = np.concatenate([np.where(rng.random(50) < 0.5, 0.0, lo[:50] * rng.uniform(0.0, 1.0, 50)),
+                         [-1e-15, 0.0]])
+    plan = operators._gauss_plan(lo, hi)
+    sub_lo, sub_hi, sizes = operators._gauss_pieces(lo, hi, plan)
+    assert np.all(sizes <= plan[2])
+    ends = np.cumsum(sizes)
+    for i, (size, end) in enumerate(zip(sizes.tolist(), ends.tolist())):
+        a, b = sub_lo[end - size:end], sub_hi[end - size:end]
+        assert b[0] == hi[i] and a[-1] == lo[i] and np.array_equal(a[:-1], b[1:])
+        # no wider than _PIECE_WIDTH or than the distance to 0, up to rounding
+        width = (b - a) * (1.0 - 1e-12)
+        assert np.all(width > 0.0) and np.all(width <= operators._PIECE_WIDTH)
+        assert np.all(width[b < 0.0] <= -b[b < 0.0])
+    # an input that is a ramp for eight octaves: at curves this flat more
+    # than _MAX_PIECES Gauss pieces, and the radius is left to the graded integrator
+    spec = OperatorSpec(1, 1, KernelSpec(1, PowerBeta(0.2, 0.1), (PowerCurve(min(bs)),)))
+    setup = operators._piecewise_setup(spec, [SampledProfile((0.0, 8.0), (0.0, 1.0))], ())
+    x = np.array([9.0])
+    verdict = operators._block_values(setup, x, operators._breakpoint_ranges(setup, x), 1e-10)
+    assert (verdict[0] is None) == seed % 2
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])

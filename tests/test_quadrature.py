@@ -493,6 +493,18 @@ def test_min_power_with_c_below_minus_one_matches_mpmath():
     assert abs(res.value - want) <= res.abs_error
 
 
+def test_min_power_with_c_minus_one_matches_mpmath():
+    # c_1 = -1: Phi_1(m) grows like log(1/m) toward m = 0, where the
+    # reference's tail, once a regularized incomplete Beta with b = 0, was inf
+    factors = ((-1.0, 0.3), (0.2, 0.1))
+    k = KernelSpec(2, ProductPowerBeta(factors), (MinPower(1.0),))
+    res = kernel_power_integral(k, [0.5])
+    want = float(min_kernel_constant(factors, 1.0, (1.0,), (0.5,)))
+    assert res.status is IntegralStatus.CONVERGED
+    assert res.value == pytest.approx(1.1811462927787346, rel=1e-15)
+    assert abs(res.value - want) <= res.abs_error
+
+
 def test_scaled_tail_stays_on_its_series_at_deep_nodes():
     # m**(c + 1) overflows at the line's deepest nodes; unscaled, those
     # elements went to the numeric tail (about a million evaluations)

@@ -167,6 +167,21 @@ def test_commutator_randomized_family_bounded():
     assert math.isfinite(max(ratios))
 
 
+@pytest.mark.parametrize("m", [3, 4])
+def test_families_beyond_m_two(m):
+    # with q_i up to 2.5, as for m <= 2, no T31 member has aggregate q >= 1
+    rng = np.random.default_rng(90 + m)
+    for low_p in (False, True):
+        ex, kernel, profiles, weights = sample_upper_case(rng, m, low_p=low_p)
+        assert ex.m == len(profiles) == m
+        rep = verify_mh_upper(ex, kernel, profiles, weights, norm_tol=1e-4)
+        assert rep.passed and rep.ratio <= 1.0 + 1e-6
+    ex, kernel, symbols, profiles, weights = sample_commutator_case(rng, m)
+    assert ex.m == len(symbols) == m
+    rep = verify_commutator(ex, kernel, symbols, profiles, weights)
+    assert rep.passed and math.isfinite(rep.ratio)
+
+
 def test_sharpness_randomized_consistency():
     # nontrivial kernels (b != 1, shaped psi), weights, and m up to 3: the
     # measured extremal ratio must match the closed prediction, and for
