@@ -27,8 +27,9 @@ blocks of radii at once (``_piecewise_values``): on a piece each input is
 a sum of power terms or a ramp (a sampled segment with one zero node), so
 a piece with no ramp is a sum of incomplete Beta integrals
 (``quadrature.beta_pieces``; from t = 0 where the inputs do not vanish
-near 0, divergent where a term has A <= -1 there), and a piece with a ramp
-is integrated in v = ln t by a fixed Gauss rule at two orders.  What
+near 0, divergent where a term has A <= -1 there; powers of two that
+leave the float range at extreme radii are kept apart), and a piece with
+a ramp is integrated in v = ln t by a fixed Gauss rule at two orders.  What
 remains (callback kernels, reduced min-power kernels, profiles that define
 only ``evaluate``, integrands with no integrable order at t = 1, and radii
 whose verdict is not certified) goes through the graded integrator on
@@ -49,12 +50,13 @@ import numpy as np
 from .numerics import LN2
 from .profiles import (PowerLaw, RadialProfile, SampledProfile, ScaledProfile,
                        TruncatedPowerLaw)
-from .quadrature import (PIECE_RULE, ROUNDING, IntegralResult, IntegralStatus, KernelSpec,
-                         PowerBeta, PowerCurve, _divergent, _unwrap, beta_closed_form,
+from .quadrature import (PIECE_RULE, IntegralResult, IntegralStatus, KernelSpec, PowerBeta,
+                         PowerCurve, _divergent, _line_verdicts, _unwrap, beta_closed_form,
                          beta_pieces, integrate_unit_cube, min_reduction, piece_sums,
                          tail_power_beta)
 
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)   # smallest normal float
 
 
 class OperatorDivergenceError(RuntimeError):
@@ -236,12 +238,13 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
 # piecewise closed forms for inputs with no single power form
 #
 # With psi = PowerBeta and curves t**b_k, every built-in input at t**b_k r
-# is, between two of the inputs' breakpoints, a sum of terms P t**(a b_k)
-# or a ramp, a sampled segment with one zero node, linear in ln t
-# (``RadialProfile.log2_terms``); the symbol gap c_k r**beta_k
+# is, between two of the inputs' breakpoints, a sum of terms
+# 2**L t**(a b_k) or a ramp, a sampled segment with one zero node, linear
+# in ln t (``RadialProfile.log2_terms``); the symbol gap c_k r**beta_k
 # (1 - t**(b_k beta_k)) is two such terms.  A piece with no ramp expands
 # into terms coef t**A (1-t)**e, each an incomplete Beta integral
-# (``quadrature.beta_pieces``).  A piece with a ramp is integrated in
+# (``quadrature.beta_pieces``), with coef and the integral's scale kept in
+# log2 until they meet.  A piece with a ramp is integrated in
 # v = ln t by the Gauss pair (``piece_sums``), cut so that no sub-piece is
 # wider than _PIECE_WIDTH or than its distance to v = 0; the sub-piece
 # that ends there carries the factor (1-t)**e, and the symbol gaps, in a
@@ -334,43 +337,67 @@ def _block_edges(setup: dict, u: np.ndarray, ranges):
 def _closed_sums(setup: dict, terms, log2_radius: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray):
     """(value, error, divergent) of the pieces [lo, hi] in v with no ramp,
-    given each input's ``terms`` (P, a) on them (``log2_terms``).
+    given each input's ``terms`` (L, a) on them (``log2_terms``).
 
     The integrand expands into terms coef t**A (1-t)**e, one per choice of
-    a term of every input and a subset S of the symbols: coef carries the
-    psi scale and the signed symbol factors, A = c + sum_k a_k b_k +
-    sum_{k in S} beta_k b_k.  Each term is an integral of ``beta_pieces``;
-    its error is coef times the integral's bound plus the rounding of coef,
-    whose factors come from exp2 of rounded arguments.  A piece adds its
-    terms in a fixed order.  A piece from t = 0 with a term A <= -1 is
-    divergent."""
-    gaps = [sym.coefficient * np.exp2(sym.beta * log2_radius) for sym in setup["symbols"]]
-    size = sum(abs(sym.beta) * np.abs(log2_radius) for sym in setup["symbols"])
-    coefs, powers, sizes = [], [], []
+    a term of every input and a subset S of the symbols, with A = c +
+    sum_k a_k b_k + sum_{k in S} beta_k b_k.  coef, the psi scale times the
+    inputs' terms at t = 1 and the signed symbol factors c_k r**beta_k, is
+    kept as a sign and its log2 G (-inf for a term that vanishes): at large
+    radii it leaves the float range where the term does not.  Each term is
+    2**G times an integral of ``beta_pieces``, which comes as value *
+    2**level for the same reason; the powers of two join the value by
+    frexp and ldexp.  The error is 2**(G + level) times the value's bound
+    and _TINY (a value below the normal range has lost digits its bound
+    does not count), plus the rounding of G + level and of the product.  A
+    piece adds its terms in a fixed order.  A piece from t = 0 with a term
+    A <= -1 is divergent."""
+    symbols = setup["symbols"]
+    with np.errstate(divide="ignore"):
+        steps = [np.log2(abs(setup["scale"]))] + [
+            part for sym in symbols
+            for part in (np.log2(abs(sym.coefficient)), sym.beta * log2_radius)]
+    base = sum(steps)
+    sign = math.copysign(1.0, setup["scale"]) * math.prod(
+        math.copysign(1.0, sym.coefficient) for sym in symbols)
+    # summands of G, for its rounding
+    count = len(steps) + len(terms)
+    signs, levels, powers, sizes = [], [], [], []
     for choice in itertools.product(*terms):
-        coef = setup["scale"] * math.prod(p for p, _ in choice)
+        level = base + sum(L for L, _ in choice)
+        size = sum(np.abs(x) for x in steps) + sum(np.abs(L) for L, _ in choice)
         power = setup["c"] + sum(a * b for (_, a), b in zip(choice, setup["bs"]))
-        with np.errstate(divide="ignore"):
-            magnitude = size + sum(np.abs(np.log2(p)) for p, _ in choice)
-        for subset in itertools.product((0, 1), repeat=len(gaps)):
-            sign = -1.0 if sum(subset) % 2 else 1.0
-            coefs.append(sign * coef * math.prod(gaps))
+        for subset in itertools.product((0, 1), repeat=len(symbols)):
+            signs.append(-sign if sum(subset) % 2 else sign)
+            levels.append(level)
+            sizes.append(size)
             powers.append(power + fsum(sym.beta * b for sym, b, bit in
-                                       zip(setup["symbols"], setup["bs"], subset) if bit))
-            sizes.append(magnitude)
-    coef, power, size = np.array(coefs), np.array(powers), np.array(sizes)
-    live = coef != 0.0
+                                       zip(symbols, setup["bs"], subset) if bit))
+    level = np.array(levels).reshape(len(signs), lo.size)
+    power = np.array(powers).reshape(level.shape)
+    live = level > -np.inf
     diverges = live & (power <= -1.0) & ~np.isfinite(lo)
     live &= ~diverges
-    piece = np.broadcast_to(np.arange(lo.size), coef.shape)[live]
-    integral, bound = beta_pieces(power[live], setup["e"], np.exp(lo[piece]),
-                                  -np.expm1(lo[piece]), np.exp(hi[piece]), -np.expm1(hi[piece]))
-    term, err = np.zeros(coef.shape), np.zeros(coef.shape)
-    term[live] = coef[live] * integral
-    err[live] = (np.abs(coef[live]) * bound
-                 + _EPS * (4.0 * len(coefs) + LN2 * size[live]) * np.abs(term[live]))
+    piece = np.broadcast_to(np.arange(lo.size), level.shape)[live]
+    integral, bound, scale = beta_pieces(power[live], setup["e"], lo[piece], hi[piece])
+    total = level[live] + scale
+    whole = np.floor(total)
+    weight, shift = np.exp2(total - whole), np.clip(whole, -2 ** 20, 2 ** 20).astype(int)
+
+    def scaled(x):
+        # 2**G x, where 2**G alone may overflow or underflow
+        mantissa, exponent = np.frexp(x)
+        return np.ldexp(weight * mantissa, exponent + shift)
+
+    term, err = np.zeros(level.shape), np.zeros(level.shape)
+    with np.errstate(over="ignore"):
+        term[live] = np.repeat(signs, live.sum(axis=1)) * scaled(integral)
+        err[live] = (scaled(bound + _TINY)
+                     + _EPS * (4.0 * len(signs) + LN2 * (count + 2)
+                               * (np.array(sizes).reshape(level.shape)[live] + np.abs(scale)))
+                     * np.abs(term[live]))
     value, error = term[0].copy(), err[0].copy()
-    for k in range(1, len(coefs)):
+    for k in range(1, len(signs)):
         value += term[k]
         error += err[k]
     return value, error, np.any(diverges, axis=0)
@@ -457,13 +484,14 @@ def _gauss_sums(setup: dict, lo: np.ndarray, hi: np.ndarray, log2_radius: np.nda
 def _block_values(setup: dict, u: np.ndarray, ranges, tol: float) -> list:
     """The verdicts at the log2 radii u of one block: an IntegralResult,
     or None for a radius this path leaves to the graded integrator (a ramp
-    that reaches t = 0, or more than _MAX_PIECES Gauss pieces)."""
+    that reaches t = 0, more than _MAX_PIECES Gauss pieces, or a piece
+    whose value or bound is not finite)."""
     lo, hi, sizes = _block_edges(setup, u, ranges)
     row = np.repeat(np.arange(u.size), sizes)
     mid = np.where(np.isfinite(lo), 0.5 * (lo + hi), hi - 1.0)
     terms = [f.log2_terms(u[row], u[row] + (b / LN2) * mid)
              for f, b in zip(setup["profiles"], setup["bs"])]
-    nonzero = np.all([np.any([(p != 0.0) | r for p, _, r in parts], axis=0)
+    nonzero = np.all([np.any([(L > -np.inf) | r for L, _, r in parts], axis=0)
                       for parts in terms], axis=0)
     ramp = nonzero & (np.any([r for parts in terms for _, _, r in parts], axis=0)
                       | ((hi == 0.0) & (setup["e"] <= -1.0)))
@@ -480,54 +508,38 @@ def _block_values(setup: dict, u: np.ndarray, ranges, tol: float) -> list:
 
     closed = np.flatnonzero(nonzero & ~ramp)
     values, errors, diverges = _closed_sums(
-        setup, [[(p[closed], a[closed]) for p, a, _ in parts] for parts in terms],
+        setup, [[(L[closed], a[closed]) for L, a, _ in parts] for parts in terms],
         u[row[closed]], lo[closed], hi[closed])
     divergent = np.zeros(u.size, dtype=bool)
     divergent[row[closed[diverges]]] = True
 
     owner = np.concatenate([row[closed], row[ramps[piece]]])
     order = np.argsort(owner, kind="stable")
-    value, err = _row_sums(np.concatenate([values, fine])[order],
-                           np.concatenate([errors, diff])[order],
-                           np.bincount(owner, minlength=u.size))
-    converged = np.isfinite(err) & (err <= tol * np.maximum(1.0, np.abs(value)))
-    return [None if unsettled[i] else _divergent() if divergent[i]
-            else IntegralResult(v, e, IntegralStatus.CONVERGED if ok
-                                else IntegralStatus.INCONCLUSIVE, 3 * PIECE_RULE * n)
-            for i, (v, e, ok, n) in enumerate(zip(value.tolist(), err.tolist(),
-                                                  converged.tolist(), gauss.tolist()))]
-
-
-def _row_sums(values: np.ndarray, errors: np.ndarray, sizes: np.ndarray):
-    """(value, abs_error) of rows of pieces, ``sizes`` consecutive pieces
-    each: the sum of the row's values, and of its errors plus the rounding
-    of that sum and ROUNDING of |value|, as ``quadrature._line_verdicts``
-    allows.  Each row is summed on its own, in its own order."""
-    full = sizes > 0
-    starts = (np.cumsum(sizes) - sizes)[full]
-    value, mass, err = np.zeros((3, sizes.size))
-    if starts.size:
-        value[full] = np.add.reduceat(values, starts)
-        mass[full] = np.add.reduceat(np.abs(values), starts)
-        err[full] = np.add.reduceat(errors, starts)
-    return value, err + _EPS * sizes * mass + ROUNDING * np.abs(value)
+    values, errors = np.concatenate([values, fine])[order], np.concatenate([errors, diff])[order]
+    # a piece beyond the float range leaves its radius to the graded integrator
+    finite = np.isfinite(values) & np.isfinite(errors)
+    unsettled[owner[order][~finite]] = True
+    results = _line_verdicts(np.where(finite, values, 0.0), np.where(finite, errors, 0.0),
+                             np.bincount(owner, minlength=u.size).tolist(),
+                             (3 * PIECE_RULE * gauss).tolist(), tol)
+    return [None if unsettled[i] else _divergent() if divergent[i] else res
+            for i, res in enumerate(results)]
 
 
 def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray,
                       tol: float) -> list:
     """Values at the radii, one IntegralResult each.
 
-    A radius sums its closed pieces, whose errors are the bounds of their
-    special-function values, and its Gauss pieces, each summed with the
-    PIECE_RULE- and the 2 * PIECE_RULE-point rule (``_row_sums``), and is
-    converged under the test of the line (``quadrature._line_verdicts``),
-    divergent where a piece from t = 0 diverges, and inconclusive
-    otherwise.  A radius that is inconclusive, or that needs more than
-    _MAX_PIECES Gauss pieces, is integrated by the graded integrator
-    instead.  The radii go in blocks of
-    about _BLOCK pieces times terms; the pieces of a radius and their
-    summation order depend on that radius alone, so a value does not
-    depend on the grid or the block it arrives in.
+    A radius takes the fsum of its closed pieces, whose errors are the
+    bounds of their special-function values, and of its Gauss pieces, each
+    summed with the PIECE_RULE- and the 2 * PIECE_RULE-point rule, and its
+    verdict from ``quadrature._line_verdicts``: converged under the test of
+    the line, and inconclusive otherwise; divergent where a piece from
+    t = 0 diverges.  A radius that is inconclusive, or that
+    ``_block_values`` leaves aside, is integrated by the graded integrator
+    instead.  The radii go in blocks of about _BLOCK pieces times terms;
+    the pieces of a radius depend on that radius alone, so a value does
+    not depend on the grid or the block it arrives in.
     """
     u = np.log2(radii)
     ranges = _breakpoint_ranges(setup, u)

@@ -55,13 +55,16 @@ class RadialProfile:
 
     def log2_terms(self, u, at) -> Optional[list]:
         """The profile on the smooth piece named by ``at`` as a sum of
-        terms, relative to the log2 radii ``u``: a list of (P, a, ramp),
+        terms, relative to the log2 radii ``u``: a list of (L, a, ramp),
         arrays of the shape of ``u``, such that at the log2 radii x of that
-        piece the profile is the sum of the terms P 2**(a (x - u)), except
+        piece the profile is the sum of the terms 2**(L + a (x - u)), except
         that a term whose ``ramp`` is set is linear in x instead (a sampled
-        segment with one zero node; its P and a are 0).  The number of terms
-        does not depend on the arguments.  None for a profile with no such
-        form, as for one that defines only ``evaluate``."""
+        segment with one zero node; its L is -inf and its a 0).  L is the
+        log2 of the term's value at u, kept in log2 because that value
+        leaves the float range where a segment is extended far; it is -inf
+        for a term that vanishes on the piece.  The number of terms does not
+        depend on the arguments.  None for a profile with no such form, as
+        for one that defines only ``evaluate``."""
         return None
 
     def local_exponent(self, end: str) -> Optional[float]:
@@ -105,8 +108,8 @@ class PowerLaw(RadialProfile):
 
     def log2_terms(self, u, at):
         u = np.asarray(u, dtype=float)
-        return [(self.log2_evaluate(u), np.full(u.shape, self.exponent),
-                 np.zeros(u.shape, dtype=bool))]
+        return [(math.log2(self.coefficient) + self.exponent * u,
+                 np.full(u.shape, self.exponent), np.zeros(u.shape, dtype=bool))]
 
     def local_exponent(self, end):
         return self.exponent
@@ -144,8 +147,9 @@ class TruncatedPowerLaw(RadialProfile):
 
     def log2_terms(self, u, at):
         u = np.asarray(u, dtype=float)
-        return [(self.log2_evaluate(u, at), np.full(u.shape, self.exponent),
-                 np.zeros(u.shape, dtype=bool))]
+        inside = np.asarray(at) > math.log2(self.inner_radius)
+        return [(np.where(inside, math.log2(self.coefficient) + self.exponent * u, -np.inf),
+                 np.full(u.shape, self.exponent), np.zeros(u.shape, dtype=bool))]
 
     def local_exponent(self, end):
         return self.exponent if end == "infinity" else None
@@ -217,12 +221,12 @@ class SampledProfile(RadialProfile):
         v0, v1 = self._v[idx], self._v[idx + 1]
         w0, w1 = self._w[idx], self._w[idx + 1]
         both = (v0 > 0) & (v1 > 0)
-        with np.errstate(invalid="ignore", over="ignore"):
+        with np.errstate(invalid="ignore"):
             slope = np.where(both, (w1 - w0) / (u1 - u0), 0.0)
-            power = np.where(both, np.exp2(np.where(both, w0 + slope * (u - u0), 0.0)), 0.0)
+            level = np.where(both, w0 + slope * (u - u0), -np.inf)
         # one zero node: linear, and where the line is negative clamped to 0
         ramp = ((v0 > 0) != (v1 > 0)) & (v0 + (at - u0) / (u1 - u0) * (v1 - v0) > 0.0)
-        return [(power, slope, ramp)]
+        return [(level, slope, ramp)]
 
     def local_exponent(self, end):
         if end == "zero":
@@ -407,7 +411,8 @@ class ScaledProfile(RadialProfile):
         terms = self.base.log2_terms(u, at)
         if terms is None:
             return None
-        return [(self.factor * p, a, ramp & (self.factor > 0)) for p, a, ramp in terms]
+        shift = math.log2(self.factor) if self.factor > 0 else -math.inf
+        return [(level + shift, a, ramp & (self.factor > 0)) for level, a, ramp in terms]
 
     def local_exponent(self, end):
         if self.factor == 0:

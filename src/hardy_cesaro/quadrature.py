@@ -14,9 +14,9 @@ Gauss-Laguerre pieces at two orders, one integrand evaluation per
 integral.  ``kernel_power_integral`` is the one entry point for kernel
 integrals: a Beta closed form where there is one, else the line, the
 reduced min-power kernels included.  The line and the operators' ramp
-pieces sum their pieces with ``piece_sums``, and the line takes its result
-from ``_line_verdicts``; the operators' other pieces are incomplete Beta
-integrals (``beta_pieces``).  The Gauss-Jacobi and Gauss-Laguerre rules come
+pieces sum their pieces with ``piece_sums``; the operators' other pieces
+are incomplete Beta integrals (``beta_pieces``), and both take their
+results from ``_line_verdicts``.  The Gauss-Jacobi and Gauss-Laguerre rules come
 from their three-term recurrences (``_golub_welsch``, no eigenvectors), so
 a rule of a new order costs well under a millisecond.  What the line does
 not take, or does not settle, goes to the graded integrator below.
@@ -495,23 +495,24 @@ _HEAD_DECAY = 40.0   # the head starts where e^{-max(rate, decay) |v|} <= e^-40
 _RATE_SPAN = 40.0    # e^{rate v} falls by at most e^-40 across the Jacobi piece
 
 
-def _line_verdicts(coarse: np.ndarray, fine: np.ndarray, sizes: Sequence[int],
-                   tol: float) -> list:
-    """One result per row of pieces from their (coarse, fine) rule sums
-    (``piece_sums``), the rows taking ``sizes`` consecutive pieces each:
-    the value is the fsum of the row's finer sums, and abs_error the fsum
-    of its pieces' differences plus the rounding allowance on |value| (the
-    integrands keep one sign).  Converged under the test of
+def _line_verdicts(values: np.ndarray, errors: np.ndarray, sizes: Sequence[int],
+                   evaluations: Sequence[int], tol: float) -> list:
+    """One result per row of pieces from their values and error bounds,
+    the rows taking ``sizes`` consecutive pieces each (a Gauss piece's
+    value is its finer rule sum from ``piece_sums``, its bound the
+    difference of the two sums): the value is the fsum of the row's
+    values, and abs_error the fsum of its bounds plus the rounding
+    allowance ROUNDING * |value|.  Converged under the test of
     ``integrate_unit_cube``, |error| <= tol * max(1, |value|); inconclusive
-    otherwise.  Every piece costs 3 * PIECE_RULE evaluations."""
-    fine, diff = fine.tolist(), np.abs(fine - coarse).tolist()
+    otherwise.  Row i reports ``evaluations[i]`` evaluations."""
+    values, errors = values.tolist(), errors.tolist()
     out, a = [], 0
-    for size in sizes:
-        value = fsum(fine[a:a + size])
-        err = fsum(diff[a:a + size]) + ROUNDING * abs(value)
+    for size, count in zip(sizes, evaluations):
+        value = fsum(values[a:a + size])
+        err = fsum(errors[a:a + size]) + ROUNDING * abs(value)
         converged = math.isfinite(err) and err <= tol * max(1.0, abs(value))
         out.append(IntegralResult(value, err, IntegralStatus.CONVERGED if converged
-                                  else IntegralStatus.INCONCLUSIVE, 3 * PIECE_RULE * size))
+                                  else IntegralStatus.INCONCLUSIVE, count))
         a += size
     return out
 
@@ -546,7 +547,8 @@ def integrate_log_line(reduced: Callable, rate: float, order: float, decay: floa
 
     coarse, fine = piece_sums(values, edges, np.append(0.0, edges[:-1]), edges == edges[0],
                               order, head=(float(edges[-1]), rate))
-    return _line_verdicts(coarse, fine, [fine.size], tol)[0]
+    return _line_verdicts(fine, np.abs(fine - coarse), [fine.size],
+                          [3 * PIECE_RULE * fine.size], tol)[0]
 
 
 def beta_closed_form(a: float, e: float) -> IntegralResult:
@@ -663,10 +665,13 @@ def _term_count(p: float, q: float, hi: float) -> Optional[int]:
     return None
 
 
-def _binomial_series(p, q, lo, hi, count, scaled: bool = False):
+def _binomial_series(p, q, lo, hi, count, scaled: bool = False, logs=None):
     """int_lo^hi t**p (1-t)**q dt for 0 <= lo <= hi < 1, with an error bound;
     with ``scaled``, divided by lo**(p+1) (lo > 0), which keeps the sum
-    finite where that power overflows.  ``p``, ``q`` and ``count`` are
+    finite where that power overflows.  ``logs``, if given, is (ln lo,
+    ln hi, ln ref): the sum is divided by ref**(p+1) and its powers are
+    taken from the logarithms, so limits below the float range (where lo
+    and hi round to 0) keep their place.  ``p``, ``q`` and ``count`` are
     numbers, or arrays that broadcast with the limits.
 
     The binomial series of (1-t)**q integrated term by term,
@@ -680,17 +685,24 @@ def _binomial_series(p, q, lo, hi, count, scaled: bool = False):
     the array it arrives in.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    span = np.where(hi > lo, np.log1p((hi - lo) / lo), 0.0)   # log(hi/lo); inf at lo = 0
+    if logs is None:
+        span = np.where(hi > lo, np.log1p((hi - lo) / lo), 0.0)   # log(hi/lo); inf at lo = 0
+        log_lo, log_hi = np.log(lo), np.log(hi)
+        pow_lo, pow_hi = lo ** (p + 1.0), hi ** (p + 1.0)
+        if scaled:
+            pow_lo, pow_hi = np.ones(lo.shape), pow_hi * lo ** -(p + 1.0)
+    else:
+        log_lo, log_hi, log_ref = logs
+        span = np.where(log_hi > log_lo, log_hi - log_lo, 0.0)
+        pow_lo = np.exp((p + 1.0) * (log_lo - log_ref))
+        pow_hi = np.exp((p + 1.0) * (log_hi - log_ref))
     finite_span = np.where(np.isfinite(span), span, 0.0)
-    pow_lo, pow_hi = lo ** (p + 1.0), hi ** (p + 1.0)
-    if scaled:
-        pow_lo, pow_hi = np.ones(lo.shape), pow_hi * lo ** -(p + 1.0)
     # per-term relative error, in eps: 3 roundings per step of the
     # coefficient recursion and 1 of the power recursion, 10 for the term
     # itself, and the rounding of s = p + k + 1 magnified by the logarithms
     # it multiplies
-    magnify_lo = np.abs(np.log(lo)) + finite_span
-    magnify_hi = np.abs(np.log(hi)) + finite_span
+    magnify_lo = np.abs(log_lo) + finite_span
+    magnify_hi = np.abs(log_hi) + finite_span
     value = mass = err = 0.0
     coef = 1.0
     # with a count of each element: the counts at which elements stop, and
@@ -705,7 +717,8 @@ def _binomial_series(p, q, lo, hi, count, scaled: bool = False):
         else:
             term = np.where(s > 0.0, coef * pow_hi * (-np.expm1(-s * span) / s),
                             np.where(s < 0.0, coef * pow_lo * (-np.expm1(s * span) / -s),
-                                     coef * span * (pow_lo if scaled else 1.0)))
+                                     coef * span * (1.0 if logs is None and not scaled
+                                                    else pow_lo)))
             magnify = np.where(s > 0.0, magnify_hi, magnify_lo)
         if stops and k >= min(stops):
             term = np.where(k < count, term, 0.0)
@@ -802,48 +815,61 @@ def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralRes
     return IntegralResult(_unwrap(value), _unwrap(err), status, evaluations)
 
 
-def beta_pieces(a, e: float, lo, lo_c, hi, hi_c):
-    """int_lo^hi t**a (1-t)**e dt elementwise, with an error bound: arrays
-    a and 0 <= lo <= hi <= 1, with lo_c = 1 - lo and hi_c = 1 - hi given
-    apart (exact where t rounds); lo > 0 where a <= -1, and hi < 1 where
-    e <= -1.
+def beta_pieces(a, e: float, lo, hi):
+    """int t**a (1-t)**e dt over t = exp(v), v from lo to hi, elementwise,
+    as value * 2**level with an error bound on value: arrays a and
+    -inf <= lo <= hi <= 0 in v = ln t, so that pieces where t is below the
+    float range keep their place; lo > -inf where a <= -1, and hi < 0
+    where e <= -1.
 
-    - a > -1 and e > -1: B(a+1, e+1) times a difference of regularized
-      incomplete Beta functions, each end taken from the side where its
-      argument is exact, as in ``beta_tail``: I_t(a+1, e+1) up to t = 1/2,
-      and 1 - I_{1-t}(e+1, a+1) above.  The bound is 16 eps of every value
-      the difference takes, so a difference that cancels shows in it.
+    - a > -1 and e > -1, where exp(lo) (unless lo = -inf) and exp(hi) are
+      normal floats and exp(hi)**(a+1) is at least 2**-_FAR: level 0, and
+      B(a+1, e+1) times a difference of regularized incomplete Beta
+      functions, each end taken from the side where its argument is exact,
+      as in ``beta_tail``: I_t(a+1, e+1) up to t = 1/2, and
+      1 - I_{1-t}(e+1, a+1) above.  The bound is 16 eps of every value the
+      difference takes, so a difference that cancels shows in it.
     - otherwise the binomial series of ``_binomial_series``, in t up to
       h = ``_split(e)`` and in 1 - t above (as in ``tail_power_beta``),
       every element with the terms ``_term_count`` asks for at -ceil(-a),
-      so that its value does not depend on the array it arrives in.  NaN,
-      with an infinite bound, where that is more than _MAX_TERMS terms.
-      The series also takes the elements with lo > 0 whose incomplete Beta
-      difference cancels beyond _CANCELLATION of its value (a just above
-      -1, or a narrow piece), where its own bound is the smaller one.
+      so that its value does not depend on the array it arrives in.  It is
+      taken relative to ref**(a+1), ref = exp(lo) for a < -1 and exp(hi)
+      otherwise, the end where the integrand is largest, so level =
+      (a+1) lo / ln 2 or (a+1) hi / ln 2 (rounded; the bound does not
+      count that rounding) and the value stays near 1 where the integral
+      itself leaves the float range.  NaN, with an infinite bound, where
+      that is more than _MAX_TERMS terms.  The series also takes the
+      elements with lo > -inf whose incomplete Beta difference cancels
+      beyond _CANCELLATION of its value (a just above -1, or a narrow
+      piece), where its own bound is the smaller one.
     """
-    a, lo, lo_c, hi, hi_c = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (a, lo, lo_c, hi, hi_c)))
-    # -expm1(0) is -0.0, and a series from -0.0 would take log1p(-inf)
-    lo_c, hi_c = np.abs(lo_c), np.abs(hi_c)
+    a, lo, hi = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, lo, hi)))
     value, err = np.full(a.shape, math.nan), np.full(a.shape, math.inf)
+    level = np.zeros(a.shape)
     with np.errstate(all="ignore"):
-        done = (a > -1.0) & (e > -1.0)
+        done = ((a > -1.0) & (e > -1.0) & ((lo == -np.inf) | (lo >= _LOG_TINY))
+                & (hi >= _LOG_TINY) & ((a + 1.0) * hi >= -_FAR * LN2))
         if np.any(done):
-            value[done], err[done] = _incomplete_pieces(a[done], e, lo[done], lo_c[done],
-                                                        hi[done], hi_c[done])
-        part = ~done | ((lo > 0.0) & ~(err <= _CANCELLATION * np.abs(value)))
+            # -expm1(0) is -0.0
+            ends = [f(x[done]) for x in (lo, hi) for f in (np.exp, lambda v: np.abs(np.expm1(v)))]
+            value[done], err[done] = _incomplete_pieces(a[done], e, *ends)
+        part = ~done | ((lo > -np.inf) & ~(err <= _CANCELLATION * np.abs(value)))
         if np.any(part):
-            series, bound = _series_pieces(a[part], e, lo[part], lo_c[part], hi[part], hi_c[part])
-            better = ~(err[part] <= bound)
+            series, bound, scale = _series_pieces(a[part], e, lo[part], hi[part])
+            better = ~done[part] | ~(err[part] <= bound * np.exp2(scale))
             value[part] = np.where(better, series, value[part])
             err[part] = np.where(better, bound, err[part])
-    return value, err
+            level[part] = np.where(better, scale, 0.0)
+    return value, err, level
 
 
 # Bound, relative to the value, above which an incomplete Beta difference
 # of beta_pieces is taken again by the series.
 _CANCELLATION = 1e-13
+# Pieces where t**(a+1) may fall below 2**-_FAR go to the series of
+# beta_pieces, which takes that power out.
+_FAR = 512.0
+_LOG_TINY = math.log(_TINY)
 
 
 def _incomplete_pieces(a, e, lo, lo_c, hi, hi_c):
@@ -863,10 +889,11 @@ def _incomplete_pieces(a, e, lo, lo_c, hi, hi_c):
     return beta * diff, beta * _EPS * (16.0 * mass + 4.0 * (1.0 + np.abs(log_beta)) * np.abs(diff))
 
 
-def _series_pieces(a, e, lo, lo_c, hi, hi_c):
-    """The series elements of ``beta_pieces``: the part below h in t and
-    the part above h in 1 - t, one series of each element either way (a
-    part outside [lo, hi] is empty), in one ``_binomial_series`` call."""
+def _series_pieces(a, e, lo, hi):
+    """The series elements of ``beta_pieces``, as (value, bound, level):
+    the part below h in t, relative to ref**(a+1), and the part above h in
+    1 - t, one series of each element either way (a part outside the
+    piece is empty), in one ``_binomial_series`` call."""
     h = _split(e)
     key = np.ceil(-a)
     count = np.zeros(a.shape, dtype=int)
@@ -874,16 +901,26 @@ def _series_pieces(a, e, lo, lo_c, hi, hi_c):
         terms = _term_count(-j, e, h), _term_count(e, -j, 1.0 - h)
         count[key == j] = -1 if None in terms else max(terms)
     ok = count > 0
-    a, lo, lo_c, hi, hi_c, count = (x[ok] for x in (a, lo, lo_c, hi, hi_c, count))
-    top = np.minimum(lo_c, 1.0 - h)
+    a, lo, hi, count = (x[ok] for x in (a, lo, hi, count))
+    ref = np.where(a < -1.0, lo, hi)
+    # the lower part in ln t, the upper in y = 1 - t
+    below_lo, below_hi = np.minimum(lo, math.log(h)), np.minimum(hi, math.log(h))
+    top = np.minimum(np.abs(np.expm1(lo)), 1.0 - h)
+    bottom = np.minimum(np.abs(np.expm1(hi)), top)
     sums, bounds = _binomial_series(
         np.concatenate([a, np.full(a.size, e)]), np.concatenate([np.full(a.size, e), a]),
-        np.concatenate([np.minimum(lo, h), np.minimum(hi_c, top)]),
-        np.concatenate([np.minimum(hi, h), top]), np.concatenate([count, count]))
+        np.concatenate([np.exp(below_lo), bottom]), np.concatenate([np.exp(below_hi), top]),
+        np.concatenate([count, count]),
+        logs=(np.concatenate([below_lo, np.log(bottom)]), np.concatenate([below_hi, np.log(top)]),
+              np.concatenate([ref, np.zeros(a.size)])))
+    # the upper part is empty unless hi > ln h, where ref**-(a+1) is finite
+    up = np.where(hi > math.log(h), np.exp(-(a + 1.0) * ref), 0.0)
     value, err = np.full(ok.shape, math.nan), np.full(ok.shape, math.inf)
-    value[ok] = sums[:a.size] + sums[a.size:]
-    err[ok] = bounds[:a.size] + bounds[a.size:] + _EPS * np.abs(value[ok])
-    return value, err
+    level = np.zeros(ok.shape)
+    value[ok] = sums[:a.size] + up * sums[a.size:]
+    err[ok] = bounds[:a.size] + up * bounds[a.size:] + _EPS * np.abs(value[ok])
+    level[ok] = (a + 1.0) * ref / LN2
+    return value, err, level
 
 
 def _numeric_tail(a: float, e: float, t0: float, tol: float = 1e-10) -> IntegralResult:

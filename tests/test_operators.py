@@ -481,24 +481,77 @@ def test_piecewise_path_matches_mpmath(m, data):
     assert abs(res.value - want) <= res.abs_error
 
 
-@pytest.mark.parametrize("with_symbols", [False, True])
-def test_piecewise_divergent_at_zero_gives_the_graded_verdict(with_symbols):
-    # not vanishing near 0, with c + b a(0) = 0.25 + 1.25 * -1 = -1: the
-    # lowest piece, from t = 0, diverges
-    profile = SumProfile((SampledProfile((0.0, 1.0, 2.0), (1.0, 0.5, 0.4)),
-                          TruncatedPowerLaw(0.3, 1.0, 2.0)))
-    spec = OperatorSpec(1, 1, KernelSpec(1, PowerBeta(0.25, 0.3), (PowerCurve(1.25),)))
-    symbols = [PowerSymbol(0.5, 1.0)] if with_symbols else []
-    for r in (0.5, 3.0, 40.0):
-        res = (apply_commutator(spec, [profile], symbols, r) if symbols
-               else apply_hardy_cesaro(spec, [profile], r))
-        graded = operators._graded(spec, [profile], symbols, r, 1e-10)
+_SUM_INPUT = SumProfile((SampledProfile((0.0, 1.0, 2.0), (1.0, 0.5, 0.4)),
+                         TruncatedPowerLaw(0.3, 1.0, 2.0)))
+_DECAYING = SampledProfile((0.0, 1.0), (1.0, 0.25))
+
+
+@pytest.mark.parametrize("m, profile, psi, b, radii, with_symbols", [
+    # c + b a(0) = 0.25 + 1.25 * -1 = -1
+    (1, _SUM_INPUT, (0.25, 0.3), 1.25, (0.5, 3.0, 40.0), False),
+    (1, _SUM_INPUT, (0.25, 0.3), 1.25, (0.5, 3.0, 40.0), True),
+    # a decaying input extended to log2 r, where its value (or the product
+    # of m of them) underflows to 0: c + b a(0) = -2, -20 and -6
+    (1, _DECAYING, (0.0, 0.0), 1.0, (2.0 ** 540,), False),
+    (1, SampledProfile((0.0, 1.0), (1.0, 2.0 ** -20)), (0.0, 0.0), 1.0, (2.0 ** 54,), False),
+    (3, _DECAYING, (0.0, 0.0), 1.0, (2.0 ** 180,), False),
+], ids=["sum", "sum-commutator", "underflow", "underflow-steep", "underflow-m3"])
+def test_piecewise_divergent_at_zero_gives_the_graded_verdict(m, profile, psi, b, radii,
+                                                              with_symbols):
+    # not vanishing near 0: the lowest piece, from t = 0, diverges
+    profiles = [profile] * m
+    spec = OperatorSpec(m, 1, KernelSpec(1, PowerBeta(*psi), (PowerCurve(b),) * m))
+    assert operators._piecewise_setup(spec, profiles, ()) is not None
+    symbols = [PowerSymbol(0.5, 1.0)] * m if with_symbols else []
+    for r in radii:
+        res = (apply_commutator(spec, profiles, symbols, r) if symbols
+               else apply_hardy_cesaro(spec, profiles, r))
+        graded = operators._graded(spec, profiles, symbols, r, 1e-10)
         assert res.status is graded.status is IntegralStatus.DIVERGENT
+    grid = log2_grid(math.log2(radii[0]) - 2, math.log2(radii[0]) + 2)
     with pytest.raises(OperatorDivergenceError):
         if symbols:
-            commutator_to_profile(spec, [profile], symbols, log2_grid(-2, 2))
+            commutator_to_profile(spec, profiles, symbols, grid)
         else:
-            apply_to_profile(spec, [profile], log2_grid(-2, 2))
+            apply_to_profile(spec, profiles, grid)
+
+
+@pytest.mark.parametrize("m, psi, b, top, r", [
+    (2, (0.0, 0.0), 1.0, 0.25, 2.0 ** 270),     # the inputs' product at r underflows
+    (3, (0.0, 0.0), 1.0, 0.25, 2.0 ** 200),
+    (1, (0.0, 0.0), 1.0, 0.125, 2.0 ** 540),    # int t**-3 over the top piece overflows
+    (1, (-0.95, 0.3), 0.4, 0.5, 2.0 ** 1000),   # pieces near t = 2**-2500
+    (1, (-0.5, 0.2), 1.0, 2.0, 2.0 ** 900),     # the input at r is near 2**899
+    (2, (0.3, -0.4), 0.7, 0.5, 2.0 ** 300),
+])
+def test_piecewise_values_where_the_inputs_leave_the_float_range(monkeypatch, m, psi, b, top,
+                                                                   r):
+    # m copies of an input that vanishes below log2 radius 0, is the ramp
+    # x on [0, 1] and then 2**(s (x - 1)), s = log2 top, extended to log2 r
+    monkeypatch.setattr(operators, "integrate_unit_cube", None)
+    spec = OperatorSpec(m, 1, KernelSpec(1, PowerBeta(*psi), (PowerCurve(b),) * m))
+    res = apply_hardy_cesaro(spec, [SampledProfile((0.0, 1.0, 2.0), (0.0, 1.0, top))] * m, r)
+    c, e = psi
+    s = math.log2(top)
+    with mpmath.workdps(40):
+        big = mpmath.mpf(r)
+
+        def t_of(x):
+            return (2 ** mpmath.mpf(x) / big) ** (1 / mpmath.mpf(b))
+
+        # the ramp in x, dt = t ln 2 / b dx; quad's tolerance is absolute,
+        # so the scale r**(-(c+1)/b) of t**(c+1) stays outside
+        ramp = big ** (-(c + 1) / b) * mpmath.quad(
+            lambda x: 2 ** (x * (c + 1) / b) * (1 - t_of(x)) ** e * x ** m * mpmath.log(2) / b,
+            [0, 1])
+        # the power, f**m = (t**b r / 2)**(m s), from t(1) to 1
+        a = c + m * s * b
+        tail = ((1 - t_of(1) ** (a + 1)) / (a + 1) if e == 0
+                else mpmath.betainc(a + 1, e + 1, t_of(1), 1))
+        want = float(ramp + (big / 2) ** (m * s) * tail)
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - want) <= 1e-12 * want
+    assert abs(res.value - want) <= res.abs_error
 
 
 def _sampled_case():

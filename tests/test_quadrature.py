@@ -515,4 +515,30 @@ def test_scaled_tail_stays_on_its_series_at_deep_nodes():
         for x, got in list(zip(m.tolist(), res.value.tolist()))[::53]:
             x = mpmath.mpf(x)
             want = x ** 1.5 * mpmath.betainc(-1.5, 1.4, x, 1)
-            assert abs(got - float(want)) <= 1e-13 * float(want)
+            assert abs(got - float(want)) <= 1e-13 * float(want), (ai, got, float(want))
+
+
+def test_beta_pieces_where_the_integral_leaves_the_float_range():
+    # pieces in v = ln t: t far below the normal range, and integrals of
+    # 2**±1000 and beyond; the value comes relative to ref**(a+1) and
+    # stays near 1
+    e = 0.3
+    a = np.array([0.5, 2.0, -3.0, -1.35, -1.0, 0.3, -0.5])
+    lo = np.array([-2000.0, -800.0, -374.0, -1731.0, -900.0, -np.inf, -3.0])
+    hi = np.array([-1990.0, -700.0, 0.0, -1729.0, -890.0, -0.5, -0.2])
+    value, err, level = quadrature.beta_pieces(a, e, lo, hi)
+    assert level[-1] == 0.0 and np.all(err < 1e-12 * np.abs(value))
+    with mpmath.workdps(30):
+        for ai, x, y, got, bound, shift in zip(a.tolist(), lo.tolist(), hi.tolist(), value.tolist(),
+                                               err.tolist(), level.tolist()):
+            # int e**((a+1) (v - ref)) (1 - e**v)**e dv, with quad's
+            # absolute tolerance on a value near 1
+            ref = (x if ai < -1.0 else y) if shift else 0.0
+            assert shift == (ai + 1.0) * ref / math.log(2.0)
+            # the rest of the piece adds below 1e-18 of the value
+            x, y = (x, min(y, x + 60.0)) if ai < -1.0 else (max(x, y - 60.0), y)
+            want = float(mpmath.quad(lambda v: mpmath.exp((ai + 1) * (v - ref))
+                                     * (-mpmath.expm1(v)) ** e,
+                                     [x + (y - x) * k / 64 for k in range(65)]))
+            assert abs(got - want) <= bound
+            assert abs(got - want) <= 1e-13 * want
