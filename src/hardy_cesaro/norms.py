@@ -8,8 +8,13 @@ a 1-d radial integral:
 
 Power laws, truncated power laws, sampled profiles and their multiples
 have closed-form shell integrals, taken for the whole window in one array
-pass (``shell_norm`` is the one-shell case); sum profiles are integrated
-numerically shell by shell, per smooth piece in log-radius.
+pass (``shell_norm`` is the one-shell case).  The other profiles (sums,
+multiples of sums, profiles that define only ``evaluate``) are integrated
+numerically, also for the whole window in one pass: in u = log2 r, cut at
+the shell edges and the profile's breakpoints, each piece at two Gauss
+orders (``quadrature.piece_sums``), with a Gauss-Jacobi weight at the
+zero of a ramp and cuts toward a zero just beyond a piece; a shell whose
+two sums disagree is NaN, so its norm comes back inconclusive.
 
 Herz norms aggregate shell norms over k with 2^(k*alpha) scaling in l^p;
 Morrey-Herz norms take the sup over the truncation index k_0 of
@@ -35,7 +40,7 @@ import numpy as np
 from .numerics import LN2, exp2_integrals, one_minus_pow2_over, pow2m1
 from .profiles import (PowerLaw, RadialProfile, SampledProfile, ScaledProfile,
                        TruncatedPowerLaw)
-from .quadrature import gauss_legendre
+from .quadrature import piece_sums
 from .weights import HomogeneousWeight
 
 TAIL_TERMS = 8
@@ -92,53 +97,70 @@ def _shell_integrals(profile: RadialProfile, q: float, gamma: float, d: int,
     return None
 
 
-def _gauss_on(fun, a: float, b: float, level: int) -> float:
-    """12-point Gauss-Legendre on 2**level equal cells of [a, b], with the
-    two end cells split further at a + h 4**-j and b - h 4**-j
-    (j = 1..level, h the cell width)."""
-    x, w = gauss_legendre(12)
-    h = (b - a) / 2 ** level
-    grade = h * 0.25 ** np.arange(1.0, level + 1.0)
-    edges = np.unique(np.concatenate((np.linspace(a, b, 2 ** level + 1), a + grade, b - grade)))
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    return float(np.dot((half[:, None] * w).ravel(), fun((mid[:, None] + half[:, None] * x).ravel())))
+# a numeric shell whose two rule sums differ by more than this, relative
+# to its value, is NaN, so that its norm comes back inconclusive
+_SETTLED = 5e-14
+_GRADE_DEPTH = 60    # cuts toward a piece end stop 2**-60 of its width from it
 
 
-def _integrate_piece(fun, a: float, b: float) -> float:
-    """int_a^b fun for a nonnegative ``fun``, smooth inside [a, b]:
-    ``_gauss_on`` at levels 0, 1, 2, ... 10 until two levels agree to
-    5e-14 relative; NaN when they never do, so the norm comes back
-    inconclusive instead of taking an unsettled value.
+def _numeric_shells(profile: RadialProfile, q: float, s: float, ks: np.ndarray) -> np.ndarray:
+    """int_{k-1}^{k} f(2**u)**q 2**(s u) ln 2 du for the consecutive shell
+    indices ``ks``, for a profile with no closed shell form, in one
+    ``piece_sums`` pass over [ks[0] - 1, ks[-1]] cut at the shell edges
+    and the profile's log2 breakpoints.
 
-    The end cells are graded because f**q is not smooth at a zero node of
-    a sampled term (like (u - u0)**q there).
+    At an end of a piece toward which f falls, f's tangent vanishes a
+    distance delta beyond it.  delta = 0 is a ramp's zero node (every
+    built-in profile is linear in u there): the piece carries the
+    Gauss-Jacobi weight (distance to that end)**q.  0 < delta < half the
+    piece (a zero node just beyond the piece, or one that a live power
+    term lifts): the piece is cut at delta 2**j from that end.  A shell is
+    the fsum of its pieces' finer sums, or NaN where the fsum of their
+    differences from the coarser ones exceeds _SETTLED of it.
     """
-    prev = _gauss_on(fun, a, b, 0)
-    for level in range(1, 11):
-        cur = _gauss_on(fun, a, b, level)
-        if abs(cur - prev) <= 5e-14 * abs(cur):
-            return cur
-        prev = cur
-    return math.nan
+    breaks = np.asarray(profile.log2_breakpoints(), dtype=float)
+    edges = np.union1d(np.append(ks[0] - 1.0, ks),
+                       breaks[(breaks > ks[0] - 1.0) & (breaks < ks[-1])])
+    a, b = edges[:-1], edges[1:]
+    mid, width = 0.5 * (a + b), b - a
+    # f's tangent at each end, by a difference quotient over 2**-20 of the piece
+    step = width * 2.0 ** -20
+    ends = profile.log2_evaluate(np.stack([a, b]), mid)
+    inward = profile.log2_evaluate(np.stack([a + step, b - step]), mid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.where(inward > ends, ends * step / (inward - ends), np.inf)
+    # cuts at delta 2**j from an end (j < _GRADE_DEPTH), no nearer to it than
+    # 2**-_GRADE_DEPTH of the piece
+    nearest = np.maximum(delta, width * 2.0 ** -_GRADE_DEPTH)
+    dist = nearest[..., None] * np.exp2(np.arange(_GRADE_DEPTH))
+    graded = (delta > 0.0)[..., None] & (dist < 0.5 * width[:, None])
+    lo = np.sort(np.concatenate([a, (a[:, None] + dist[0])[graded[0]],
+                                 (b[:, None] - dist[1])[graded[1]]]))
+    owner = np.searchsorted(a, lo, side="right") - 1
+    hi = np.append(lo[1:], b[-1])
+    # each piece in v = u - hi, or v = lo - u where f vanishes at lo, on [lo - hi, 0]
+    zero_lo = (delta[0] == 0.0)[owner] & (lo == a[owner])
+    jacobi = zero_lo | ((delta[1] == 0.0)[owner] & (hi == b[owner]))
+    origin, sign, at = np.where(zero_lo, lo, hi), np.where(zero_lo, -1.0, 1.0), mid[owner]
 
+    def values(v):
+        u = origin + sign * v
+        return profile.log2_evaluate(u, at) ** q * np.exp2(s * u) * LN2
 
-def _numeric_shell_integral(profile: RadialProfile, q: float, gamma: float,
-                            d: int, k: int) -> float:
-    s = gamma + d
-
-    def fun(u):
-        return profile.log2_evaluate(u) ** q * np.exp2(u * s) * LN2
-
-    cuts = sorted({float(b) for b in profile.log2_breakpoints() if k - 1 < b < k})
-    edges = [float(k - 1)] + cuts + [float(k)]
-    return math.fsum(_integrate_piece(fun, a, b) for a, b in zip(edges, edges[1:]))
+    coarse, fine = piece_sums(values, lo - hi, np.zeros(lo.size), jacobi, q)
+    first = np.searchsorted(lo, np.append(ks - 1.0, ks[-1])).tolist()   # the pieces of each shell
+    fine, diff = fine.tolist(), np.abs(fine - coarse).tolist()
+    out = []
+    for i, j in zip(first, first[1:]):
+        value = math.fsum(fine[i:j])
+        out.append(value if math.fsum(diff[i:j]) <= _SETTLED * abs(value) else math.nan)
+    return np.array(out)
 
 
 def _shell_norms(profile: RadialProfile, weight: HomogeneousWeight, q: float,
                  ks: np.ndarray, d: int) -> np.ndarray:
     """Shell norms for the consecutive shell indices ``ks``: closed forms
-    for the whole window at once, else numeric shells one by one."""
+    for the whole window at once, else numeric shells, also at once."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if weight.degree <= -d:
@@ -146,8 +168,7 @@ def _shell_norms(profile: RadialProfile, weight: HomogeneousWeight, q: float,
     with np.errstate(over="ignore", invalid="ignore"):    # inf and nan shells are data
         integrals = _shell_integrals(profile, q, weight.degree, d, ks)
         if integrals is None:
-            integrals = np.array([_numeric_shell_integral(profile, q, weight.degree, d, int(k))
-                                  for k in ks])
+            integrals = _numeric_shells(profile, q, weight.degree + d, ks)
         return (weight.sphere_mass * np.maximum(integrals, 0.0)) ** (1.0 / q)
 
 

@@ -18,8 +18,8 @@ inputs with PowerBeta/PowerCurve kernels produce exact power-law outputs
 (Beta-function coefficients), and truncated power laws reduce to tail
 integrals int_{t0}^1 t^a (1-t)^e dt, given by the incomplete Beta
 function for a > -1 and by hypergeometric series for a <= -1
-(``quadrature.tail_power_beta``, with graded quadrature beyond the
-series' range); a whole log2-radius grid is one array pass per term.
+(``quadrature.tail_power_beta``, with a finite Gauss line in ln t beyond
+the series' range); a whole log2-radius grid is one array pass per term.
 
 Sampled and sum inputs (every built-in profile, with PowerBeta/PowerCurve
 kernels) are taken piece by piece between the inputs' breakpoints, for
@@ -50,10 +50,10 @@ import numpy as np
 from .numerics import LN2
 from .profiles import (PowerLaw, RadialProfile, SampledProfile, ScaledProfile,
                        TruncatedPowerLaw)
-from .quadrature import (PIECE_RULE, IntegralResult, IntegralStatus, KernelSpec, PowerBeta,
-                         PowerCurve, _divergent, _line_verdicts, _unwrap, beta_closed_form,
-                         beta_pieces, integrate_unit_cube, min_reduction, piece_sums,
-                         tail_power_beta)
+from .quadrature import (PIECE_RULE, _MAX_PIECES, IntegralResult, IntegralStatus, KernelSpec,
+                         PowerBeta, PowerCurve, _divergent, _line_verdicts, _unwrap,
+                         beta_closed_form, beta_pieces, integrate_unit_cube, min_reduction,
+                         piece_sums, tail_power_beta)
 
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)   # smallest normal float
@@ -253,7 +253,6 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
 # expansion diverges.
 
 _PIECE_WIDTH = 1.0       # widest Gauss piece in v = ln t
-_MAX_PIECES = 2 ** 12    # a radius needing more Gauss pieces goes to the graded integrator
 # elements of the temporary arrays: pieces x terms in a block of radii,
 # and nodes x pieces, _BLOCK_PIECES Gauss pieces at a time, in the sums
 _BLOCK = 2 ** 13

@@ -293,11 +293,6 @@ class SampledProfile(RadialProfile):
             out[i] = math.fsum(pieces[first[i]:first[i + 1]])
         return out
 
-    def power_integral(self, q: float, s: float, lo: float, hi: float) -> float:
-        """int_{2**lo}^{2**hi} f(r)**q r**(s-1) dr: the one-interval case of
-        ``power_integrals`` (0 when hi <= lo)."""
-        return float(self.power_integrals(q, s, (lo, hi))[0]) if lo < hi else 0.0
-
 
 def _pow2(x: float) -> float:
     return math.inf if x >= 1024.0 else 2.0 ** x

@@ -13,13 +13,16 @@ curves t**b, b > 0, in v = ln t: fixed Gauss-Jacobi, Gauss-Legendre and
 Gauss-Laguerre pieces at two orders, one integrand evaluation per
 integral.  ``kernel_power_integral`` is the one entry point for kernel
 integrals: a Beta closed form where there is one, else the line, the
-reduced min-power kernels included.  The line and the operators' ramp
-pieces sum their pieces with ``piece_sums``; the operators' other pieces
-are incomplete Beta integrals (``beta_pieces``), and both take their
-results from ``_line_verdicts``.  The Gauss-Jacobi and Gauss-Laguerre rules come
-from their three-term recurrences (``_golub_welsch``, no eigenvectors), so
-a rule of a new order costs well under a millisecond.  What the line does
-not take, or does not settle, goes to the graded integrator below.
+reduced min-power kernels included.  The line, the operators' ramp
+pieces, ``tail_power_beta`` beyond its series (the finite line from ln t0
+to 0, ``_finite_line``) and the numeric shells of ``norms`` sum their
+pieces with ``piece_sums``; the operators' other pieces are incomplete
+Beta integrals (``beta_pieces``), and all but the shells take their
+results from ``_line_verdicts``.  The Gauss-Jacobi and Gauss-Laguerre
+rules come from their three-term recurrences (``_golub_welsch``, no
+eigenvectors), so a rule of a new order costs well under a millisecond.
+What the line does not take, or does not settle, goes to the graded
+integrator below.
 
 The graded integrator uses composite 12-point Gauss-Legendre rules on
 meshes that are geometrically graded (ratio 1/4) toward both ends of
@@ -199,14 +202,16 @@ def piece_sums(values: Callable, lo: np.ndarray, hi: np.ndarray, last: np.ndarra
 
     A piece is integrated with the Gauss-Legendre columns or, where
     ``last`` (a piece [lo, 0]), with the Gauss-Jacobi columns for the
-    weight (-v)**order, which its values are divided by.  ``head = (end,
+    weight (-v)**order, which its values are divided by (the Jacobi rule
+    is built only if some piece needs it).  ``head = (end,
     rate)`` appends the piece (-inf, end], integrated with the
     Gauss-Laguerre columns in x = rate (end - v), for values that decay
     like e^{rate v}.  ``values(v)`` gives the integrand at the nodes v, one
     column per piece and the head last.  A piece's sums add its column in
     a fixed order, whatever the other pieces.
     """
-    (lx, lw), (jx, jw) = _legendre_pair(), _jacobi_pair(order)
+    lx, lw = _legendre_pair()
+    jx, jw = _jacobi_pair(order) if np.any(last) else (lx, lw)
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     v = mid + half * np.where(last, jx, lx)
     weight = np.where(last, half ** (order + 1.0), half) * np.where(last, jw, lw)
@@ -766,9 +771,10 @@ def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralRes
       bounds the rounding and the truncation of those sums.
     - Where the series would need more than _MAX_TERMS terms (e above
       about 150, a below about -560), or its bound exceeds _SERIES_RTOL of
-      a finite value, that element is integrated numerically instead
-      (``_numeric_tail``), and the result takes the worst status of its
-      elements.
+      a finite value, that element is integrated numerically instead, on
+      the finite line int_{ln t0}^0 e^{(a+1) v} (-expm1 v)**e dv
+      (``_finite_line``), and the result is inconclusive if one of those
+      elements is.
     - Divergent when e <= -1, or a <= -1 and t0 = 0.
     - With ``scaled`` and a <= -1, value and abs_error are multiplied by
       t0**-(a+1) (t0 > 0): the lower series is summed divided by that
@@ -803,15 +809,15 @@ def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralRes
             value = np.where(inside, upper + lower, 0.0)
             err = np.where(inside, upper_err + lower_err + _EPS * np.abs(value), 0.0)
     with np.errstate(invalid="ignore"):
-        numeric = inside & ~(np.isfinite(value) & (err <= _SERIES_RTOL * np.abs(value)))
+        settled = np.isfinite(value) & (err <= _SERIES_RTOL * np.abs(value))
+    numeric = np.flatnonzero(inside & ~settled)
     status, evaluations = IntegralStatus.CONVERGED, 0
-    for i in np.flatnonzero(numeric):
-        res = _numeric_tail(a, e, float(t.flat[i]))
-        factor = float(t.flat[i]) ** -(a + 1.0) if scaled else 1.0
-        value.flat[i], err.flat[i] = factor * res.value, factor * res.abs_error
-        evaluations += res.evaluations
-        if res.status is IntegralStatus.DIVERGENT or status is IntegralStatus.CONVERGED:
-            status = res.status
+    if numeric.size:
+        for i, res in zip(numeric, _finite_line(a, e, t.flat[numeric], scaled)):
+            value.flat[i], err.flat[i] = res.value, res.abs_error
+            evaluations += res.evaluations
+            if not res.converged:
+                status = IntegralStatus.INCONCLUSIVE
     return IntegralResult(_unwrap(value), _unwrap(err), status, evaluations)
 
 
@@ -923,17 +929,46 @@ def _series_pieces(a, e, lo, hi):
     return value, err, level
 
 
-def _numeric_tail(a: float, e: float, t0: float, tol: float = 1e-10) -> IntegralResult:
-    """int_{t0}^{1} t**a (1-t)**e dt by graded quadrature in u = 1 - t,
-    which puts the singularity of (1-t)**e at u = 0."""
-    span = 1.0 - t0
+_MAX_PIECES = 2 ** 12    # most Gauss pieces of one integral
 
-    def fun(v):
-        # u = span * v; integrand (1-u)^a u^e du
-        u = span * v
-        return np.exp(a * np.log1p(-u) + e * np.log(u)) * span
 
-    return integrate_unit_cube(fun, 1, tol, [(e, 0.0)])
+def _finite_line(a: float, e: float, t0: np.ndarray, scaled: bool) -> list:
+    """int_{t0}^1 t**a (1-t)**e dt for a <= -1, e > -1 and each t0 in
+    (0, 1) (with ``scaled``, times t0**-(a+1)), as the finite line
+    int_{ln t0}^0 e^{(a+1) v} (-expm1 v)**e dv in one ``piece_sums`` call.
+
+    Equal pieces no wider than 1 or than 20 / max(|a+1|, e t0 / (1 - t0)),
+    the fastest fall of the integrand away from ln t0; an element that
+    needs more than _MAX_PIECES is inconclusive.  The piece at 0 takes the
+    Gauss-Jacobi weight (-v)**e where e < 1 (its mass 2**(e+1)/(e+1)
+    overflows from e of about 1023 on), else cuts at 2**-j of its width up
+    to j = 52/(e+1).  A piece's bound adds 2 eps (|a+1| |ln t0| + |e|) of
+    its value, for the rounding of a node and of the exponents, and
+    ``_line_verdicts`` gives each element's result at tol 1e-10.
+    """
+    rows = []
+    for x in t0.tolist():
+        start = math.log(x)
+        count = math.ceil(-start * max(20.0, -(a + 1.0), e * x / (1.0 - x)) / 20.0)
+        if count > _MAX_PIECES:     # one NaN piece, which makes the element inconclusive
+            start, count = math.nan, 1
+        edges = start * (1.0 - np.arange(count + 1.0) / count)
+        if e >= 1.0:
+            cuts = edges[-2] * np.exp2(-np.arange(1.0, math.ceil(-_LOG2_EPS / (e + 1.0)) + 1.0))
+            edges = np.concatenate([edges[:-1], cuts, [0.0]])
+        rows.append(edges)
+    sizes = [r.size - 1 for r in rows]
+    lo, hi = np.concatenate([r[:-1] for r in rows]), np.concatenate([r[1:] for r in rows])
+    start = np.repeat([r[0] for r in rows], sizes)
+    ref = start if scaled else 0.0
+
+    def values(v):
+        return np.exp((a + 1.0) * (v - ref)) * (-np.expm1(v)) ** e
+
+    coarse, fine = piece_sums(values, lo, hi, (hi == 0.0) & (e < 1.0), e)
+    with np.errstate(invalid="ignore"):
+        bound = np.abs(fine - coarse) + 2.0 * _EPS * ((a + 1.0) * start + abs(e)) * np.abs(fine)
+    return _line_verdicts(fine, bound, sizes, [3 * PIECE_RULE * n for n in sizes], 1e-10)
 
 
 # --------------------------------------------------------------------------

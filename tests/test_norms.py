@@ -119,9 +119,9 @@ def test_sampled_shell_norm_matches_mpmath(case):
 def test_sampled_power_integral_beyond_float_range():
     # 2**1024 itself overflows a float: the integral is inf, not an error
     flat = SampledProfile((0.0, 1.0), (1.0, 1.0))
-    assert flat.power_integral(1.0, 1024.0, 0.0, 1.0) == math.inf
-    assert flat.power_integral(1.0, 2000.0, 0.0, 1.0) == math.inf
-    assert flat.power_integral(1.0, 1100.0, -2.0, -1.0) == 0.0
+    assert flat.power_integrals(1.0, 1024.0, (0.0, 1.0)).tolist() == [math.inf]
+    assert flat.power_integrals(1.0, 2000.0, (0.0, 1.0)).tolist() == [math.inf]
+    assert flat.power_integrals(1.0, 1100.0, (-2.0, -1.0)).tolist() == [0.0]
 
 
 # --------------------------------------------------------------------------
@@ -361,23 +361,38 @@ def test_shell_norm_sum_profile():
     assert shell_norm(f, W1, 1.0, 0, d=1) == pytest.approx(3.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("q", [1.1, 1.5, 2.5])
-def test_small_sum_profile_shell_matches_mpmath(q):
+_SMALL_SUMS = [
     # a ramp from a zero node plus a cut-off power law; at q = 1.5 the
     # shell integral is 1.3e-6, which the stopping test absolute in
     # 5e-14 left 1.6e-9 relative off
-    ramp = SampledProfile((-1.0, 0.0), (0.0, 2e-4))
-    f = SumProfile((ramp, TruncatedPowerLaw(-1.5, 1e-4, 0.75)))
-    got = shell_norm(f, W1, q, 0, d=1) ** q / W1.sphere_mass
-    cut = math.log2(0.75)
+    ((-1.0, 0.0), (0.0, 2e-4), 1e-4, 0.75),
+    # a falling ramp, whose zero node ends a piece inside the shell
+    ((-1.0, -0.3), (2e-4, 0.0), 1e-4, 2.0 ** -0.2),
+    # the power term live at the ramp's zero node: f's tangent there
+    # vanishes 1.4e-3 below it
+    ((-1.0, 0.0), (0.0, 2e-4), 1e-7, 0.25),
+    # a zero node 0.01 below the shell
+    ((-1.01, 0.0), (0.0, 2e-4), 1e-4, 0.75),
+]
 
-    def g(u):
-        tail = 1e-4 * 2 ** (-1.5 * u) if u > cut else 0
-        return (2e-4 * (u + 1) + tail) ** q * 2 ** u * mpmath.log(2)
 
-    with mpmath.workdps(30):
-        want = float(mpmath.quad(g, [-1, cut, 0]))
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+@pytest.mark.parametrize("q", [1.1, 1.5, 2.5])
+def test_small_sum_profile_shell_matches_mpmath(q):
+    for (u0, u1), (v0, v1), coefficient, cut in _SMALL_SUMS:
+        f = SumProfile((SampledProfile((u0, u1), (v0, v1)),
+                        TruncatedPowerLaw(-1.5, coefficient, cut)))
+        got = shell_norm(f, W1, q, 0, d=1) ** q / W1.sphere_mass
+        cut = math.log2(cut)
+
+        def g(u):
+            ramp = max(v0 + (u - u0) / (u1 - u0) * (v1 - v0), 0)
+            tail = coefficient * 2 ** (-1.5 * u) if u > cut else 0
+            return (ramp + tail) ** q * 2 ** u * mpmath.log(2)
+
+        with mpmath.workdps(30):
+            points = sorted({-1.0, 0.0} | {x for x in (u1, cut) if -1 < x < 0})
+            want = float(mpmath.quad(g, points))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), (u0, u1, v0, v1, coefficient)
 
 
 class _Wiggly(RadialProfile):

@@ -294,6 +294,22 @@ def test_tail_power_beta_large_exponents():
     assert whole.value[2] == 0.0
 
 
+@pytest.mark.parametrize("a, e, t0", [
+    (-1.5, 1500.0, 0.3), (-800.0, 0.3, 0.5), (-700.0, 160.0, 0.4), (-1.0, 3000.0, 0.001),
+    (-1.5, 1024.0, 0.01), (-600.0, 0.3, 0.9), (-650.0, -0.6, 0.7)])
+def test_tail_beyond_the_series_within_its_error(a, e, t0):
+    # beyond the series, on the finite line in ln t; the graded quadrature
+    # it replaced missed (-1.5, 1500, 0.3) by 22 and (-800, 0.3, 0.5) by 900
+    # times its abs_error
+    with mpmath.workdps(60):
+        want = mpmath.betainc(e + 1, a + 1, 0, 1 - mpmath.mpf(t0))
+        scale = mpmath.mpf(t0) ** -(a + 1)
+    for scaled, ref in ((False, want), (True, want * scale)):
+        res = tail_power_beta(a, e, t0, scaled=scaled)
+        assert res.status is IntegralStatus.CONVERGED and res.evaluations > 0
+        assert abs(res.value - ref) <= res.abs_error, (scaled, res, float(ref))
+
+
 def test_tail_power_beta_checks_the_series_bound(monkeypatch):
     # split at 1/2 whatever e: at (-1.5, 40, 0.45) the series then loses
     # every digit, its bound says so, and the graded quadrature takes over

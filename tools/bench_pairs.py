@@ -10,13 +10,15 @@ For every workload and seed it runs ``hcbench/run.py`` once in each
 checkout, one run at a time, the parent first on odd pair numbers and the
 change first on even ones, and records every end-to-end metric: the runs,
 their quartiles and median, how many pairs the change won, and the ratio
-of the medians.  ``--checksum-seeds`` runs every case of each workload once
-per seed in both checkouts and records, for the case outputs and for the
-operator outputs the verifiers compute (captured as hcbench's checks
-capture them), a sha256 of their repr and the largest relative change of
-any number in them (the numbers of each case's repr, matched in order), so
-a move at rounding level shows as a figure; ``--trace-seed`` adds the
-per-layer metrics of one traced round.
+of the medians, with the line count of each checkout's
+``src/hardy_cesaro/*.py`` as ``wc -l`` gives it.  ``--checksum-seeds``
+runs every case of each workload once per seed in both checkouts and
+records, for the case outputs and for the operator outputs the verifiers
+compute (captured as hcbench's checks capture them), a sha256 of their
+repr and the largest relative change of any number in them (the numbers
+of each case's repr, matched in order), so a move at rounding level shows
+as a figure; ``--trace-seed`` adds the per-layer metrics of one traced
+round.
 """
 
 from __future__ import annotations
@@ -73,6 +75,12 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -
     if not lines:
         raise RuntimeError(f"{checkout}: {' '.join(cmd)} printed nothing:\n{done.stderr}")
     return json.loads(lines[-1])
+
+
+def _src_lines(checkout: Path) -> int:
+    """Newlines in the checkout's src/hardy_cesaro/*.py, as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "hardy_cesaro").glob("*.py"))
 
 
 def _quartiles(runs: list) -> dict:
@@ -184,6 +192,7 @@ def main(argv=None) -> int:
         "protocol": "pairs of runs on the same seed, parent and change alternating which "
                     "runs first; quartiles over the pairs' runs",
         "cores": os.cpu_count(),
+        "src_lines": {side: _src_lines(getattr(args, side)) for side in ("parent", "change")},
         "workloads": {},
     }
     workloads = args.workloads.split(",")
