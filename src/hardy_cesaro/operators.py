@@ -195,13 +195,17 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
             out = out * term
         return out
 
+    def product(psi, fac):
+        # where an input vanishes the integrand does, also where psi overflows
+        return np.where(fac == 0.0, 0.0, psi * fac)
+
     def integrand(t):
-        return kernel.psi_values(t) * factors(t)
+        return product(kernel.psi_values(t), factors(t))
 
     reflected = None
     if kernel.supports_reflection():
         def reflected(u):
-            return kernel.psi_values_reflected(u) * factors(1.0 - u, u)
+            return product(kernel.psi_values_reflected(u), factors(1.0 - u, u))
 
     at0, at1 = kernel.psi_endpoint_exponents()
     for k, f in enumerate(profiles):
@@ -220,16 +224,9 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
 
     breakpoints = None
     if all(isinstance(s, PowerCurve) for s in kernel.curves):
-        pts = []
-        for k, f in enumerate(profiles):
-            b = kernel.curves[k].b
-            for rho in f.log2_breakpoints():
-                t = (2.0 ** rho / r) ** (1.0 / b)
-                if 0.0 < t < 1.0:
-                    pts.append(t)
-        pts = sorted(set(pts))
-        if 0 < len(pts) <= 24:
-            breakpoints = pts
+        # t = (2**rho / r)**(1/b), capped at 1 before 2**rho can overflow
+        breakpoints = [2.0 ** min((rho - math.log2(r)) / s.b, 0.0)
+                       for f, s in zip(profiles, kernel.curves) for rho in f.log2_breakpoints()]
 
     return integrand, reflected, (at0, at1), breakpoints
 

@@ -23,6 +23,8 @@ from scipy.special import gamma, gammaincc, hyp1f1
 
 from .numerics import LN2, exp2_integrals
 
+_LOG2_TINY = float(np.finfo(float).minexp)    # log2 of the smallest normal float
+
 
 def _check_radii(r):
     arr = np.asarray(r, dtype=float)
@@ -50,8 +52,21 @@ class RadialProfile:
         """Values at the log2 radii ``u`` (an array), unvalidated.  ``at``,
         if given, broadcasts against ``u`` and names for each point a log2
         radius on the same smooth piece (no breakpoint between the two), so
-        the piece is looked up once per ``at`` value."""
-        return self.evaluate(np.exp2(u))
+        the piece is looked up once per ``at`` value.
+
+        By default ``evaluate`` at 2**u; below the smallest normal radius,
+        where 2**u underflows, its value there extended by the power
+        ``local_exponent("zero")``, or 0 where the profile vanishes near 0.
+        """
+        u = np.asarray(u, dtype=float)
+        deep = u < _LOG2_TINY
+        if not np.any(deep):
+            return self.evaluate(np.exp2(u))
+        value = np.asarray(self.evaluate(np.exp2(np.maximum(u, _LOG2_TINY))), dtype=float)
+        a = self.local_exponent("zero")
+        with np.errstate(over="ignore", invalid="ignore"):
+            below = 0.0 if a is None else value * np.exp2(a * (u - _LOG2_TINY))
+        return np.where(deep, below, value)
 
     def log2_terms(self, u, at) -> Optional[list]:
         """The profile on the smooth piece named by ``at`` as a sum of

@@ -22,31 +22,20 @@ results from ``_line_verdicts``.  The Gauss-Jacobi and Gauss-Laguerre
 rules come from their three-term recurrences (``_golub_welsch``, no
 eigenvectors), so a rule of a new order costs well under a millisecond.
 What the line does not take, or does not settle, goes to the graded
-integrator below.
-
-The graded integrator uses composite 12-point Gauss-Legendre rules on
-meshes that are geometrically graded (ratio 1/4) toward both ends of
-[0, 1], so algebraic endpoint singularities t**a with a > -1 converge
-geometrically under refinement.  Refinement doubles the grading depth and also halves the
-maximum interior cell width, so interior kinks of piecewise-smooth
-integrands are resolved too.  The reported error adds to the refinement
-differences the rule's own error on the graded cells of a singular end,
-which is the same on every cell and so never shows in those differences.
-
-Floating point cannot place mesh points closer to t = 1 than about 1e-13,
-which caps the achievable accuracy for singularities at that end.  The
-integrator therefore accepts an optional ``reflected`` companion evaluator
-g(u) = f(1 - u): the right half of the axis is then meshed in
-u-coordinates, where grading toward the singularity is exact.  All
-descriptor-built integrands in this package supply the companion; raw
-callback integrands without one get an honest accuracy floor (reported as
-``Inconclusive`` when the requested tolerance lies below it).
+integrator ``integrate_unit_cube``: the same Gauss pair on pieces in
+v = ln t, from the smallest normal float to t = 1, cut at the dyadic
+edges of the line and at the integrand's breakpoints, with the
+Gauss-Jacobi weight at t = 1 and the pieces whose two sums disagree
+bisected until they agree; a ``reflected`` companion g(u) = f(1 - u)
+takes the nodes above t = 1/2 from the exact u = 1 - t.  The mass below
+the smallest normal float is bounded from the declared order at t = 0,
+and a value whose bound alone exceeds the tolerance is ``Inconclusive``.
 
 Divergence is decided structurally whenever the endpoint behavior is
 known: a declared endpoint exponent <= -1 yields ``Divergent`` without
-any function evaluation.  Numeric growth detection (refinement
-differences increasing monotonically over six levels) is the fallback for
-opaque callback kernels.
+any function evaluation.  Numeric growth detection (an integrand that
+does not fall toward t = 0 in v) is the fallback for opaque callback
+kernels.
 
 Integrands are evaluated in vectorized form: they receive a 1-d ndarray
 of abscissas and return an array of matching length.
@@ -66,12 +55,7 @@ from scipy.special import betainc, betaln, digamma
 
 from .numerics import LN2
 
-GAUSS_POINTS_PER_CELL = 12
-GRADING_RATIO = 0.25
 DEFAULT_BUDGET = 2 ** 22
-_GROWTH_STEPS = 6
-_GROWTH_FACTOR = 1.25
-_MAX_ONE_DEPTH = 21     # float resolution limit toward t = 1 and interior anchors
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)   # smallest normal float
 ROUNDING = 64.0 * _EPS    # rounding allowance relative to the sum of |terms|
@@ -227,25 +211,6 @@ def piece_sums(values: Callable, lo: np.ndarray, hi: np.ndarray, last: np.ndarra
     return _pair_sums(g)
 
 
-_GX, _GW = gauss_legendre(GAUSS_POINTS_PER_CELL)
-# smallest Gauss node and weight of a cell [0, w], in units of w
-_CELL_FLOOR = min(0.5 * (1.0 + float(_GX[0])), 0.5 * float(_GW[0]))
-
-
-def _zero_depth(half: float) -> int:
-    """Deepest grading toward t = 0 of a panel of half-width ``half``.
-
-    At depth d the innermost cell is half * GRADING_RATIO**d wide; beyond
-    this depth its smallest node or weight falls below the smallest normal
-    float, where nodes go subnormal and then to 0.0 (inf * 0 = NaN for
-    integrands like t**a, a < 0).
-    """
-    return max(0, int(math.log2(half * _CELL_FLOOR / _TINY) / -math.log2(GRADING_RATIO)))
-
-
-_MAX_ZERO_DEPTH = _zero_depth(0.25)   # the half axis [0, 1/2] of n = 1
-
-
 class IntegralStatus(Enum):
     CONVERGED = "converged"
     DIVERGENT = "divergent"
@@ -264,23 +229,6 @@ class IntegralResult:
         return self.status is IntegralStatus.CONVERGED
 
 
-def _cell_error(a: float) -> float:
-    """Relative error of the cell rule on t**a over a graded cell [w/4, w].
-
-    Every graded cell toward a face is such a cell at its own scale, so
-    this relative error is the same on all of them and deepening the
-    grading never removes it: 1e-12 to 5e-12 for a in (-1, -0.6], below
-    2e-13 from a = -0.3 on.  Zero for a face that is not singular (a >= 0,
-    where it stays below 2e-14, or a vanishing face).
-    """
-    if not -1.0 < a < 0.0:
-        return 0.0
-    x = 0.625 + 0.375 * _GX
-    approx = 0.375 * fsum(_GW * x ** a)
-    exact = -math.expm1(-(a + 1.0) * math.log(4.0)) / (a + 1.0)
-    return abs(approx - exact) / exact
-
-
 def _check_tol(tol: float) -> None:
     if not (1e-14 <= tol <= 1e-2):
         raise ValueError(f"tol must lie in [1e-14, 1e-2], got {tol}")
@@ -290,63 +238,6 @@ def _divergent(evaluations: int = 0) -> IntegralResult:
     return IntegralResult(math.inf, math.inf, IntegralStatus.DIVERGENT, evaluations)
 
 
-# --------------------------------------------------------------------------
-# mesh construction
-
-
-def _panel(lo: float, hi: float, depth_lo: int, depth_hi: int,
-           max_width: float) -> np.ndarray:
-    """Breakpoints of [lo, hi] graded toward both ends, width-capped inside."""
-    h = 0.5 * (hi - lo)
-    left = lo + h * GRADING_RATIO ** np.arange(depth_lo, 0, -1)
-    right = hi - h * GRADING_RATIO ** np.arange(1, depth_hi + 1)
-    pts = np.unique(np.concatenate([[lo], left, [lo + h], right[::-1], [hi]]))
-    out = [pts[0]]
-    for x in pts[1:]:
-        w = x - out[-1]
-        if w > max_width:
-            extra = int(math.ceil(w / max_width))
-            base = out[-1]
-            out.extend(base + w * j / extra for j in range(1, extra))
-        out.append(float(x))
-    return np.asarray(out)
-
-
-def _compose_axis(anchors: Sequence[float], depth: int, max_width: float,
-                  lo: float, hi: float, deep_lo: bool) -> np.ndarray:
-    """Panels between consecutive anchors; only the lo end may grade deeply."""
-    pts = [lo] + [a for a in sorted(anchors) if lo < a < hi] + [hi]
-    pieces = []
-    for i, (a, b) in enumerate(zip(pts, pts[1:])):
-        dlo = min(depth, _zero_depth(0.5 * (b - a))) if (deep_lo and i == 0) \
-            else min(depth, _MAX_ONE_DEPTH)
-        dhi = min(depth, _MAX_ONE_DEPTH)
-        seg = _panel(a, b, dlo, dhi, max_width)
-        pieces.append(seg if i == 0 else seg[1:])
-    return np.concatenate(pieces)
-
-
-def _axis_nodes(breaks: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    lo, hi = breaks[:-1], breaks[1:]
-    keep = hi > lo
-    lo, hi = lo[keep], hi[keep]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * _GX).ravel()
-    weights = (half[:, None] * _GW).ravel()
-    return nodes, weights
-
-
-def _looks_divergent(values: Sequence[float]) -> bool:
-    diffs = np.diff(np.asarray(values[-(_GROWTH_STEPS + 1):]))
-    if diffs.size < _GROWTH_STEPS or np.any(diffs == 0.0) or np.any(~np.isfinite(diffs)):
-        return False
-    if not (np.all(diffs > 0) or np.all(diffs < 0)):
-        return False
-    mags = np.abs(diffs)
-    return bool(np.all(mags[1:] >= _GROWTH_FACTOR * mags[:-1]))
-
-
 def _endpoint_pair(endpoint_exponents) -> Tuple[float, float]:
     """(at0, at1) from a pair or from a sequence holding one pair."""
     if endpoint_exponents is None:
@@ -354,134 +245,6 @@ def _endpoint_pair(endpoint_exponents) -> Tuple[float, float]:
     pairs = list(endpoint_exponents)
     at0, at1 = pairs[0] if len(pairs) == 1 else pairs
     return float(at0), float(at1)
-
-
-def _unresolved_mass(width: float, exponent: float) -> float:
-    """Relative mass still hidden in the innermost cell at a graded endpoint."""
-    if math.isfinite(exponent) and -1.0 < exponent < 0.0 and width > 0.0:
-        return width ** (exponent + 1.0)
-    return 0.0
-
-
-def _overflow_verdict(values, evaluations, detect_growth) -> IntegralResult:
-    """Level value left the finite range: divergent if it was heading there."""
-    finite = [v for v in values if math.isfinite(v)]
-    diffs = np.diff(finite)
-    growing = (diffs.size >= 3
-               and (np.all(diffs > 0) or np.all(diffs < 0))
-               and np.all(np.abs(diffs[1:]) >= np.abs(diffs[:-1])))
-    if detect_growth and growing:
-        return _divergent(evaluations)
-    return IntegralResult(values[-1], math.inf, IntegralStatus.INCONCLUSIVE,
-                          evaluations)
-
-
-# --------------------------------------------------------------------------
-# integration
-
-
-def integrate_unit_cube(integrand: Callable, n: int, tol: float,
-                        endpoint_exponents=None, *,
-                        breakpoints=None,
-                        detect_growth: bool = True,
-                        reflected: Optional[Callable] = None,
-                        budget: int = DEFAULT_BUDGET) -> IntegralResult:
-    """Integrate ``integrand`` over [0, 1] with endpoint grading.
-
-    Each level meshes the halves [0, 1/2] in t and, mirrored, [0, 1/2] in
-    u = 1 - t; the right half goes through ``reflected`` when given (and
-    then grades toward u = 0 exactly), otherwise through ``integrand`` at
-    1 - u, kept below 1.  The grading depth doubles until two successive
-    level differences and the unresolved endpoint mass are all within
-    tolerance.  ``abs_error`` is the largest of the last two level
-    differences and the unresolved mass (times max(1, |value|)), plus, in
-    proportion to the sum of the absolute terms, the cell rule's error on
-    the graded cells (which no level difference shows) and a rounding
-    allowance.
-
-    Parameters
-    ----------
-    integrand : callable
-        Vectorized evaluator of a 1-d array of abscissas.
-    n : int
-        The dimension, which must be 1: every kernel integral of the
-        package is one-dimensional (``min_reduction``).
-    tol : float
-        Relative tolerance in [1e-14, 1e-2]; convergence is declared when
-        two successive refinement levels agree within tol * max(1, |value|).
-    endpoint_exponents : (at0, at1), or a sequence holding that one pair
-        Declared singularity orders: the integrand behaves like t**at0
-        near t = 0 and (1-t)**at1 near t = 1.  ``math.inf`` declares that
-        the integrand vanishes identically near that end.  A declared
-        exponent <= -1 (-inf included) returns ``Divergent`` immediately.
-    breakpoints : sequence of floats
-        Known kinks/jumps; they become cell boundaries.
-    detect_growth : bool
-        Numeric divergence fallback for callback kernels.
-    reflected : callable, optional
-        Companion evaluator g(u) = integrand(1 - u), enabling exact
-        grading toward t = 1.
-    budget : int
-        Total evaluation-point budget; exceeding it yields ``Inconclusive``.
-    """
-    if n != 1:
-        raise ValueError(f"n must be 1, got {n}")
-    _check_tol(tol)
-    at0, at1 = _endpoint_pair(endpoint_exponents)
-    if at0 <= -1.0 or at1 <= -1.0:
-        return _divergent()
-    anchors = () if breakpoints is None else tuple(breakpoints)
-    left = [a for a in anchors if 0.0 < a < 0.5]
-    right = [1.0 - a for a in anchors if 0.5 < a < 1.0]
-    graded_right = reflected is not None
-    if reflected is None:
-        def reflected(u):
-            return integrand(np.minimum(1.0 - u, 1.0 - 2.0 * _EPS))
-
-    rule_error = fsum(_cell_error(a) for a in (at0, at1))
-    values: list = []
-    diffs: list = []
-    evaluations = 0
-    miss = math.inf
-    depth = 8
-    while True:
-        maxw = 4.0 / depth
-        lb = _compose_axis(left, depth, maxw, 0.0, 0.5, deep_lo=True)
-        rb = _compose_axis(right, depth, maxw, 0.0, 0.5, deep_lo=graded_right)
-        (xl, wl), (xu, wu) = _axis_nodes(lb), _axis_nodes(rb)
-        if evaluations + xl.size + xu.size > budget:
-            break
-        fl = np.asarray(integrand(xl), dtype=float)
-        fu = np.asarray(reflected(xu), dtype=float)
-        v = float(np.dot(wl, fl)) + float(np.dot(wu, fu))
-        floor = (rule_error + ROUNDING) * (float(np.dot(wl, np.abs(fl)))
-                                           + float(np.dot(wu, np.abs(fu))))
-        evaluations += xl.size + xu.size
-        values.append(v)
-        if not math.isfinite(v):
-            return _overflow_verdict(values, evaluations, detect_growth)
-        miss = max(_unresolved_mass(float(lb[1] - lb[0]), at0),
-                   _unresolved_mass(float(rb[1] - rb[0]), at1))
-        if len(values) >= 2:
-            diffs.append(abs(values[-1] - values[-2]))
-            scale = max(1.0, abs(v))
-            # two consecutive small diffs guard against meshes that share
-            # unresolved interior structure
-            settled = len(diffs) >= 2 and diffs[-2] <= tol * scale
-            if diffs[-1] <= tol * scale and settled and miss <= tol:
-                return IntegralResult(v, max(*diffs[-2:], miss * scale) + floor,
-                                      IntegralStatus.CONVERGED, evaluations)
-            if detect_growth and len(values) >= _GROWTH_STEPS + 1 and _looks_divergent(values):
-                return _divergent(evaluations)
-        if depth >= 4 * _MAX_ZERO_DEPTH:
-            break  # grading saturated: no further refinement can help
-        depth *= 2
-
-    if not values:
-        return IntegralResult(math.nan, math.inf, IntegralStatus.INCONCLUSIVE, evaluations)
-    scale = max(1.0, abs(values[-1]))
-    abs_error = max(max(diffs[-2:], default=math.inf), miss * scale) + floor
-    return IntegralResult(values[-1], abs_error, IntegralStatus.INCONCLUSIVE, evaluations)
 
 
 # --------------------------------------------------------------------------
@@ -507,9 +270,9 @@ def _line_verdicts(values: np.ndarray, errors: np.ndarray, sizes: Sequence[int],
     value is its finer rule sum from ``piece_sums``, its bound the
     difference of the two sums): the value is the fsum of the row's
     values, and abs_error the fsum of its bounds plus the rounding
-    allowance ROUNDING * |value|.  Converged under the test of
-    ``integrate_unit_cube``, |error| <= tol * max(1, |value|); inconclusive
-    otherwise.  Row i reports ``evaluations[i]`` evaluations."""
+    allowance ROUNDING * |value|.  Converged when that abs_error is at
+    most tol * max(1, |value|); inconclusive otherwise.  Row i reports
+    ``evaluations[i]`` evaluations."""
     values, errors = values.tolist(), errors.tolist()
     out, a = [], 0
     for size, count in zip(sizes, evaluations):
@@ -520,6 +283,12 @@ def _line_verdicts(values: np.ndarray, errors: np.ndarray, sizes: Sequence[int],
                                   else IntegralStatus.INCONCLUSIVE, count))
         a += size
     return out
+
+
+def _first_depth(rate: float) -> int:
+    """J of the piece [-2**-J, 0], across which e^{rate v} falls by at most
+    e^-40, no narrower than the smallest normal float."""
+    return math.ceil(math.log2(max(1.0, min(rate / _RATE_SPAN, 1.0 / _TINY))))
 
 
 def integrate_log_line(reduced: Callable, rate: float, order: float, decay: float,
@@ -542,8 +311,7 @@ def integrate_log_line(reduced: Callable, rate: float, order: float, decay: floa
     _check_tol(tol)
     if not (rate > 0.0 and order > -1.0):
         return _divergent()
-    # no narrower than the smallest normal float, also for rate = inf
-    first = math.ceil(math.log2(max(1.0, min(max(rate, steepness) / _RATE_SPAN, 1.0 / _TINY))))
+    first = _first_depth(max(rate, steepness))
     depth = math.ceil(math.log2(max(2.0 ** -first, _HEAD_DECAY / max(rate, decay))))
     edges = -np.exp2(np.arange(-first, depth + 1.0))
 
@@ -554,6 +322,126 @@ def integrate_log_line(reduced: Callable, rate: float, order: float, decay: floa
                               order, head=(float(edges[-1]), rate))
     return _line_verdicts(fine, np.abs(fine - coarse), [fine.size],
                           [3 * PIECE_RULE * fine.size], tol)[0]
+
+
+def integrate_unit_cube(integrand: Callable, n: int, tol: float,
+                        endpoint_exponents=None, *,
+                        breakpoints=None,
+                        detect_growth: bool = True,
+                        reflected: Optional[Callable] = None,
+                        budget: int = DEFAULT_BUDGET) -> IntegralResult:
+    """int_0^1 integrand(t) dt as int g(v) dv, g(v) = integrand(e^v) e^v,
+    on adaptive Gauss pieces in v = ln t.
+
+    The pieces cover [ln(smallest normal float), 0], whatever the
+    breakpoints; their edges are the dyadic edges -2**k of
+    ``integrate_log_line`` (the piece at 0 no wider than 40 / (at0 + 1))
+    and ln t of every breakpoint.  Each piece is summed by ``piece_sums``
+    at PIECE_RULE and 2 * PIECE_RULE points, the piece at 0 with the
+    Gauss-Jacobi weight (-v)**at1 where at1 < 40.
+    Nodes with v > -ln 2 go through ``reflected`` at u = -expm1(v) when it
+    is given, otherwise through ``integrand`` at e^v kept below 1.
+
+    A piece's bound is |fine - coarse|, and for each half of a bisected
+    piece at least half the miss of that piece's fine sum against theirs.
+    Below the cover lies the unresolved mass |g(floor)| / (at0 + 1), the
+    tail of a pure power at the floor, and none where at0 = inf.  The
+    value is converged when the summed bounds and that mass are within
+    tol * max(1, |value|); otherwise the pieces whose bound exceeds their
+    share of the tolerance are bisected and summed again.  It is
+    inconclusive when the mass alone exceeds the tolerance, when no piece
+    can be bisected further, or when the next pass would pass ``budget``.
+    ``abs_error`` is the summed bounds and the mass, plus a rounding
+    allowance of ROUNDING times the summed |pieces|.
+
+    Parameters
+    ----------
+    integrand : callable
+        Vectorized evaluator of a 1-d array of abscissas.
+    n : int
+        The dimension, which must be 1: every kernel integral of the
+        package is one-dimensional (``min_reduction``).
+    tol : float
+        Relative tolerance in [1e-14, 1e-2].
+    endpoint_exponents : (at0, at1), or a sequence holding that one pair
+        Declared singularity orders: the integrand behaves like t**at0
+        near t = 0 and (1-t)**at1 near t = 1.  ``math.inf`` declares that
+        the integrand vanishes identically near that end (at t = 0: no
+        mass below the smallest normal float is counted).  A declared
+        exponent <= -1 (-inf included) returns ``Divergent`` immediately.
+    breakpoints : sequence of floats
+        Known kinks/jumps; they become piece edges.
+    detect_growth : bool
+        Numeric divergence fallback for callback kernels: divergent when
+        |g| at the floor is not below |g| halfway to it in v.
+    reflected : callable, optional
+        Companion evaluator g(u) = integrand(1 - u), exact near t = 1.
+    budget : int
+        Total evaluation-point budget; exceeding it yields ``Inconclusive``.
+    """
+    if n != 1:
+        raise ValueError(f"n must be 1, got {n}")
+    _check_tol(tol)
+    at0, at1 = _endpoint_pair(endpoint_exponents)
+    if at0 <= -1.0 or at1 <= -1.0:
+        return _divergent()
+    points = [float(b) for b in (() if breakpoints is None else breakpoints) if 0.0 < b < 1.0]
+    vanishing = at0 == math.inf
+    first = 0 if vanishing else _first_depth(at0 + 1.0)
+    edges = np.concatenate([-np.exp2(np.arange(-first, 10.0)), np.log(points), [0.0]])
+    edges = np.unique(np.append(edges[edges > _LOG_TINY], _LOG_TINY))
+    order = at1 if at1 < 40.0 else 0.0     # the Jacobi rules are checked up to order 40
+
+    def g(v):
+        t = np.exp(v)
+        f = np.empty(v.shape)
+        near = v > -LN2 if reflected is not None else np.zeros(v.shape, dtype=bool)
+        for part, call, x in ((near, reflected, -np.expm1(v)),
+                              (~near, integrand, np.minimum(t, 1.0 - 2.0 * _EPS))):
+            if np.any(part):
+                f[part] = call(x[part])
+        return f * t
+
+    evaluations, mass = 0, 0.0
+    if not vanishing:
+        with np.errstate(all="ignore"):
+            floor, half = np.abs(g(np.array([_LOG_TINY, 0.5 * _LOG_TINY]))).tolist()
+        evaluations = 2
+        if detect_growth and floor > 0.0 and floor >= half:
+            return _divergent(evaluations)
+        mass = floor / (at0 + 1.0)
+
+    lo, hi, parent = edges[:-1], edges[1:], np.empty(0)
+    pieces = np.empty((4, 0))       # lo, hi, fine sum and error bound of the summed pieces
+    value, err, rounding = math.nan, math.inf, 0.0
+    status = IntegralStatus.INCONCLUSIVE
+    while evaluations + 3 * PIECE_RULE * lo.size <= budget:
+        coarse, fine = piece_sums(g, lo, hi, hi == 0.0, order)
+        evaluations += 3 * PIECE_RULE * lo.size
+        bound = np.abs(fine - coarse)
+        if parent.size:
+            # the halves of a bisected piece share the miss of its fine sum,
+            # which shows a jump that lies beyond both rules' outermost nodes
+            miss = 0.5 * np.abs(parent - fine[:parent.size] - fine[parent.size:])
+            bound = np.maximum(bound, np.tile(miss, 2))
+        pieces = np.concatenate([pieces, [lo, hi, fine, bound]], axis=1)
+        value, err = fsum(pieces[2].tolist()), fsum(pieces[3].tolist())
+        rounding = ROUNDING * fsum(np.abs(pieces[2]).tolist())
+        room = tol * max(1.0, abs(value)) - mass
+        if not (math.isfinite(value) and room >= 0.0):
+            break
+        if err <= room:
+            status = IntegralStatus.CONVERGED
+            break
+        mid = 0.5 * (pieces[0] + pieces[1])
+        split = (pieces[3] > room / pieces.shape[1]) & (pieces[0] < mid) & (mid < pieces[1])
+        if not np.any(split):
+            break
+        parent = pieces[2, split]
+        lo = np.concatenate([pieces[0, split], mid[split]])
+        hi = np.concatenate([mid[split], pieces[1, split]])
+        pieces = pieces[:, ~split]
+    return IntegralResult(value, err + mass + rounding, status, evaluations)
 
 
 def beta_closed_form(a: float, e: float) -> IntegralResult:

@@ -166,13 +166,15 @@ def test_kernel_kind_m_checks():
 def test_commutator_mh_with_kinked_callback_curve_returns_a_verdict(tol):
     # |1 - s(t)|**beta has an undeclared kink where s(t) = t (1 + 0.1 t)
     # crosses 1 (t ~ 0.916); refinement then grades past the depth at which
-    # nodes used to reach 0.0 and raise "curve vanished at a quadrature node"
+    # nodes used to reach 0.0 and raise "curve vanished at a quadrature node".
+    # The reference is mpmath's, split at the kink
     kernel = KernelSpec(1, PowerBeta(0.1, 0.0),
                         (CurveCallback(lambda t: t * (1.0 + 0.1 * t), 1.0),))
     e = make(lambda_i=[0.4], beta_i=[0.3], r_i=[4.0])
     res = kernel_constant(ConstantKind.COMMUTATOR_MH, e, kernel, tol=tol)
     assert res.status in (IntegralStatus.CONVERGED, IntegralStatus.INCONCLUSIVE)
     assert math.isfinite(res.value) and res.value > 0
+    assert abs(res.value - 0.74151999628277682) <= res.abs_error
 
 
 @pytest.mark.filterwarnings("error")

@@ -13,11 +13,11 @@ from hardy_cesaro.operators import (OperatorDivergenceError, OperatorSpec,
                                     apply_hardy_cesaro, apply_to_profile,
                                     commutator_to_profile, log2_grid,
                                     tail_power_beta)
-from hardy_cesaro.profiles import (PowerLaw, SampledProfile, ScaledProfile,
-                                   SumProfile, TruncatedPowerLaw)
+from hardy_cesaro.profiles import (PowerLaw, RadialProfile, SampledProfile,
+                                   ScaledProfile, SumProfile, TruncatedPowerLaw)
 from hardy_cesaro.quadrature import (IntegralResult, IntegralStatus, KernelSpec,
                                      MinPower, PowerBeta, PowerCurve, ProductPowerBeta,
-                                     PsiCallback, integrate_unit_cube)
+                                     PsiCallback, integrate_unit_cube, kernel_power_integral)
 from min_reference import DPS, density, integral
 
 
@@ -636,6 +636,107 @@ def test_piecewise_radius_missing_tol_goes_to_graded_integrator(monkeypatch):
     assert calls == [1e-14]
     assert strict.evaluations > fine.evaluations
     assert strict.value == pytest.approx(fine.value, rel=1e-12)
+
+
+def test_graded_exponent_within_rounding_of_minus_one():
+    # the integrand is t**A with A = -0.9999999999999999 on the top segment;
+    # the graded t-mesh certified 41.75616742528078 with abs_error 2.8e-11,
+    # 3.9e-11 off
+    profile = SampledProfile((0.0, 1.0, 2.0), (0.0, 1.189207115002721, 1.4142135623730951))
+    spec = OperatorSpec(1, 1, KernelSpec(1, PowerBeta(-1.125, 0.0, 1.0), (PowerCurve(0.5),)))
+    tol = 1e-10
+    res = operators._graded(spec, [profile], (), 2.0 ** 8, tol)
+    want = float(_mp_commutator((-1.125, 0.0, 1.0), (0.5,), [profile], (), 2.0 ** 8))
+    assert want == pytest.approx(41.75616742531963, rel=1e-15)
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - want) <= min(res.abs_error, tol * max(1.0, abs(want)))
+
+
+_STEP = ((0.0, 1.0, 2.0), (0.0, 1.0, 0.125))
+_RAMP = (0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("profile, a, b, r, want", [
+    *((_STEP, 0.0, 1.0, 2.0 ** k, (3.0 - 1.0 / math.log(2.0)) / 2.0 ** k)
+      for k in (100, 200, 300, 540)),
+    (((0.0, 1.0, 530.0), _RAMP), -0.5, 0.5, 2.0 ** 540, 2.0),
+    (((-1100.0, -1099.0, -20.0), _RAMP), -0.5, 1.0, 1.0, 2.0)])
+def test_graded_support_that_starts_deep_inside(profile, a, b, r, want):
+    # the support starts at t = 2**-k: the graded t-mesh missed its
+    # breakpoints there and certified a value 16 % off; the exact value of
+    # int t**-3 over the extended top segment is (3 - 1 / ln 2) / r.  In the
+    # last two cases the first breakpoints map to t below the smallest
+    # normal float and round to 0, and the input is 1 from t = 2**-1078 on:
+    # the value is int_0^1 t**-0.5 dt = 2 but for less than 2**-538 of it,
+    # and the 2**-9 of it below the next breakpoint, t = 2**-20, counts
+    spec = OperatorSpec(1, 1, KernelSpec(1, PowerBeta(a, 0.0), (PowerCurve(b),)))
+    tol = 1e-10
+    res = operators._graded(spec, [SampledProfile(*profile)], (), r, tol)
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - want) <= min(res.abs_error, tol * max(1.0, want))
+
+
+def test_graded_min_power_operator_with_many_breakpoints():
+    # 33 input nodes: every breakpoint is a piece edge, where the graded
+    # t-mesh took at most 24 and was inconclusive, 1.6e-5 off
+    u = -8.0 + 0.5 * np.arange(33)
+    v = 2.0 ** (-0.3 * u) * np.random.default_rng(0).uniform(0.7, 1.3, 33)
+    v[0] = 0.0
+    profile = SampledProfile(tuple(u.tolist()), tuple(v.tolist()))
+    factors, b, r = ((0.2, -0.3), (-0.4, 0.5)), 0.8, 2.0 ** 9
+    spec = OperatorSpec(1, 2, KernelSpec(2, ProductPowerBeta(factors, 1.5), (MinPower(b),)))
+    res = apply_hardy_cesaro(spec, [profile], r, tol=1e-8)
+    f = _mp_profile(profile)
+    with mpmath.workdps(20):
+        mp_factors = [(mpmath.mpf(c), mpmath.mpf(e)) for c, e in factors]
+        edges = [(2 ** mpmath.mpf(x) / r) ** (1 / mpmath.mpf(b)) for x in u.tolist()]
+        want = float(mpmath.quad(lambda m: density(mp_factors, 1.5, m, 1 - m) * f(m ** b * r),
+                                 [x for x in edges if x < 1] + [1]))
+    assert want == pytest.approx(0.67361588639526044, rel=1e-14)
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - want) <= res.abs_error
+
+
+def test_graded_input_with_a_node_beyond_the_float_range():
+    # the node at log2 radius 1030 made 2.0 ** rho raise OverflowError; the
+    # two segments' line is x**(-1/1030) throughout, so the value is
+    # r**a times the kernel's power integral
+    spec = OperatorSpec(1, 2, KernelSpec(2, ProductPowerBeta(((0.2, 0.3), (0.1, 0.2))),
+                                         (MinPower(1.0),)))
+    a, r = -1.0 / 1030.0, 2.0
+    res = apply_hardy_cesaro(spec, [SampledProfile((0.0, 1030.0), (1.0, 0.5))], r)
+    want = kernel_power_integral(spec.kernel, [a])
+    assert res.status is IntegralStatus.CONVERGED and want.status is IntegralStatus.CONVERGED
+    assert abs(res.value - r ** a * want.value) <= res.abs_error + r ** a * want.abs_error
+
+
+class _EvaluateOnly(RadialProfile):
+    """f(r) = r**-0.43 (1 + 0.1 sin ln r), with no log2 form of its own."""
+
+    def evaluate(self, r):
+        r = np.asarray(r, dtype=float)
+        if np.any(~(r > 0.0)):
+            raise ValueError("radius must be positive and finite")
+        return r ** -0.43 * (1.0 + 0.1 * np.sin(np.log(r)))
+
+    def local_exponent(self, end):
+        return -0.43
+
+
+def test_evaluate_only_input_under_a_steep_curve():
+    # t**1.5 r underflows at the graded integrator's deepest nodes, where the
+    # default log2_evaluate called evaluate(0.0); with t = e^v the value is
+    # int e^{0.055 v} (-expm1 v)**0.2 (1 + 0.1 sin 1.5 v) dv
+    # = B(0.055, 1.2) + 0.1 Im B(0.055 + 1.5i, 1.2)
+    spec = OperatorSpec(1, 1, KernelSpec(1, PowerBeta(-0.3, 0.2), (PowerCurve(1.5),)))
+    tol = 1e-6
+    res = apply_hardy_cesaro(spec, [_EvaluateOnly()], 1.0, tol=tol)
+    with mpmath.workdps(30):
+        s = 1 + mpmath.mpf(-0.3) + mpmath.mpf(1.5) * mpmath.mpf(-0.43)
+        want = float(mpmath.beta(s, 1.2) + mpmath.im(mpmath.beta(s + 1.5j, 1.2)) / 10)
+    assert want == pytest.approx(17.85118754122, rel=1e-11)
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - want) <= min(res.abs_error, tol * want)
 
 
 def _mp_min_commutator(factors, scale, curves, inputs, symbols, r):
