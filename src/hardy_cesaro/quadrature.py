@@ -18,7 +18,10 @@ pieces, ``tail_power_beta`` beyond its series (the finite line from ln t0
 to 0, ``_finite_line``) and the numeric shells of ``norms`` sum their
 pieces with ``piece_sums``; the operators' other pieces are incomplete
 Beta integrals (``beta_pieces``), and all but the shells take their
-results from ``_line_verdicts``.  The Gauss-Jacobi and Gauss-Laguerre
+results from ``_line_verdicts``.  ``tail_power_beta`` takes a <= -1
+by binomial 2F1 series, except that -2 < a < -1 below the series' split
+point is lifted by one integration by parts onto the incomplete Beta of
+a + 1 wherever the bound of that allows.  The Gauss-Jacobi and Gauss-Laguerre
 rules come from their three-term recurrences (``_golub_welsch``, no
 eigenvectors), so a rule of a new order costs well under a millisecond.
 What the line does not take, or does not settle, goes to the graded
@@ -51,14 +54,17 @@ from math import fsum
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import betainc, betaln, digamma
+from scipy.special import betainc, betaincc, betaln, digamma
 
 from .numerics import LN2
 
 DEFAULT_BUDGET = 2 ** 22
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)   # smallest normal float
-ROUNDING = 64.0 * _EPS    # rounding allowance relative to the sum of |terms|
+# Rounding allowance of a summed integral, relative to a magnitude that
+# each use names: the summed |pieces| in integrate_unit_cube, |value| in
+# _line_verdicts.
+ROUNDING = 64.0 * _EPS
 
 
 @functools.lru_cache(maxsize=None)
@@ -277,6 +283,7 @@ def _line_verdicts(values: np.ndarray, errors: np.ndarray, sizes: Sequence[int],
     out, a = [], 0
     for size, count in zip(sizes, evaluations):
         value = fsum(values[a:a + size])
+        # the allowance of |value| (integrate_unit_cube takes it of the summed |pieces|)
         err = fsum(errors[a:a + size]) + ROUNDING * abs(value)
         converged = math.isfinite(err) and err <= tol * max(1.0, abs(value))
         out.append(IntegralResult(value, err, IntegralStatus.CONVERGED if converged
@@ -426,6 +433,7 @@ def integrate_unit_cube(integrand: Callable, n: int, tol: float,
             bound = np.maximum(bound, np.tile(miss, 2))
         pieces = np.concatenate([pieces, [lo, hi, fine, bound]], axis=1)
         value, err = fsum(pieces[2].tolist()), fsum(pieces[3].tolist())
+        # the allowance of the summed |pieces| (_line_verdicts takes it of |value|)
         rounding = ROUNDING * fsum(np.abs(pieces[2]).tolist())
         room = tol * max(1.0, abs(value)) - mass
         if not (math.isfinite(value) and room >= 0.0):
@@ -525,6 +533,10 @@ def log_beta_tail(c: float, e: float, t: np.ndarray, u: np.ndarray) -> np.ndarra
 _MAX_TERMS = 2000
 # Largest error bound, relative to the value, accepted from the series.
 _SERIES_RTOL = 1e-10
+# Bound, relative to the value, above which an incomplete Beta value (a
+# difference in beta_pieces, a lifted tail in tail_power_beta) is taken
+# again by the series.
+_CANCELLATION = 1e-13
 _LOG2_EPS = math.log2(_EPS)
 
 
@@ -657,6 +669,12 @@ def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralRes
       stays finite where a is an integer (a = -1 is the log case).
       Both are summed term by term in ``_binomial_series``; abs_error
       bounds the rounding and the truncation of those sums.
+    - -2 < a < -1 with t0 < h is lifted instead by one integration by
+      parts onto the incomplete Beta of a + 1 (``_by_parts``), unless its
+      bound exceeds _CANCELLATION of the value (a near -1 or -2, t0 near h
+      with large e), when the element keeps the series.  Above h the lift
+      would cancel by about (e+1)/d, d = -(a+1), as t0 -> 1, so it is not
+      tried there: the series there is the upper one alone.
     - Where the series would need more than _MAX_TERMS terms (e above
       about 150, a below about -560), or its bound exceeds _SERIES_RTOL of
       a finite value, that element is integrated numerically instead, on
@@ -666,7 +684,8 @@ def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralRes
     - Divergent when e <= -1, or a <= -1 and t0 = 0.
     - With ``scaled`` and a <= -1, value and abs_error are multiplied by
       t0**-(a+1) (t0 > 0): the lower series is summed divided by that
-      power, so the value stays finite where t0**(a+1) overflows.
+      power, and the lift multiplied through by it, so the value stays
+      finite where t0**(a+1) overflows.
     """
     t = np.clip(np.asarray(t0, dtype=float), 0.0, 1.0)
     inside = t < 1.0
@@ -684,18 +703,36 @@ def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralRes
                               IntegralStatus.CONVERGED, 0)
 
     h = _split(e)
+    value, err = np.zeros(t.shape), np.zeros(t.shape)
+    series = np.array(inside)   # writable where t0 is a number too
+    if -2.0 < a < -1.0:
+        lift = np.flatnonzero(inside & (t < h))
+        if lift.size:
+            with np.errstate(all="ignore"):
+                lifted, bound = _by_parts(a, e, t.flat[lift], scaled)
+                take = np.isfinite(bound) & (bound <= _CANCELLATION * np.abs(lifted))
+            lift = lift[take]
+            value.flat[lift], err.flat[lift] = lifted[take], bound[take]
+            series.flat[lift] = False
+    series = np.flatnonzero(series)
     upper_terms, lower_terms = _term_count(e, a, 1.0 - h), _term_count(a, e, h)
     if upper_terms is None or lower_terms is None:
-        value, err = np.where(inside, math.nan, 0.0), np.where(inside, math.inf, 0.0)
-    else:
+        value.flat[series], err.flat[series] = math.nan, math.inf
+    elif series.size:
+        x = t.flat[series]
+        below = x < h
         with np.errstate(all="ignore"):
-            upper, upper_err = _binomial_series(e, a, 0.0, np.where(t < h, 1.0 - h, 1.0 - t),
+            upper, upper_err = _binomial_series(e, a, 0.0, np.where(below, 1.0 - h, 1.0 - x),
                                                 upper_terms)
-            lower, lower_err = _binomial_series(a, e, np.minimum(t, h), h, lower_terms, scaled)
             if scaled:
-                upper, upper_err = upper * t ** -(a + 1.0), upper_err * t ** -(a + 1.0)
-            value = np.where(inside, upper + lower, 0.0)
-            err = np.where(inside, upper_err + lower_err + _EPS * np.abs(value), 0.0)
+                upper, upper_err = upper * x ** -(a + 1.0), upper_err * x ** -(a + 1.0)
+            # above h the lower part is empty
+            if np.any(below):
+                lower, lower_err = _binomial_series(a, e, x[below], h, lower_terms, scaled)
+                upper[below] += lower
+                upper_err[below] += lower_err
+            value.flat[series] = upper
+            err.flat[series] = upper_err + _EPS * np.abs(upper)
     with np.errstate(invalid="ignore"):
         settled = np.isfinite(value) & (err <= _SERIES_RTOL * np.abs(value))
     numeric = np.flatnonzero(inside & ~settled)
@@ -707,6 +744,51 @@ def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralRes
             if not res.converged:
                 status = IntegralStatus.INCONCLUSIVE
     return IntegralResult(_unwrap(value), _unwrap(err), status, evaluations)
+
+
+def _by_parts(a: float, e: float, t: np.ndarray, scaled: bool):
+    """int_t^1 x**a (1-x)**e dx for -2 < a < -1, e > -1 and 0 < t < 1/2,
+    elementwise, with an error bound (times t**d with ``scaled``), by one
+    integration by parts (DLMF 8.17(iv)): with d = -(a+1),
+
+        J(a) = t**(a+1) (1-t)**(e+1) / d - (a+e+2) / d * J(a+1),
+
+    and J(a+1) = B(a+2, e+1) (1 - I_t(a+2, e+1)).  The bound counts, in eps
+    of the magnitude each multiplies: 2 + d |ln t| for the power of t (its
+    pow, and an ulp of its exponent magnified by the logarithm, as the
+    series count it); e + 5 for (1-t)**(e+1), where 1 - t rounds, the
+    division by d and the subtraction; 2 for the product with the
+    coefficient and the subtraction; (|a| + |e| + 2) / d of J(a+1) for
+    the rounding of the coefficient; and the coefficient times
+    16 eps B(a+2, e+1), the allowance of ``beta_tail``.  All in magnitudes:
+    a + e + 2 may have either sign.
+    """
+    d = -(a + 1.0)      # exact for -2 < a < -1
+    coef = (a + e + 2.0) / d
+    u = 1.0 - t
+    # 1 - I_t, as beta_tail takes it, loses the digits of I_t as I_t nears
+    # 1, and the subtraction below magnifies that; from I_t = 1/8 on the
+    # complement betaincc (about 7 times slower) keeps them
+    beta = beta_closed_form(a + 1.0, e).value
+    below = betainc(a + 2.0, e + 1.0, t)
+    rest = 1.0 - below
+    near = below > 0.125
+    rest[near] = betaincc(a + 2.0, e + 1.0, t[near])
+    tail = beta * rest
+    tail_err = 16.0 * _EPS * beta
+    power = t ** (d if scaled else a + 1.0)
+    top = u ** (e + 1.0) / d
+    if scaled:
+        tail, tail_err = tail * power, tail_err * power
+    else:
+        top = top * power
+    second = coef * tail
+    value = top - second
+    powered = np.abs(second) if scaled else np.abs(top)
+    err = abs(coef) * tail_err + _EPS * (
+        (e + 5.0) * np.abs(top) + 2.0 * np.abs(second) + (abs(a) + abs(e) + 2.0) / d * tail
+        + (2.0 + d * np.abs(np.log(t))) * powered)
+    return value, err
 
 
 def beta_pieces(a, e: float, lo, hi):
@@ -757,9 +839,6 @@ def beta_pieces(a, e: float, lo, hi):
     return value, err, level
 
 
-# Bound, relative to the value, above which an incomplete Beta difference
-# of beta_pieces is taken again by the series.
-_CANCELLATION = 1e-13
 # Pieces where t**(a+1) may fall below 2**-_FAR go to the series of
 # beta_pieces, which takes that power out.
 _FAR = 512.0

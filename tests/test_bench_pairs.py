@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -50,3 +51,40 @@ def test_record_counts_source_lines(tmp_path, monkeypatch):
                              "--change", str(tmp_path / "change"), "--out", str(out),
                              "--workloads", "cube_constants", "--seeds", "1-2"]) == 0
     assert json.loads(out.read_text())["src_lines"] == {"parent": 3, "change": 1}
+
+
+def test_max_relative_change_matches_numbers_in_order():
+    bench_pairs = _load()
+    parent = [("a", "(1.0, 2.0)"), ("b", "[4.0, 'x', 8.0]")]
+    change = [("a", "(1.0, 2.0)"), ("b", "[4.0, 'x', 8.5]")]
+    assert bench_pairs._max_relative_change(parent, change) == (0.0625, {"case": "b", "number": 1})
+    # the first of two equal moves, and nothing where nothing moved
+    assert bench_pairs._max_relative_change(
+        [("a", "2.0 4.0")], [("a", "3.0 6.0")]) == (0.5, {"case": "a", "number": 0})
+    assert bench_pairs._max_relative_change(parent, parent) == (0.0, None)
+
+
+@pytest.mark.parametrize("p, c, want", [
+    ("(0.0, 1.0)", "(1e-300, 1.0)", (math.inf, {"case": "a", "number": 0})),   # a moved zero
+    ("nan 1.0", "1.0 1.0", (math.inf, {"case": "a", "number": 0})),
+    ("(1.0, 2.0)", "(1.0, 2.0, 3.0)", (None, None)),                          # counts differ
+    ("[nan, inf, -inf]", "[nan, inf, -inf]", (0.0, None)),
+    ("-0.0", "0.0", (0.0, None))])
+def test_max_relative_change_edge_cases(p, c, want):
+    assert _load()._max_relative_change([("a", p)], [("a", c)]) == want
+
+
+def test_compare_records_digests_and_the_largest_change():
+    bench_pairs = _load()
+    parent = [("a", "1.0"), ("b", "2.0")]
+    entry = bench_pairs._compare({"parent": parent, "change": [("a", "1.0"), ("b", "2.5")]})
+    assert entry["parent"]["cases"] == entry["change"]["cases"] == 2
+    assert entry["parent"]["sha256"] != entry["change"]["sha256"]
+    assert not entry["identical"]
+    assert entry["max_relative_change"] == 0.25
+    assert entry["max_relative_change_at"] == {"case": "b", "number": 0}
+    same = bench_pairs._compare({"parent": parent, "change": list(parent)})
+    assert same["identical"] and same["parent"] == same["change"]
+    assert (same["max_relative_change"], same["max_relative_change_at"]) == (0.0, None)
+    differ = bench_pairs._compare({"parent": parent, "change": [("a", "1.0"), ("b", "2.0 3.0")]})
+    assert differ["max_relative_change"] is None and differ["max_relative_change_at"] is None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardy_cesaro import operators
+from hardy_cesaro import operators, quadrature
 from hardy_cesaro.operators import (OperatorDivergenceError, OperatorSpec,
                                     PowerSymbol, apply_commutator,
                                     apply_hardy_cesaro, apply_to_profile,
@@ -312,8 +312,9 @@ def test_tail_beyond_the_series_within_its_error(a, e, t0):
 
 def test_tail_power_beta_checks_the_series_bound(monkeypatch):
     # split at 1/2 whatever e: at (-1.5, 40, 0.45) the series then loses
-    # every digit, its bound says so, and the graded quadrature takes over
-    import hardy_cesaro.quadrature as quadrature
+    # every digit, its bound says so, and the finite line takes over; the
+    # lift onto beta_tail leaves it to them, as its bound (16 eps B(1/2, 41)
+    # times the coefficient 81) is 4.5 % of the value
     monkeypatch.setattr(quadrature, "_split", lambda e: 0.5)
     res = tail_power_beta(-1.5, 40.0, 0.45)
     assert res.status is IntegralStatus.CONVERGED
@@ -323,13 +324,60 @@ def test_tail_power_beta_checks_the_series_bound(monkeypatch):
 
 def test_tail_power_beta_array_matches_scalar_calls():
     t0 = np.concatenate([[0.0, 1.0], np.geomspace(1e-25, 0.999, 40)])
-    for a, e in ((-1.2, 0.1), (-2.0, 0.5), (0.3, -0.4)):
-        whole = tail_power_beta(a, e, t0[1:]).value
-        for t, v in zip(t0[1:], whole):
-            assert tail_power_beta(a, e, float(t)).value == v
+    # with -2 < a < -1 an element below h = _split(e) is lifted onto
+    # beta_tail unless the lift cancels (just below h at e = 47); the others,
+    # a = -1 - 1e-12 and a = -2 throughout, keep the series
+    lifts = []
+    for a, e in ((-1.2, 0.1), (-2.0, 0.5), (0.3, -0.4), (-1.0 - 1e-12, 0.5), (-1.97, 47.0)):
+        h = quadrature._split(e)
+        t = np.sort(np.concatenate([t0[1:], h * (1.0 - np.geomspace(1e-12, 0.5, 8))]))
+        for scaled in (False, True):
+            whole = tail_power_beta(a, e, t, scaled).value
+            for x, v in zip(t, whole):
+                assert tail_power_beta(a, e, float(x), scaled).value == v, (a, e, x, scaled)
+            if -2.0 < a < -1.0:
+                below = t < h
+                lifted = whole[below] == quadrature._by_parts(a, e, t[below], scaled)[0]
+                lifts.append((a, scaled, lifted.sum(), (~lifted).sum()))
+    assert all(n > 0 for a, _, n, _ in lifts if a < -1.1)
+    assert all(n == 0 for a, _, n, _ in lifts if a > -1.1)
+    assert all(rest > 0 for a, _, _, rest in lifts if a < -1.9)
     out = tail_power_beta(-1.2, 0.1, t0)
     assert out.status is IntegralStatus.DIVERGENT
     assert np.isinf(out.value[0])
+
+
+def test_tail_power_beta_lifted_tails_mpmath_oracle():
+    # -2 < a < -1 with t0 below h = _split(e): t0**(a+1) (1-t0)**(e+1) / d
+    # - (a+e+2) / d * beta_tail(a+1, e, t0), d = -(a+1), where its bound is
+    # within 1e-13 of the value, else the series
+    rng = np.random.default_rng(15)
+    draws = [(-1.999, 50.0, 1e-300), (-1.001, -0.999, 0.4999), (-1.5, 0.0, 1e-300),
+             (-1.077, 0.078, 0.254), (-1.9999, 2.0, 1e-150), (-1.0001, 30.0, 1e-3)]
+    for i in range(120):
+        a = float(rng.uniform(-2.0, -1.0))
+        e = float(rng.uniform(-0.999, 2.0)) if i % 2 else float(rng.uniform(-0.999, 50.0))
+        h = quadrature._split(e)
+        if i % 4 < 3:
+            t0 = float(10.0 ** rng.uniform(-300.0, math.log10(h)))
+        else:
+            t0 = h * (1.0 - float(10.0 ** rng.uniform(-12.0, -1.0)))
+        draws.append((a, e, t0))
+    lifted = 0
+    for a, e, t0 in draws:
+        for scaled in (False, True):
+            res = tail_power_beta(a, e, t0, scaled=scaled)
+            with mpmath.workdps(50):
+                ref = mpmath.betainc(a + 1, e + 1, mpmath.mpf(t0), 1)
+                if scaled:
+                    ref *= mpmath.mpf(t0) ** -(a + 1)
+            assert res.status is IntegralStatus.CONVERGED
+            assert res.evaluations == 0, (a, e, t0, scaled)
+            miss = abs(res.value - ref)
+            assert miss <= res.abs_error, (a, e, t0, scaled)
+            assert miss <= 1e-12 * ref, (a, e, t0, scaled)
+            lifted += res.value == quadrature._by_parts(a, e, np.array([t0]), scaled)[0][0]
+    assert lifted >= 0.6 * 2 * len(draws)
 
 
 def test_commutator_profile_values_independent_of_grid():
@@ -418,20 +466,34 @@ def _mp_commutator(psi, bs, profiles, symbols, r):
             return out
 
         edges = [lo] + cuts
-        head = 0
+        head = []
         if lo == 0:
             # below their first breakpoints the inputs are power laws, and the
             # integrand is t**a0; x = t**(1 + a0) takes that off
             a0 = c + sum(b * p.local_exponent("zero") for p, b in zip(profiles, bs))
             q = 1 / (1 + mpmath.mpf(a0))
             edges = cuts or [mpmath.mpf(1) / 2]
-            head = mpmath.quad(lambda x: g(x ** q, 1 - x ** q) * q * x ** (q - 1),
-                               [0, edges[0] ** (1 / q)])
-        inner = mpmath.quad(lambda t: g(t, 1 - t), edges) if len(edges) > 1 else 0
+            head = [(lambda x: g(x ** q, 1 - x ** q) * q * x ** (q - 1),
+                     [0, edges[0] ** (1 / q)])]
+        # dyadic cuts from the last breakpoint up to 1/2: above it the
+        # integrand can peak at that breakpoint however far below 1 it lies
+        last = edges[-1]
+        edges = edges + [mpmath.mpf(2) ** -j for j in range(int(-mpmath.log(last, 2)), 0, -1)
+                         if mpmath.mpf(2) ** -j > last]
+        inner = [(lambda t: g(t, 1 - t), edges)] if len(edges) > 1 else []
         # s = y**p takes the s**(e + m) behaviour at t = 1 off the integrand
         p = 1 / (1 + mpmath.mpf(e) + len(symbols))
-        return head + inner + mpmath.quad(lambda y: g(1 - y ** p, y ** p) * p * y ** (p - 1),
-                                          [0, (1 - edges[-1]) ** (1 / p)])
+        parts = head + inner + [(lambda y: g(1 - y ** p, y ** p) * p * y ** (p - 1),
+                                 [0, (1 - edges[-1]) ** (1 / p)])]
+
+        def total(unit):
+            return mpmath.fsum(mpmath.quad(lambda t: f(t) / unit, at) for f, at in parts)
+
+        # quad stops at an absolute error of about 10**-25, more than an ulp
+        # of values below about 1e-8: there a second pass over the integrand
+        # divided by the first value makes it relative
+        rough = total(1)
+        return rough if not 0 < abs(rough) < 1e-8 else total(abs(rough)) * abs(rough)
 
 
 @st.composite
@@ -674,6 +736,16 @@ def test_graded_support_that_starts_deep_inside(profile, a, b, r, want):
     res = operators._graded(spec, [SampledProfile(*profile)], (), r, tol)
     assert res.status is IntegralStatus.CONVERGED
     assert abs(res.value - want) <= min(res.abs_error, tol * max(1.0, want))
+
+
+@pytest.mark.parametrize("k", [100, 200])
+def test_mp_reference_where_the_support_starts_deep_inside(k):
+    # the reference took [2**(2-k), 1] in one quad, which missed the peak at
+    # its left end, and quad's absolute stopping rule (about 1e-25) ignored
+    # the value's own size: 35 % off at 2**100 and 16 % at 2**200
+    r = 2.0 ** k
+    got = float(_mp_commutator((0.0, 0.0, 1.0), (1.0,), [SampledProfile(*_STEP)], (), r))
+    assert got == pytest.approx((3.0 - 1.0 / math.log(2.0)) / r, rel=1e-14, abs=0.0)
 
 
 def test_graded_min_power_operator_with_many_breakpoints():

@@ -17,8 +17,8 @@ records, for the case outputs and for the operator outputs the verifiers
 compute (captured as hcbench's checks capture them), a sha256 of their
 repr and the largest relative change of any number in them (the numbers
 of each case's repr, matched in order), so a move at rounding level shows
-as a figure; ``--trace-seed`` adds the per-layer metrics of one traced
-round.
+as a figure, with the case and the index of the number where it sits;
+``--trace-seed`` adds the per-layer metrics of one traced round.
 """
 
 from __future__ import annotations
@@ -131,24 +131,31 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:inf|nan)\b
 
 def _max_relative_change(parent: list, change: list):
     """Largest |c / p - 1| over the numbers of each case's output repr,
-    matched in order (inf where a zero moved); None where two outputs do
-    not hold the same count of numbers."""
-    worst = 0.0
-    for (_, p), (_, c) in zip(parent, change):
+    matched in order (inf where a zero moved or a NaN meets a number), and
+    where it first sits:
+    {"case": name, "number": index of the number in that repr}, None
+    where no number moved.  (None, None) where two outputs do not hold
+    the same count of numbers."""
+    worst, at = 0.0, None
+    for (name, p), (_, c) in zip(parent, change):
         ps, cs = _NUMBER.findall(p), _NUMBER.findall(c)
         if len(ps) != len(cs):
-            return None
-        for x, y in zip(map(float, ps), map(float, cs)):
+            return None, None
+        for i, (x, y) in enumerate(zip(map(float, ps), map(float, cs))):
             if x != y and not (math.isnan(x) and math.isnan(y)):
-                worst = max(worst, abs(y / x - 1.0) if x != 0.0 else math.inf)
-    return worst
+                moved = abs(y / x - 1.0) if x != 0.0 else math.inf
+                moved = math.inf if math.isnan(moved) else moved    # NaN against a number
+                if at is None or moved > worst:
+                    worst, at = moved, {"case": name, "number": i}
+    return worst, at
 
 
 def _compare(sides: dict) -> dict:
     entry = {side: {"sha256": _digest(f"{n} {v}" for n, v in rows), "cases": len(rows)}
              for side, rows in sides.items()}
     entry["identical"] = sides["parent"] == sides["change"]
-    entry["max_relative_change"] = _max_relative_change(sides["parent"], sides["change"])
+    entry["max_relative_change"], entry["max_relative_change_at"] = \
+        _max_relative_change(sides["parent"], sides["change"])
     return entry
 
 
