@@ -27,9 +27,9 @@ kind's factor where it has one.  It takes constants with no closed Beta
 form on the piecewise line in v = ln t where their kernel has a PowerBeta
 or MinDensity psi and curves t**b with b > 0: A, A1, A2, XIAO and
 COMMUTATOR_COR_PLAIN of reduced min-power kernels, COMMUTATOR_MH with
-curves t**b, b != 1, or reduced, and XIAO_LOG.  Callback kernels,
-COMMUTATOR_COR beyond its folded closed form, and line values that do not
-converge go to the graded integrator.
+curves t**b, b != 1, or reduced, and XIAO_LOG; pieces of the line that do
+not settle are bisected there.  Callback kernels and COMMUTATOR_COR beyond
+its folded closed form go to the graded integrator.
 
 A ``Divergent`` status is a valid answer for kernel constants.  The
 structural constants (C upper factor, D and E lower factors) are finite

@@ -7,32 +7,31 @@ whose psi is the density of m (``MinDensity``; ``LogMinDensity`` with the
 XiaoLog factor log(2/t_1)).  At n = 1 it turns a MinPower curve into a
 power curve and a one-factor ProductPowerBeta into a PowerBeta.
 
-Two integrators live here.  The piecewise line (``integrate_log_line``)
-takes n = 1 kernel integrals with a PowerBeta or MinDensity psi and power
-curves t**b, b > 0, in v = ln t: fixed Gauss-Jacobi, Gauss-Legendre and
-Gauss-Laguerre pieces at two orders, one integrand evaluation per
-integral.  ``kernel_power_integral`` is the one entry point for kernel
-integrals: a Beta closed form where there is one, else the line, the
-reduced min-power kernels included.  The line, the operators' ramp
-pieces, ``tail_power_beta`` beyond its series (the finite line from ln t0
-to 0, ``_finite_line``) and the numeric shells of ``norms`` sum their
-pieces with ``piece_sums``; the operators' other pieces are incomplete
-Beta integrals (``beta_pieces``), and all but the shells take their
-results from ``_line_verdicts``.  ``tail_power_beta`` takes a <= -1
-by binomial 2F1 series, except that -2 < a < -1 below the series' split
+Two integrators live here, and one bisecting loop (``_bisected``) serves
+both: Gauss pieces in v = ln t, each summed at two orders, bisected until
+their two sums agree.  ``kernel_power_integral`` is the one entry point
+for kernel integrals: a Beta closed form where there is one, else the
+piecewise line (``integrate_log_line``) for n = 1 kernels with a
+PowerBeta or MinDensity psi and power curves t**b, b > 0, the reduced
+min-power kernels included, whose first pass is a Gauss-Jacobi piece at
+v = 0, dyadic Gauss-Legendre pieces and a Gauss-Laguerre head; else the
+graded integrator ``integrate_unit_cube``, whose first pass covers v from
+the smallest normal float to 0, cut at the line's dyadic edges and at the
+integrand's breakpoints, a ``reflected`` companion g(u) = f(1 - u) taking
+the nodes above t = 1/2 from the exact u = 1 - t.  The mass below the
+smallest normal float is bounded from the declared order at t = 0, and a
+value whose bound alone exceeds the tolerance is ``Inconclusive``.
+The line, the operators' ramp pieces, ``tail_power_beta`` beyond its
+series (the finite line from ln t0 to 0, ``_finite_line``) and the
+numeric shells of ``norms`` sum their pieces with ``piece_sums``; the
+operators' other pieces are incomplete Beta integrals
+(``beta_pieces``), and the operators and ``_finite_line`` take their
+results from ``_line_verdicts``.  ``tail_power_beta`` takes a <= -1 by
+binomial 2F1 series, except that -2 < a < -1 below the series' split
 point is lifted by one integration by parts onto the incomplete Beta of
 a + 1 wherever the bound of that allows.  The Gauss-Jacobi and Gauss-Laguerre
 rules come from their three-term recurrences (``_golub_welsch``, no
 eigenvectors), so a rule of a new order costs well under a millisecond.
-What the line does not take, or does not settle, goes to the graded
-integrator ``integrate_unit_cube``: the same Gauss pair on pieces in
-v = ln t, from the smallest normal float to t = 1, cut at the dyadic
-edges of the line and at the integrand's breakpoints, with the
-Gauss-Jacobi weight at t = 1 and the pieces whose two sums disagree
-bisected until they agree; a ``reflected`` companion g(u) = f(1 - u)
-takes the nodes above t = 1/2 from the exact u = 1 - t.  The mass below
-the smallest normal float is bounded from the declared order at t = 0,
-and a value whose bound alone exceeds the tolerance is ``Inconclusive``.
 
 Divergence is decided structurally whenever the endpoint behavior is
 known: a declared endpoint exponent <= -1 yields ``Divergent`` without
@@ -61,9 +60,7 @@ from .numerics import LN2
 DEFAULT_BUDGET = 2 ** 22
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)   # smallest normal float
-# Rounding allowance of a summed integral, relative to a magnitude that
-# each use names: the summed |pieces| in integrate_unit_cube, |value| in
-# _line_verdicts.
+# Rounding allowance of a summed integral, relative to its summed |pieces|.
 ROUNDING = 64.0 * _EPS
 
 
@@ -261,9 +258,7 @@ def _endpoint_pair(endpoint_exponents) -> Tuple[float, float]:
 # and h analytic on v < 0 apart from a factor (-v)**order at v = 0 (the
 # order of f at t = 1, since 1 - t = -expm1(v) has a simple zero there);
 # as v -> -inf, h tends to its limit (or to a polynomial in v) like
-# e^{decay v}.  Pieces whose widths double away from v = 0 resolve the
-# factor at v = 0, and a Gauss-Laguerre head takes e^{rate v} down to
-# -inf, so nothing is truncated.
+# e^{decay v}.
 
 _HEAD_DECAY = 40.0   # the head starts where e^{-max(rate, decay) |v|} <= e^-40
 _RATE_SPAN = 40.0    # e^{rate v} falls by at most e^-40 across the Jacobi piece
@@ -274,17 +269,17 @@ def _line_verdicts(values: np.ndarray, errors: np.ndarray, sizes: Sequence[int],
     """One result per row of pieces from their values and error bounds,
     the rows taking ``sizes`` consecutive pieces each (a Gauss piece's
     value is its finer rule sum from ``piece_sums``, its bound the
-    difference of the two sums): the value is the fsum of the row's
-    values, and abs_error the fsum of its bounds plus the rounding
-    allowance ROUNDING * |value|.  Converged when that abs_error is at
-    most tol * max(1, |value|); inconclusive otherwise.  Row i reports
+    difference of the two sums): value and abs_error as ``_bisected``
+    gives them with no mass, converged when abs_error, rounding allowance
+    included, is at most tol * max(1, |value|).  Row i reports
     ``evaluations[i]`` evaluations."""
+    signed = bool(np.any(values < 0.0))   # else each row's summed |values| is |value|
     values, errors = values.tolist(), errors.tolist()
     out, a = [], 0
     for size, count in zip(sizes, evaluations):
         value = fsum(values[a:a + size])
-        # the allowance of |value| (integrate_unit_cube takes it of the summed |pieces|)
-        err = fsum(errors[a:a + size]) + ROUNDING * abs(value)
+        magnitude = fsum(map(abs, values[a:a + size])) if signed else abs(value)
+        err = fsum(errors[a:a + size]) + ROUNDING * magnitude
         converged = math.isfinite(err) and err <= tol * max(1.0, abs(value))
         out.append(IntegralResult(value, err, IntegralStatus.CONVERGED if converged
                                   else IntegralStatus.INCONCLUSIVE, count))
@@ -298,21 +293,77 @@ def _first_depth(rate: float) -> int:
     return math.ceil(math.log2(max(1.0, min(rate / _RATE_SPAN, 1.0 / _TINY))))
 
 
+def _bisected(values: Callable, lo: np.ndarray, hi: np.ndarray, order: float, tol: float,
+              head: Optional[Tuple[float, float]] = None, mass: float = 0.0,
+              evaluations: int = 0, budget: int = DEFAULT_BUDGET) -> IntegralResult:
+    """The integral of ``values`` over the pieces [lo, hi] of a line in v,
+    and over the head (-inf, end] when ``head = (end, rate)`` is given.
+
+    A pass sums its pieces by ``piece_sums``, a piece [lo, 0] with the
+    Gauss-Jacobi weight (-v)**order where order < 40, and the head on the
+    first pass only.  A piece's bound is |fine - coarse|, and for each
+    half of a bisected piece at least half the miss of that piece's fine
+    sum against theirs.  Converged when the summed bounds and the
+    unresolved ``mass`` are within tol * max(1, |value|); otherwise the
+    pieces whose bound exceeds their share of that are bisected (the
+    head, of infinite width, never is) and summed again.  Inconclusive
+    when the mass alone exceeds the tolerance, when no piece can be
+    bisected, or when the next pass would take ``evaluations`` past
+    ``budget``.  ``abs_error`` is the summed bounds and the mass, plus
+    ROUNDING times the summed |pieces| (reported, not tested).
+    """
+    jacobi = order < 40.0    # the Jacobi rules are checked up to order 40
+    order = order if jacobi else 0.0
+    parent, pieces = np.empty(0), np.empty((4, 0))   # lo, hi, fine sum and bound
+    value, err, rounding = math.nan, math.inf, 0.0
+    status = IntegralStatus.INCONCLUSIVE
+    while evaluations + 3 * PIECE_RULE * (lo.size + (head is not None)) <= budget:
+        coarse, fine = piece_sums(values, lo, hi, (hi == 0.0) & jacobi, order, head)
+        if head is not None:
+            lo, hi, head = np.append(lo, -np.inf), np.append(hi, head[0]), None
+        evaluations += 3 * PIECE_RULE * lo.size
+        bound = np.abs(fine - coarse)
+        if parent.size:
+            # the halves of a bisected piece share the miss of its fine sum,
+            # which shows a jump that lies beyond both rules' outermost nodes
+            miss = 0.5 * np.abs(parent - fine[:parent.size] - fine[parent.size:])
+            bound = np.maximum(bound, np.tile(miss, 2))
+        pieces = np.concatenate([pieces, [lo, hi, fine, bound]], axis=1)
+        value, err = fsum(pieces[2].tolist()), fsum(pieces[3].tolist())
+        rounding = ROUNDING * fsum(np.abs(pieces[2]).tolist())
+        room = tol * max(1.0, abs(value)) - mass
+        if not (math.isfinite(value) and room >= 0.0):
+            break
+        if err <= room:
+            status = IntegralStatus.CONVERGED
+            break
+        mid = 0.5 * (pieces[0] + pieces[1])
+        split = (pieces[3] > room / pieces.shape[1]) & (pieces[0] < mid) & (mid < pieces[1])
+        if not np.any(split):
+            break
+        parent = pieces[2, split]
+        lo = np.concatenate([pieces[0, split], mid[split]])
+        hi = np.concatenate([mid[split], pieces[1, split]])
+        pieces = pieces[:, ~split]
+    return IntegralResult(value, err + mass + rounding, status, evaluations)
+
+
 def integrate_log_line(reduced: Callable, rate: float, order: float, decay: float,
                        tol: float, steepness: float = 0.0) -> IntegralResult:
-    """int_{-inf}^0 e^{rate v} reduced(v) dv in one evaluation of ``reduced``.
+    """int_{-inf}^0 e^{rate v} reduced(v) dv on Gauss pieces in v.
 
-    The pieces are [-2**-J, 0], with the Gauss-Jacobi weight (-v)**order;
-    [-2**(k+1), -2**k] for -J <= k < K, Gauss-Legendre; and the head
-    (-inf, v_L], v_L = -2**K, Gauss-Laguerre in x = rate (v_L - v).  2**-J
+    The first pass takes the pieces [-2**-J, 0], with the Gauss-Jacobi
+    weight (-v)**order below order 40; [-2**(k+1), -2**k] for -J <= k < K,
+    Gauss-Legendre; and the head (-inf, v_L], v_L = -2**K, Gauss-Laguerre
+    in x = rate (v_L - v), all in one evaluation of ``reduced``.  2**-J
     is the largest power of two up to 1 with max(rate, steepness) 2**-J
     <= 40, so that across that piece e^{rate v} falls by at most e^-40 and
     ``reduced``, which varies like e^{steepness v} near v = 0, by no more;
     2**K is the first power of two from max(2**-J, 40 / max(rate, decay))
     on, so the head either carries at most e^-40 of the integral or sees
-    ``reduced`` within e^-40 of its limit.  Each piece is summed at
-    PIECE_RULE and 2 * PIECE_RULE points, and ``_line_verdicts`` gives the
-    result.  Divergent, with no evaluation, when rate <= 0 or order <= -1.
+    ``reduced`` within e^-40 of its limit.  ``_bisected`` sums the pieces
+    and bisects those that do not settle, as for ``integrate_unit_cube``.
+    Divergent, with no evaluation, when rate <= 0 or order <= -1.
     ``tol`` must lie in [1e-14, 1e-2], as for ``integrate_unit_cube``.
     """
     _check_tol(tol)
@@ -325,10 +376,8 @@ def integrate_log_line(reduced: Callable, rate: float, order: float, decay: floa
     def values(v):
         return np.exp(rate * v) * np.asarray(reduced(v.ravel()), dtype=float).reshape(v.shape)
 
-    coarse, fine = piece_sums(values, edges, np.append(0.0, edges[:-1]), edges == edges[0],
-                              order, head=(float(edges[-1]), rate))
-    return _line_verdicts(fine, np.abs(fine - coarse), [fine.size],
-                          [3 * PIECE_RULE * fine.size], tol)[0]
+    return _bisected(values, edges, np.append(0.0, edges[:-1]), order, tol,
+                     head=(float(edges[-1]), rate))
 
 
 def integrate_unit_cube(integrand: Callable, n: int, tol: float,
@@ -340,26 +389,15 @@ def integrate_unit_cube(integrand: Callable, n: int, tol: float,
     """int_0^1 integrand(t) dt as int g(v) dv, g(v) = integrand(e^v) e^v,
     on adaptive Gauss pieces in v = ln t.
 
-    The pieces cover [ln(smallest normal float), 0], whatever the
-    breakpoints; their edges are the dyadic edges -2**k of
-    ``integrate_log_line`` (the piece at 0 no wider than 40 / (at0 + 1))
-    and ln t of every breakpoint.  Each piece is summed by ``piece_sums``
-    at PIECE_RULE and 2 * PIECE_RULE points, the piece at 0 with the
-    Gauss-Jacobi weight (-v)**at1 where at1 < 40.
-    Nodes with v > -ln 2 go through ``reflected`` at u = -expm1(v) when it
-    is given, otherwise through ``integrand`` at e^v kept below 1.
-
-    A piece's bound is |fine - coarse|, and for each half of a bisected
-    piece at least half the miss of that piece's fine sum against theirs.
-    Below the cover lies the unresolved mass |g(floor)| / (at0 + 1), the
-    tail of a pure power at the floor, and none where at0 = inf.  The
-    value is converged when the summed bounds and that mass are within
-    tol * max(1, |value|); otherwise the pieces whose bound exceeds their
-    share of the tolerance are bisected and summed again.  It is
-    inconclusive when the mass alone exceeds the tolerance, when no piece
-    can be bisected further, or when the next pass would pass ``budget``.
-    ``abs_error`` is the summed bounds and the mass, plus a rounding
-    allowance of ROUNDING times the summed |pieces|.
+    The first pass covers [ln(smallest normal float), 0], whatever the
+    breakpoints, cut at the dyadic edges -2**k of ``integrate_log_line``
+    (the piece at 0 no wider than 40 / (at0 + 1)) and at ln t of every
+    breakpoint; ``_bisected`` takes it from there, with the weight
+    (-v)**at1 at 0.  Nodes with v > -ln 2 go through ``reflected`` at
+    u = -expm1(v) when it is given, otherwise through ``integrand`` at e^v
+    kept below 1.  Below the cover lies the unresolved mass
+    |g(floor)| / (at0 + 1), the tail of a pure power at the floor, and
+    none where at0 = inf.
 
     Parameters
     ----------
@@ -397,7 +435,6 @@ def integrate_unit_cube(integrand: Callable, n: int, tol: float,
     first = 0 if vanishing else _first_depth(at0 + 1.0)
     edges = np.concatenate([-np.exp2(np.arange(-first, 10.0)), np.log(points), [0.0]])
     edges = np.unique(np.append(edges[edges > _LOG_TINY], _LOG_TINY))
-    order = at1 if at1 < 40.0 else 0.0     # the Jacobi rules are checked up to order 40
 
     def g(v):
         t = np.exp(v)
@@ -413,43 +450,11 @@ def integrate_unit_cube(integrand: Callable, n: int, tol: float,
     if not vanishing:
         with np.errstate(all="ignore"):
             floor, half = np.abs(g(np.array([_LOG_TINY, 0.5 * _LOG_TINY]))).tolist()
-        evaluations = 2
         if detect_growth and floor > 0.0 and floor >= half:
-            return _divergent(evaluations)
-        mass = floor / (at0 + 1.0)
-
-    lo, hi, parent = edges[:-1], edges[1:], np.empty(0)
-    pieces = np.empty((4, 0))       # lo, hi, fine sum and error bound of the summed pieces
-    value, err, rounding = math.nan, math.inf, 0.0
-    status = IntegralStatus.INCONCLUSIVE
-    while evaluations + 3 * PIECE_RULE * lo.size <= budget:
-        coarse, fine = piece_sums(g, lo, hi, hi == 0.0, order)
-        evaluations += 3 * PIECE_RULE * lo.size
-        bound = np.abs(fine - coarse)
-        if parent.size:
-            # the halves of a bisected piece share the miss of its fine sum,
-            # which shows a jump that lies beyond both rules' outermost nodes
-            miss = 0.5 * np.abs(parent - fine[:parent.size] - fine[parent.size:])
-            bound = np.maximum(bound, np.tile(miss, 2))
-        pieces = np.concatenate([pieces, [lo, hi, fine, bound]], axis=1)
-        value, err = fsum(pieces[2].tolist()), fsum(pieces[3].tolist())
-        # the allowance of the summed |pieces| (_line_verdicts takes it of |value|)
-        rounding = ROUNDING * fsum(np.abs(pieces[2]).tolist())
-        room = tol * max(1.0, abs(value)) - mass
-        if not (math.isfinite(value) and room >= 0.0):
-            break
-        if err <= room:
-            status = IntegralStatus.CONVERGED
-            break
-        mid = 0.5 * (pieces[0] + pieces[1])
-        split = (pieces[3] > room / pieces.shape[1]) & (pieces[0] < mid) & (mid < pieces[1])
-        if not np.any(split):
-            break
-        parent = pieces[2, split]
-        lo = np.concatenate([pieces[0, split], mid[split]])
-        hi = np.concatenate([mid[split], pieces[1, split]])
-        pieces = pieces[:, ~split]
-    return IntegralResult(value, err + mass + rounding, status, evaluations)
+            return _divergent(2)
+        evaluations, mass = 2, floor / (at0 + 1.0)
+    return _bisected(g, edges[:-1], edges[1:], at1, tol, mass=mass,
+                     evaluations=evaluations, budget=budget)
 
 
 def beta_closed_form(a: float, e: float) -> IntegralResult:
@@ -1384,7 +1389,7 @@ def _line_integral(kernel: KernelSpec, orders: Tuple[float, float], tol: float,
     """The integral of ``kernel_power_integral`` on the piecewise line in
     v = ln t, given its endpoint orders, or None where the line does not
     apply: it needs a PowerBeta or MinDensity psi and curves t**b with
-    b > 0.
+    b > 0.  Its verdict is final: the line bisects what does not settle.
 
     On the line the psi's ``line_values`` (times the factor) is the
     reduced integrand; the curves' powers t**(b e) are exp(b e v) and go to
@@ -1417,10 +1422,10 @@ def kernel_power_integral(kernel: KernelSpec, exponents: Sequence[float],
     ``constants.kernel_constant`` does.  Power-shaped kernels (PowerBeta
     psi with PowerCurve curves) with no factor give the Beta function
     B(c + sum e_i b_i + 1, e + 1).  Everything else is taken on the
-    piecewise line in v = ln t where it applies (``_line_integral``), and
-    a line value that is inconclusive, or a kernel the line does not take,
-    goes to the graded numeric integrator with endpoint orders derived from
-    the descriptors; the evaluations of both add up.
+    piecewise line in v = ln t where it applies (``_line_integral``),
+    whatever its verdict, and a kernel the line does not take goes to the
+    graded numeric integrator with endpoint orders derived from the
+    descriptors.
     """
     e = [float(x) for x in exponents]
     if len(e) != kernel.m:
@@ -1436,12 +1441,7 @@ def kernel_power_integral(kernel: KernelSpec, exponents: Sequence[float],
         return res
     integrand, reflected, orders = power_law_integrand(kernel, e, factor)
     line = _line_integral(kernel, orders, tol, factor)
-    if line is not None and line.status is not IntegralStatus.INCONCLUSIVE:
+    if line is not None:
         return line
-    res = integrate_unit_cube(integrand, 1, tol, orders,
-                              detect_growth=kernel.has_callback(),
-                              reflected=reflected)
-    if line is None:
-        return res
-    return IntegralResult(res.value, res.abs_error, res.status,
-                          res.evaluations + line.evaluations)
+    return integrate_unit_cube(integrand, 1, tol, orders,
+                               detect_growth=kernel.has_callback(), reflected=reflected)

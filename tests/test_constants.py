@@ -9,7 +9,7 @@ from hardy_cesaro import quadrature
 from hardy_cesaro.constants import (ConstantKind, StructuralKind, kernel_constant,
                                     structural_constant)
 from hardy_cesaro.parameters import ExponentSet
-from hardy_cesaro.quadrature import (CurveCallback, IntegralResult, IntegralStatus,
+from hardy_cesaro.quadrature import (CurveCallback, IntegralStatus,
                                      KernelSpec, MinPower, PowerBeta, PowerCurve,
                                      ProductPowerBeta)
 from hardy_cesaro.weights import HomogeneousWeight
@@ -307,29 +307,39 @@ def test_high_rate_constants_settle_on_the_line(c, e):
     assert res.evaluations < 400
 
 
-def test_line_without_convergence_falls_back_to_graded(monkeypatch):
-    # an n = 2 min-power CommutatorMH constant whose line value is made
-    # inconclusive: the graded integrator's value and status, with the
-    # evaluations of both
-    ex = make(m=1, n=2, alpha_i=[0.3], lambda_i=[0.5], beta_i=[0.4])
-    kernel = KernelSpec(2, ProductPowerBeta(((-0.2, 0.1), (0.3, -0.4)), 1.5), (MinPower(1.3),))
-    with monkeypatch.context() as patch:
-        patch.setattr(quadrature, "_line_integral", lambda *args: None)
-        graded = kernel_constant(ConstantKind.COMMUTATOR_MH, ex, kernel, tol=1e-8)
-    line, seen = quadrature.integrate_log_line, []
+def _xiao_log_power_beta(c, e, scale=1.0):
+    """int_0^1 scale t**a (1-t)**e log(2/t) dt, a = c - 1/2, at dps 40:
+    B(a+1, e+1) (ln 2 + psi(a+e+2) - psi(a+1))."""
+    with mpmath.workdps(40):
+        a, e = c - mpmath.mpf(0.5), mpmath.mpf(e)
+        return scale * mpmath.beta(a + 1, e + 1) * (mpmath.log(2) + mpmath.digamma(a + e + 2)
+                                                    - mpmath.digamma(a + 1))
 
-    def unsettled(*args):
-        res = line(*args)
-        seen.append(res.evaluations)
-        return IntegralResult(res.value, res.abs_error, IntegralStatus.INCONCLUSIVE,
-                              res.evaluations)
 
-    monkeypatch.setattr(quadrature, "integrate_log_line", unsettled)
-    res = kernel_constant(ConstantKind.COMMUTATOR_MH, ex, kernel, tol=1e-8)
-    assert graded.status is IntegralStatus.CONVERGED and seen[0] > 0
-    assert (res.value, res.abs_error, res.status) == (graded.value, graded.abs_error,
-                                                        graded.status)
-    assert res.evaluations == graded.evaluations + seen[0]
+def test_unsettled_line_constant_bisects_on_the_line(monkeypatch):
+    # scale 1e10 puts the value above 1, where the first pass's bound is
+    # 2.1e-10 of it at tol 1e-10: its pieces are bisected on the line, where
+    # the graded integrator used to start over (818 evaluations in all)
+    def no_graded(*args, **kwargs):
+        raise AssertionError("the graded integrator was called")
+
+    monkeypatch.setattr(quadrature, "integrate_unit_cube", no_graded)
+    kernel = KernelSpec(1, PowerBeta(60.0, 5.0, 1e10), (PowerCurve(1.0),))
+    res = kernel_constant(ConstantKind.XIAO_LOG, make(p_i=[2.0]), kernel)
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - _xiao_log_power_beta(60.0, 5.0, 1e10)) <= res.abs_error
+    # the first pass is 3 pieces of 48 nodes
+    assert 144 < res.evaluations < 400
+
+
+@pytest.mark.parametrize("e", [1023.0, 1500.0])
+def test_line_order_beyond_the_jacobi_rules(e):
+    # order e at t = 1: the Jacobi rule's mass 2**(e+1) overflowed at
+    # e >= 1023; above order 40 the piece at 0 is a Legendre piece
+    kernel = KernelSpec(1, PowerBeta(3.0, e), (PowerCurve(1.0),))
+    res = kernel_constant(ConstantKind.XIAO_LOG, make(p_i=[2.0]), kernel)
+    assert res.status is IntegralStatus.CONVERGED
+    assert abs(res.value - _xiao_log_power_beta(3.0, e)) <= res.abs_error
 
 
 @pytest.mark.parametrize("factors, beta", [

@@ -192,6 +192,14 @@ def test_log_line_resolves_any_rate(rate):
     assert abs(res.value - 1.0 / rate) <= res.abs_error
 
 
+def test_line_verdicts_rounding_of_the_summed_pieces():
+    # two pieces that cancel to 1e-12: the rounding allowance is of the
+    # pieces' magnitudes, not of the 1e-12 left of them
+    res = quadrature._line_verdicts(np.array([1.0, -1.0 + 1e-12]), np.zeros(2), [2], [0],
+                                    1e-10)[0]
+    assert res.abs_error >= quadrature.ROUNDING
+
+
 def test_callback_psi_self_test():
     good = PsiCallback(lambda t: t ** 0.5, ((0.5, 0.0),))
     KernelSpec(1, good, (PowerCurve(1.0),))
