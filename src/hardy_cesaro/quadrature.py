@@ -258,7 +258,9 @@ def _endpoint_pair(endpoint_exponents) -> Tuple[float, float]:
 # and h analytic on v < 0 apart from a factor (-v)**order at v = 0 (the
 # order of f at t = 1, since 1 - t = -expm1(v) has a simple zero there);
 # as v -> -inf, h tends to its limit (or to a polynomial in v) like
-# e^{decay v}.
+# e^{decay v}.  Pieces whose widths double away from v = 0 resolve the
+# factor at v = 0, and a Gauss-Laguerre head takes e^{rate v} down to
+# -inf, so nothing is truncated.
 
 _HEAD_DECAY = 40.0   # the head starts where e^{-max(rate, decay) |v|} <= e^-40
 _RATE_SPAN = 40.0    # e^{rate v} falls by at most e^-40 across the Jacobi piece
@@ -273,13 +275,11 @@ def _line_verdicts(values: np.ndarray, errors: np.ndarray, sizes: Sequence[int],
     gives them with no mass, converged when abs_error, rounding allowance
     included, is at most tol * max(1, |value|).  Row i reports
     ``evaluations[i]`` evaluations."""
-    signed = bool(np.any(values < 0.0))   # else each row's summed |values| is |value|
     values, errors = values.tolist(), errors.tolist()
     out, a = [], 0
     for size, count in zip(sizes, evaluations):
         value = fsum(values[a:a + size])
-        magnitude = fsum(map(abs, values[a:a + size])) if signed else abs(value)
-        err = fsum(errors[a:a + size]) + ROUNDING * magnitude
+        err = fsum(errors[a:a + size]) + ROUNDING * fsum(map(abs, values[a:a + size]))
         converged = math.isfinite(err) and err <= tol * max(1.0, abs(value))
         out.append(IntegralResult(value, err, IntegralStatus.CONVERGED if converged
                                   else IntegralStatus.INCONCLUSIVE, count))
