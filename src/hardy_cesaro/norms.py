@@ -191,6 +191,16 @@ class _Edge:
     tail: float
 
 
+def _median(x: list) -> float:
+    """The median of a short list of floats, equal to ``np.median`` bit for
+    bit: the middle term, or the mean of the middle two; NaN where a term is."""
+    if any(map(math.isnan, x)):
+        return math.nan
+    x = sorted(x)
+    half = len(x) // 2
+    return x[half] if len(x) % 2 else (x[half - 1] + x[half]) / 2.0
+
+
 def _edge_analysis(terms: np.ndarray, side: str) -> _Edge:
     """Geometric trend of the terms adjacent to one window edge.
 
@@ -206,8 +216,7 @@ def _edge_analysis(terms: np.ndarray, side: str) -> _Edge:
     run = run[-TAIL_TERMS:]
     if run.size < 2:
         return _Edge("short", math.nan, math.inf)
-    ratios = run[1:] / run[:-1]
-    rho = float(np.median(ratios))
+    rho = _median((run[1:] / run[:-1]).tolist())
     if rho > 1.0 + RATIO_EPS:
         return _Edge("grow", rho, math.inf)
     if rho < 1.0 - RATIO_EPS:
@@ -302,8 +311,7 @@ def morrey_herz_norm(profile: RadialProfile, weight: HomogeneousWeight,
     # weighted partial sums growing toward the left edge: sup escapes to -inf
     head = g[:TAIL_TERMS]
     if head[0] > 0 and head.size >= 3:
-        out_ratios = head[:-1] / head[1:]
-        if float(np.median(out_ratios)) > 1.0 + RATIO_EPS:
+        if _median((head[:-1] / head[1:]).tolist()) > 1.0 + RATIO_EPS:
             return NormResult(math.inf, (kmin, kmax), None, math.inf, NormStatus.INFINITE)
 
     right = _edge_analysis(u, "right")

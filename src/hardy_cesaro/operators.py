@@ -53,7 +53,7 @@ from .numerics import LN2
 from .profiles import (PowerLaw, RadialProfile, SampledProfile, ScaledProfile,
                        TruncatedPowerLaw)
 from .quadrature import (PIECE_RULE, _MAX_PIECES, IntegralResult, IntegralStatus, KernelSpec,
-                         PowerBeta, PowerCurve, _divergent, _line_verdicts, _unwrap,
+                         PowerBeta, PowerCurve, _line_verdicts, _unwrap,
                          beta_closed_form, beta_pieces, integrate_unit_cube, min_reduction,
                          piece_sums, tail_power_beta)
 
@@ -252,6 +252,9 @@ def _operator_integrand(spec: OperatorSpec, profiles, r: float,
 # expansion diverges.
 
 _PIECE_WIDTH = 1.0       # widest Gauss piece in v = ln t
+# the state of a radius on the piecewise path is its index in _STATES
+_STATES = (IntegralStatus.CONVERGED, IntegralStatus.INCONCLUSIVE, IntegralStatus.DIVERGENT)
+_CONVERGED, _INCONCLUSIVE, _DIVERGENT = range(3)
 # elements of the temporary arrays: pieces x terms in a block of radii,
 # and nodes x pieces, _BLOCK_PIECES Gauss pieces at a time, in the sums
 _BLOCK = 2 ** 13
@@ -479,11 +482,13 @@ def _gauss_sums(setup: dict, lo: np.ndarray, hi: np.ndarray, log2_radius: np.nda
     return np.concatenate(fine), np.concatenate(diff), np.concatenate(owner)
 
 
-def _block_values(setup: dict, u: np.ndarray, ranges, tol: float) -> list:
-    """The verdicts at the log2 radii u of one block: an IntegralResult,
-    or None for a radius this path leaves to the graded integrator (a ramp
-    that reaches t = 0, more than _MAX_PIECES Gauss pieces, or a piece
-    whose value or bound is not finite)."""
+def _block_values(setup: dict, u: np.ndarray, ranges, tol: float):
+    """The arrays (value, error, evaluations, state) at the log2 radii u of
+    one block, ``state`` indexing _STATES: converged; divergent, where a
+    piece from t = 0 diverges; inconclusive for a radius this path leaves
+    to the graded integrator (its line verdict is not converged, or a ramp
+    reaches t = 0, or it has more than _MAX_PIECES Gauss pieces, or a piece
+    whose value or bound is not finite, which then counts no evaluations)."""
     lo, hi, sizes = _block_edges(setup, u, ranges)
     row = np.repeat(np.arange(u.size), sizes)
     mid = np.where(np.isfinite(lo), 0.5 * (lo + hi), hi - 1.0)
@@ -517,16 +522,19 @@ def _block_values(setup: dict, u: np.ndarray, ranges, tol: float) -> list:
     # a piece beyond the float range leaves its radius to the graded integrator
     finite = np.isfinite(values) & np.isfinite(errors)
     unsettled[owner[order][~finite]] = True
-    results = _line_verdicts(np.where(finite, values, 0.0), np.where(finite, errors, 0.0),
-                             np.bincount(owner, minlength=u.size).tolist(),
-                             (3 * PIECE_RULE * gauss).tolist(), tol)
-    return [None if unsettled[i] else _divergent() if divergent[i] else res
-            for i, res in enumerate(results)]
+    value, error, converged = _line_verdicts(np.where(finite, values, 0.0),
+                                             np.where(finite, errors, 0.0),
+                                             np.bincount(owner, minlength=u.size), tol)
+    divergent &= ~unsettled
+    state = np.where(converged & ~unsettled, _CONVERGED, _INCONCLUSIVE)
+    state[divergent] = _DIVERGENT
+    value[divergent], error[divergent] = math.inf, math.inf
+    return value, error, np.where(unsettled | divergent, 0, 3 * PIECE_RULE * gauss), state
 
 
-def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray,
-                      tol: float) -> list:
-    """Values at the radii, one IntegralResult each.
+def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray, tol: float):
+    """Values at the radii: the arrays (value, error, evaluations, state),
+    ``state`` indexing _STATES.
 
     A radius takes the fsum of its closed pieces, whose errors are the
     bounds of their special-function values, and of its Gauss pieces, each
@@ -535,29 +543,31 @@ def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray,
     the line, and inconclusive otherwise; divergent where a piece from
     t = 0 diverges.  A radius that is inconclusive, or that
     ``_block_values`` leaves aside, is integrated by the graded integrator
-    instead.  The radii go in blocks of about _BLOCK pieces times terms;
-    the pieces of a radius depend on that radius alone, so a value does
-    not depend on the grid or the block it arrives in.
+    instead, its evaluations added to the line's.  The radii go in blocks of
+    about _BLOCK pieces times terms; the pieces of a radius depend on that
+    radius alone, so a value does not depend on the grid or the block it
+    arrives in.
     """
     u = np.log2(radii)
     ranges = _breakpoint_ranges(setup, u)
     width = np.cumsum((1 + sum(last - first for first, last in ranges)) * setup["terms"])
-    results = []
+    out = (np.empty(radii.size), np.empty(radii.size), np.empty(radii.size, dtype=int),
+           np.empty(radii.size, dtype=int))
     a = 0
     while a < radii.size:
         b = max(a + 1, int(np.searchsorted(width, (width[a - 1] if a else 0) + _BLOCK,
                                            side="right")))
         block = _block_values(setup, u[a:b], [(first[a:b], last[a:b]) for first, last in ranges],
                               tol)
-        for i, res in enumerate(block, start=a):
-            if res is None or res.status is IntegralStatus.INCONCLUSIVE:
-                evaluations = 0 if res is None else res.evaluations
-                res = _graded(spec, setup["profiles"], setup["symbols"], float(radii[i]), tol)
-                res = IntegralResult(res.value, res.abs_error, res.status,
-                                     res.evaluations + evaluations)
-            results.append(res)
+        for whole, part in zip(out, block):
+            whole[a:b] = part
         a = b
-    return results
+    value, error, evaluations, state = out
+    for i in np.flatnonzero(state == _INCONCLUSIVE).tolist():
+        res = _graded(spec, setup["profiles"], setup["symbols"], float(radii[i]), tol)
+        value[i], error[i], state[i] = res.value, res.abs_error, _STATES.index(res.status)
+        evaluations[i] += res.evaluations
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -628,7 +638,10 @@ def _evaluate(spec: OperatorSpec, profiles, symbols, r: float,
                               res.evaluations)
     setup = _piecewise_setup(spec, profiles, symbols)
     if setup is not None:
-        return _piecewise_values(spec, setup, np.asarray([float(r)]), tol)[0]
+        value, error, evaluations, state = _piecewise_values(spec, setup,
+                                                             np.asarray([float(r)]), tol)
+        return IntegralResult(float(value[0]), float(error[0]), _STATES[state[0]],
+                              int(evaluations[0]))
     return _graded(spec, profiles, symbols, r, tol)
 
 
@@ -693,19 +706,23 @@ def _sample(spec: OperatorSpec, profiles, symbols, grid, tol) -> RadialProfile:
         if res.status is IntegralStatus.DIVERGENT:
             at = grid[np.argmax(~np.isfinite(res.value))]
             raise OperatorDivergenceError(f"{what} output is divergent at log2 radius {at}")
-        return SampledProfile(tuple(grid.tolist()), tuple(np.abs(res.value).tolist()))
+        return SampledProfile(grid, np.abs(res.value))
 
     setup = _piecewise_setup(spec, profiles, symbols)
-    if setup is not None:
-        results = _piecewise_values(spec, setup, np.exp2(grid), tol)
-    else:
-        results = (_graded(spec, profiles, symbols, float(2.0 ** u), tol) for u in grid)
-    values = []
-    for u, res in zip(grid, results):
-        if res.status is IntegralStatus.DIVERGENT:
-            raise OperatorDivergenceError(f"{what} output is divergent at log2 radius {u}")
-        values.append(abs(res.value))
-    return SampledProfile(tuple(grid.tolist()), tuple(values))
+    if setup is None:
+        values = []
+        for u in grid:
+            res = _graded(spec, profiles, symbols, float(2.0 ** u), tol)
+            if res.status is IntegralStatus.DIVERGENT:
+                raise OperatorDivergenceError(f"{what} output is divergent at log2 radius {u}")
+            values.append(abs(res.value))
+        return SampledProfile(grid, values)
+    value, _, _, state = _piecewise_values(spec, setup, np.exp2(grid), tol)
+    divergent = state == _DIVERGENT
+    if np.any(divergent):
+        at = grid[np.argmax(divergent)]
+        raise OperatorDivergenceError(f"{what} output is divergent at log2 radius {at}")
+    return SampledProfile(grid, np.abs(value))
 
 
 def apply_to_profile(spec: OperatorSpec, profiles: Sequence[RadialProfile],

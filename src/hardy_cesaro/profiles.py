@@ -194,8 +194,9 @@ class SampledProfile(RadialProfile):
     values: Tuple[float, ...]
 
     def __post_init__(self):
-        u = np.asarray(self.log2_radii, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        # copies, so that arrays the caller keeps cannot change the profile
+        u = np.array(self.log2_radii, dtype=float)
+        v = np.array(self.values, dtype=float)
         if u.ndim != 1 or u.size < 2:
             raise ValueError("log2_radii must contain at least two nodes")
         if v.shape != u.shape:
@@ -304,8 +305,9 @@ class SampledProfile(RadialProfile):
         first = np.searchsorted(a, edges)   # interval i holds pieces first[i]:first[i + 1]
         out = np.zeros(edges.size - 1)
         out[np.searchsorted(edges, a, side="right") - 1] = pieces
-        for i in np.flatnonzero(np.diff(first) > 1):
-            out[i] = math.fsum(pieces[first[i]:first[i + 1]])
+        starts, pieces = first.tolist(), pieces.tolist()
+        for i in np.flatnonzero(np.diff(first) > 1).tolist():
+            out[i] = math.fsum(pieces[starts[i]:starts[i + 1]])
         return out
 
 

@@ -266,25 +266,34 @@ _HEAD_DECAY = 40.0   # the head starts where e^{-max(rate, decay) |v|} <= e^-40
 _RATE_SPAN = 40.0    # e^{rate v} falls by at most e^-40 across the Jacobi piece
 
 
-def _line_verdicts(values: np.ndarray, errors: np.ndarray, sizes: Sequence[int],
-                   evaluations: Sequence[int], tol: float) -> list:
-    """One result per row of pieces from their values and error bounds,
-    the rows taking ``sizes`` consecutive pieces each (a Gauss piece's
-    value is its finer rule sum from ``piece_sums``, its bound the
-    difference of the two sums): value and abs_error as ``_bisected``
-    gives them with no mass, converged when abs_error, rounding allowance
-    included, is at most tol * max(1, |value|).  Row i reports
-    ``evaluations[i]`` evaluations."""
-    values, errors = values.tolist(), errors.tolist()
-    out, a = [], 0
-    for size, count in zip(sizes, evaluations):
-        value = fsum(values[a:a + size])
-        err = fsum(errors[a:a + size]) + ROUNDING * fsum(map(abs, values[a:a + size]))
-        converged = math.isfinite(err) and err <= tol * max(1.0, abs(value))
-        out.append(IntegralResult(value, err, IntegralStatus.CONVERGED if converged
-                                  else IntegralStatus.INCONCLUSIVE, count))
-        a += size
-    return out
+def _line_verdicts(values: np.ndarray, errors: np.ndarray, sizes: np.ndarray,
+                   tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(value, abs_error, converged) arrays, one element per row of pieces,
+    from the pieces' values and error bounds, the rows taking ``sizes``
+    consecutive pieces each (a Gauss piece's value is its finer rule sum
+    from ``piece_sums``, its bound the difference of the two sums).
+
+    A row's value is the fsum of its pieces, as ``_bisected`` gives it.
+    Its abs_error is the summed bounds plus ROUNDING times the summed
+    |pieces|, each sum of nonnegative terms taken in one array pass and
+    raised by (1 + size eps), so that it is never below its fsum.  A row
+    is converged when that is at most tol * max(1, |value|); an empty row
+    is 0, converged."""
+    sizes = np.asarray(sizes, dtype=int)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    pieces = values.tolist()
+    value = np.array([fsum(pieces[a:b]) for a, b in zip(starts.tolist(), ends.tolist())])
+    bound, magnitude = np.zeros(sizes.size), np.zeros(sizes.size)
+    rows = sizes > 0
+    if np.any(rows):
+        bound[rows] = np.add.reduceat(errors, starts[rows])
+        magnitude[rows] = np.add.reduceat(np.abs(values), starts[rows])
+    slack = 1.0 + sizes * _EPS
+    err = bound * slack + ROUNDING * (magnitude * slack)
+    with np.errstate(invalid="ignore"):
+        converged = np.isfinite(err) & (err <= tol * np.maximum(1.0, np.abs(value)))
+    return value, err, converged
 
 
 def _first_depth(rate: float) -> int:
@@ -460,13 +469,21 @@ def integrate_unit_cube(integrand: Callable, n: int, tol: float,
 def beta_closed_form(a: float, e: float) -> IntegralResult:
     """Analytic value of int_0^1 t**a (1-t)**e dt = B(a+1, e+1).
 
-    Divergent unless a > -1 and e > -1.  The reported error is an
-    ulp-scale bound on the log-Gamma evaluation.
+    Divergent unless a > -1 and e > -1.  The value is exp(betaln), whose
+    log-Gamma terms cancel: its error is 4 eps (1 + |lnG(a+1)| + |lnG(e+1)|
+    + |lnG(a+e+2)|) of the value (about 1.7e3 at B(201, 1.3), where the
+    value is 2.5e-13 off), plus the smallest subnormal for a value that
+    leaves the normal range.
     """
     if a <= -1.0 or e <= -1.0:
         return _divergent()
-    value = float(math.exp(betaln(a + 1.0, e + 1.0)))
-    return IntegralResult(value, 4.0 * _EPS * value, IntegralStatus.CONVERGED, 0)
+    x, y = a + 1.0, e + 1.0
+    value = float(math.exp(betaln(x, y)))
+    # math.lgamma overflows from about 2.5e305 on, and a bound from 1e300
+    # on is no bound anyway
+    magnitude = 1.0 + fsum(abs(math.lgamma(min(z, 1e300))) for z in (x, y, x + y))
+    err = 4.0 * _EPS * magnitude * value if value != 0.0 else 0.0
+    return IntegralResult(value, err + _EPS * _TINY, IntegralStatus.CONVERGED, 0)
 
 
 def beta_tail(c: float, e: float, t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -743,11 +760,10 @@ def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralRes
     numeric = np.flatnonzero(inside & ~settled)
     status, evaluations = IntegralStatus.CONVERGED, 0
     if numeric.size:
-        for i, res in zip(numeric, _finite_line(a, e, t.flat[numeric], scaled)):
-            value.flat[i], err.flat[i] = res.value, res.abs_error
-            evaluations += res.evaluations
-            if not res.converged:
-                status = IntegralStatus.INCONCLUSIVE
+        value.flat[numeric], err.flat[numeric], converged, evaluations = _finite_line(
+            a, e, t.flat[numeric], scaled)
+        if not np.all(converged):
+            status = IntegralStatus.INCONCLUSIVE
     return IntegralResult(_unwrap(value), _unwrap(err), status, evaluations)
 
 
@@ -904,10 +920,12 @@ def _series_pieces(a, e, lo, hi):
 _MAX_PIECES = 2 ** 12    # most Gauss pieces of one integral
 
 
-def _finite_line(a: float, e: float, t0: np.ndarray, scaled: bool) -> list:
+def _finite_line(a: float, e: float, t0: np.ndarray, scaled: bool):
     """int_{t0}^1 t**a (1-t)**e dt for a <= -1, e > -1 and each t0 in
     (0, 1) (with ``scaled``, times t0**-(a+1)), as the finite line
-    int_{ln t0}^0 e^{(a+1) v} (-expm1 v)**e dv in one ``piece_sums`` call.
+    int_{ln t0}^0 e^{(a+1) v} (-expm1 v)**e dv in one ``piece_sums`` call:
+    the arrays (value, abs_error, converged) of ``_line_verdicts`` and the
+    number of evaluations.
 
     Equal pieces no wider than 1 or than 20 / max(|a+1|, e t0 / (1 - t0)),
     the fastest fall of the integrand away from ln t0; an element that
@@ -940,7 +958,7 @@ def _finite_line(a: float, e: float, t0: np.ndarray, scaled: bool) -> list:
     coarse, fine = piece_sums(values, lo, hi, (hi == 0.0) & (e < 1.0), e)
     with np.errstate(invalid="ignore"):
         bound = np.abs(fine - coarse) + 2.0 * _EPS * ((a + 1.0) * start + abs(e)) * np.abs(fine)
-    return _line_verdicts(fine, bound, sizes, [3 * PIECE_RULE * n for n in sizes], 1e-10)
+    return (*_line_verdicts(fine, bound, sizes, 1e-10), 3 * PIECE_RULE * lo.size)
 
 
 # --------------------------------------------------------------------------

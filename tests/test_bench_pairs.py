@@ -88,3 +88,42 @@ def test_compare_records_digests_and_the_largest_change():
     assert (same["max_relative_change"], same["max_relative_change_at"]) == (0.0, None)
     differ = bench_pairs._compare({"parent": parent, "change": [("a", "1.0"), ("b", "2.0 3.0")]})
     assert differ["max_relative_change"] is None and differ["max_relative_change_at"] is None
+
+
+def test_checksum_seeds_run_without_timed_pairs(tmp_path, monkeypatch):
+    # --seeds '' runs no timed pair; the outputs are still compared per seed
+    bench_pairs, runs, outputs = _load(), [], []
+    monkeypatch.setattr(bench_pairs, "_run", lambda *args: runs.append(args))
+
+    def fake_outputs(checkout, workload, seed):
+        outputs.append((checkout.name, workload, seed))
+        value = "2.5" if checkout.name == "change" and seed == 2 else "2.0"
+        return [["case", value, "[]"]]
+
+    monkeypatch.setattr(bench_pairs, "_outputs", fake_outputs)
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "hardy_cesaro").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({"end_to_end": []}))
+    out = tmp_path / "BENCH.json"
+    assert bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), "--out", str(out),
+                             "--workloads", "t31_sampled,cube_constants", "--seeds", "",
+                             "--checksum-seeds", "1-2"]) == 0
+    assert runs == [] and len(outputs) == 8
+    record = json.loads(out.read_text())
+    assert record["workloads"] == {}
+    checks = record["output_checksums"]
+    assert sorted(checks) == ["cube_constants", "t31_sampled"]
+    assert [checks["t31_sampled"][s]["identical"] for s in ("1", "2")] == [True, False]
+    assert checks["t31_sampled"]["2"]["max_relative_change"] == 0.25
+    assert checks["t31_sampled"]["1"]["operator_outputs"]["identical"]
+
+
+def test_no_pairs_and_no_checksums_is_rejected(tmp_path, monkeypatch):
+    bench_pairs = _load()
+    monkeypatch.setattr(bench_pairs, "_run", lambda *args: pytest.fail("no run expected"))
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                          "--out", str(out), "--workloads", "cube_constants", "--seeds", ""])
+    assert exit_info.value.code == 2 and not out.exists()

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hardy_cesaro.norms import (NormStatus, _shell_integrals, _shell_norms, herz_norm,
-                                morrey_herz_norm, power_norm_closed, shell_norm)
+from hardy_cesaro.norms import (NormStatus, _median, _shell_integrals, _shell_norms,
+                                herz_norm, morrey_herz_norm, power_norm_closed, shell_norm)
 from hardy_cesaro.numerics import LN2
 from hardy_cesaro.parameters import ExponentSet
 from hardy_cesaro.profiles import (PowerLaw, RadialProfile, SampledProfile,
@@ -546,3 +546,15 @@ def test_finite_norm_tail_bound_invariant():
                     tol=1e-10)
     assert res.status is NormStatus.FINITE
     assert res.tail_bound <= 1e-10 * res.value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=5e-324, max_value=1.7e308), min_size=2, max_size=8))
+def test_list_median_matches_numpy(run):
+    # the ratios of a positive run of 2 to 8 terms, as the tail analysis takes them
+    terms = np.array(run)
+    with np.errstate(over="ignore", under="ignore"):
+        ratios = terms[1:] / terms[:-1]
+    got, want = _median(ratios.tolist()), float(np.median(ratios))
+    assert np.array_equal(np.array([got]), np.array([want]), equal_nan=True)
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)

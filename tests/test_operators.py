@@ -666,6 +666,30 @@ def test_piecewise_values_independent_of_grid_and_pointwise(with_symbols):
         assert abs(res.value) == v
 
 
+def test_piecewise_grid_keeps_its_results_in_arrays(monkeypatch):
+    # one fsum per radius, and no IntegralResult where no radius goes to
+    # the graded integrator
+    spec, profiles, symbols = _sampled_case()
+    grid = log2_grid(-25, 25)
+    want = commutator_to_profile(spec, profiles, symbols, grid)
+    sums = []
+
+    def counting(x):
+        sums.append(len(x))
+        return math.fsum(x)
+
+    def no_result(*args):
+        raise AssertionError("an IntegralResult was built")
+
+    monkeypatch.setattr(quadrature, "fsum", counting)
+    monkeypatch.setattr(quadrature, "IntegralResult", no_result)
+    monkeypatch.setattr(operators, "IntegralResult", no_result)
+    monkeypatch.setattr(operators, "integrate_unit_cube", None)
+    got = commutator_to_profile(spec, profiles, symbols, grid)
+    assert len(sums) == grid.size
+    assert got.log2_radii == want.log2_radii and got.values == want.values
+
+
 def test_piecewise_commutator_with_e_below_minus_one_matches_mpmath(monkeypatch):
     # e = -1.4 < -1 < e + m: each term of the expanded gaps diverges at
     # t = 1, so the piece that ends there takes the Gauss pair
@@ -939,8 +963,11 @@ def test_block_edges_match_per_radius_reference(seed):
     spec = OperatorSpec(1, 1, KernelSpec(1, PowerBeta(0.2, 0.1), (PowerCurve(min(bs)),)))
     setup = operators._piecewise_setup(spec, [SampledProfile((0.0, 8.0), (0.0, 1.0))], ())
     x = np.array([9.0])
-    verdict = operators._block_values(setup, x, operators._breakpoint_ranges(setup, x), 1e-10)
-    assert (verdict[0] is None) == seed % 2
+    _, _, evaluations, state = operators._block_values(setup, x,
+                                                      operators._breakpoint_ranges(setup, x), 1e-10)
+    # left aside before any Gauss sum, or converged on the line
+    assert (state[0] == operators._INCONCLUSIVE) == seed % 2
+    assert (evaluations[0] == 0) == seed % 2
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8])

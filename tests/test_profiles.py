@@ -175,3 +175,20 @@ def test_log2_evaluate_below_the_float_range():
     assert got[0] == pytest.approx(2.0 ** (1.0 + (1500.0 - 4.0) / 4.0), rel=1e-13)
     assert PowerLaw(-0.5, 3.0).log2_evaluate(np.array([-1500.0]))[0] == 3.0 * 2.0 ** 750
     assert TruncatedPowerLaw(-0.5).log2_evaluate(np.array([-1500.0]))[0] == 0.0
+
+
+def test_sampled_profile_from_arrays_equals_tuples_and_copies():
+    u, v = np.array([-1.0, 0.0, 0.5, 2.0]), np.array([0.0, 1.5, 0.25, 3.0])
+    built = SampledProfile(u, v)
+    want = SampledProfile(tuple(u.tolist()), tuple(v.tolist()))
+    assert type(built.log2_radii) is tuple and type(built.values) is tuple
+    assert (built.log2_radii, built.values) == (want.log2_radii, want.values)
+    x = np.linspace(-3.0, 4.0, 29)
+    before = built.log2_evaluate(x)
+    assert np.array_equal(before, want.log2_evaluate(x))
+    assert np.array_equal(built.power_integrals(2.0, 1.0, [-2.0, 0.0, 3.0]),
+                          want.power_integrals(2.0, 1.0, [-2.0, 0.0, 3.0]))
+    # the caller's arrays are not the profile's
+    u[:], v[:] = [0.0, 1.0, 2.0, 3.0], 7.0
+    assert (built.log2_radii, built.values) == (want.log2_radii, want.values)
+    assert np.array_equal(built.log2_evaluate(x), before)

@@ -114,6 +114,32 @@ def test_beta_closed_form_examples():
     assert beta_closed_form(0.0, -1.2).status is IntegralStatus.DIVERGENT
 
 
+def _mp_beta_miss(a, e):
+    """|beta_closed_form(a, e) - B(a + 1, e + 1)| by mpmath at dps 50, and
+    the result."""
+    res = beta_closed_form(a, e)
+    with mpmath.workdps(50):
+        want = mpmath.beta(mpmath.mpf(a) + 1, mpmath.mpf(e) + 1)
+        return float(abs(res.value - want)), res
+
+
+@pytest.mark.parametrize("a, e", [(200.0, 0.3), (300.0, -0.4), (1000.0, 5.0)])
+def test_beta_closed_form_bound_counts_lgamma_cancellation(a, e):
+    # exp(betaln) is 1.5e-13 to 2.5e-13 of the value off here, where the
+    # log-Gamma terms cancel from about 1.7e3 to 1.2e4; 4 eps was claimed
+    miss, res = _mp_beta_miss(a, e)
+    assert miss > 4.0 * np.finfo(float).eps * res.value
+    assert miss <= res.abs_error <= 2e-11 * res.value
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-0.999, 5e4), st.floats(-0.999, 5e4))
+def test_beta_closed_form_within_its_bound(a, e):
+    miss, res = _mp_beta_miss(a, e)
+    assert res.status is IntegralStatus.CONVERGED
+    assert miss <= res.abs_error
+
+
 def test_kernel_power_integral_examples():
     k = KernelSpec(1, PowerBeta(0.0, 0.0), (PowerCurve(1.0),))
     assert kernel_power_integral(k, [-0.5]).value == pytest.approx(2.0, rel=1e-12)
@@ -195,9 +221,61 @@ def test_log_line_resolves_any_rate(rate):
 def test_line_verdicts_rounding_of_the_summed_pieces():
     # two pieces that cancel to 1e-12: the rounding allowance is of the
     # pieces' magnitudes, not of the 1e-12 left of them
-    res = quadrature._line_verdicts(np.array([1.0, -1.0 + 1e-12]), np.zeros(2), [2], [0],
-                                    1e-10)[0]
-    assert res.abs_error >= quadrature.ROUNDING
+    _, abs_error, _ = quadrature._line_verdicts(np.array([1.0, -1.0 + 1e-12]), np.zeros(2),
+                                                np.array([2]), 1e-10)
+    assert abs_error[0] >= quadrature.ROUNDING
+
+
+def _fsum_verdicts(rows, errors, tol):
+    """(value, abs_error, converged) of each row by a math.fsum per row."""
+    out = []
+    for row, err in zip(rows, errors):
+        value = math.fsum(row)
+        bound = math.fsum(err) + quadrature.ROUNDING * math.fsum(map(abs, row))
+        out.append((value, bound, math.isfinite(bound) and bound <= tol * max(1.0, abs(value))))
+    return out
+
+
+def _check_verdicts(rows, errors, tol):
+    sizes = np.array([len(r) for r in rows], dtype=int)
+    value, abs_error, converged = quadrature._line_verdicts(
+        np.array([x for r in rows for x in r], dtype=float),
+        np.array([x for r in errors for x in r], dtype=float), sizes, tol)
+    assert value.shape == abs_error.shape == converged.shape == sizes.shape
+    for i, (want, bound, settled) in enumerate(_fsum_verdicts(rows, errors, tol)):
+        assert value[i] == want or (math.isnan(want) and math.isnan(value[i]))
+        if math.isnan(bound):
+            assert math.isnan(abs_error[i]) and not converged[i]
+        else:
+            # never below the fsum bound, so never converged where it is not
+            assert abs_error[i] >= bound
+            assert settled or not converged[i]
+
+
+def test_line_verdicts_match_a_per_row_fsum():
+    rows = [[], [2.5], [1.0, -1.0 + 1e-12], [1e300, -1e300, 3.0], [],
+            [1.0, math.inf], [math.nan, 2.0], [0.1] * 7, [-0.3], []]
+    errors = [[abs(x) * 1e-13 if math.isfinite(x) else 0.0 for x in r] for r in rows]
+    _check_verdicts(rows, errors, 1e-10)
+    value, abs_error, converged = quadrature._line_verdicts(
+        np.array([0.5]), np.array([0.0]), np.array([0, 0, 1, 0]), 1e-10)
+    # empty rows are 0 and converged, wherever they sit
+    assert value.tolist() == [0.0, 0.0, 0.5, 0.0] and abs_error[[0, 1, 3]].tolist() == [0.0] * 3
+    assert converged.all()
+    # no rows at all
+    assert all(x.size == 0 for x in quadrature._line_verdicts(np.zeros(0), np.zeros(0),
+                                                              np.zeros(0, dtype=int), 1e-10))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e-3)), max_size=6),
+                max_size=8),
+       st.sampled_from([1e-14, 1e-10, 1e-4]))
+def test_line_verdicts_match_a_per_row_fsum_drawn(pieces, tol):
+    # pieces near a cancelling pair: rows whose fsum is far below their terms
+    rows = [[x for x, _ in r] + [-x for x, _ in r[:1]] for r in pieces]
+    errors = [[e for _, e in r] + [e for _, e in r[:1]] for r in pieces]
+    _check_verdicts(rows, errors, tol)
 
 
 def test_callback_psi_self_test():

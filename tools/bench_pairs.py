@@ -18,7 +18,9 @@ compute (captured as hcbench's checks capture them), a sha256 of their
 repr and the largest relative change of any number in them (the numbers
 of each case's repr, matched in order), so a move at rounding level shows
 as a figure, with the case and the index of the number where it sits;
-``--trace-seed`` adds the per-layer metrics of one traced round.
+``--trace-seed`` adds the per-layer metrics of one traced round.  With
+``--seeds ''`` no timed pair is run, so ``--checksum-seeds`` alone checks
+in seconds that two checkouts give the same outputs.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ print(json.dumps(out))
 
 def _seeds(text: str) -> list:
     seeds = []
-    for part in text.split(","):
+    for part in filter(None, text.split(",")):
         lo, _, hi = part.partition("-")
         seeds += list(range(int(lo), int(hi or lo) + 1))
     return seeds
@@ -185,9 +187,11 @@ def main(argv=None) -> int:
     parser.add_argument("--what", default="")
     args = parser.parse_args(argv)
     seeds = _seeds(args.seeds)
-    if len(seeds) < 2:
+    if len(seeds) == 1:
         # the quartiles of the pairs need two runs a side
         parser.error(f"--seeds needs at least two seeds, got {args.seeds!r}")
+    if not seeds and not args.checksum_seeds:
+        parser.error("no timed pairs (--seeds '') and no --checksum-seeds: nothing to run")
     args.parent, args.change = args.parent.resolve(), args.change.resolve()
 
     declared = {m["name"]: m for m in
@@ -204,8 +208,9 @@ def main(argv=None) -> int:
     }
     workloads = args.workloads.split(",")
     for workload in workloads:
-        record["workloads"][workload] = _pairs(args, workload, seeds, declared)
-        args.out.write_text(json.dumps(record, indent=2) + "\n")
+        if seeds:
+            record["workloads"][workload] = _pairs(args, workload, seeds, declared)
+            args.out.write_text(json.dumps(record, indent=2) + "\n")
     if args.checksum_seeds:
         record["output_checksums"] = {w: _checksums(args, w, _seeds(args.checksum_seeds))
                                       for w in workloads}
