@@ -553,6 +553,11 @@ def log_beta_tail(c: float, e: float, t: np.ndarray, u: np.ndarray) -> np.ndarra
 # integrates numerically instead; 2000 terms serve e up to about 150 and
 # a down to about -560.
 _MAX_TERMS = 2000
+# Most terms x elements that _binomial_series sums as one table.  Its fixed
+# cost is a few dozen array operations against about 25 per term for the
+# loop; but numpy's cumulative sums and products run at a few ns an
+# element, so from about 2**15 cells the loop's row-at-a-time sums win.
+_SERIES_CELLS = 2 ** 14
 # Largest error bound, relative to the value, accepted from the series.
 _SERIES_RTOL = 1e-10
 # Bound, relative to the value, above which an incomplete Beta value (a
@@ -609,7 +614,11 @@ def _binomial_series(p, q, lo, hi, count, scaled: bool = False, logs=None):
     between the two limits.  A power p + k = -1 contributes log(hi/lo),
     so integer p needs no special case.  ``lo`` and ``hi`` broadcast;
     every element sums its ``count`` terms, so its value does not depend on
-    the array it arrives in.
+    the array it arrives in.  Up to _SERIES_CELLS terms x elements, the
+    terms are one table, the recursions of coefficient and powers its
+    cumulative products and the sums its cumulative sums down each column;
+    wider calls take the terms one at a time.  Both add in the same order,
+    so they give the same bits.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     if logs is None:
@@ -630,37 +639,71 @@ def _binomial_series(p, q, lo, hi, count, scaled: bool = False, logs=None):
     # it multiplies
     magnify_lo = np.abs(log_lo) + finite_span
     magnify_hi = np.abs(log_hi) + finite_span
-    value = mass = err = 0.0
-    coef = 1.0
-    # with a count of each element: the counts at which elements stop, and
-    # the coefficient and power at each element's stop
-    stops = set(np.unique(count).tolist()) if np.ndim(count) else set()
-    stop_coef, stop_pow = np.zeros(lo.shape), np.zeros(lo.shape)
-    for k in range(int(np.max(count))):
-        s = p + k + 1.0
-        if (s > 0.0) if isinstance(s, float) else np.all(s > 0.0):
-            term = coef * pow_hi * (-np.expm1(-s * span) / s)
-            magnify = magnify_hi
-        else:
-            term = np.where(s > 0.0, coef * pow_hi * (-np.expm1(-s * span) / s),
-                            np.where(s < 0.0, coef * pow_lo * (-np.expm1(s * span) / -s),
-                                     coef * span * (1.0 if logs is None and not scaled
-                                                    else pow_lo)))
+    unit = logs is None and not scaled     # the power a term with s = 0 takes is 1
+    terms = int(np.max(count))
+    if (terms + 1) * lo.size <= _SERIES_CELLS:
+        # row k holds term k (and the coefficient and power that start it);
+        # row count - 1 of a cumulative sum is an element's sum, plus 0.0
+        # as the loop's sums start from it (which turns -0.0 into 0.0)
+        k = np.arange(terms + 1.0).reshape((-1,) + (1,) * lo.ndim)
+        factor = (k[:-1] - q) / (k[:-1] + 1.0)
+        coef = np.cumprod(np.concatenate([np.ones_like(factor[:1]), factor]), axis=0)
+        powers = np.cumprod(np.concatenate([pow_hi[None], np.broadcast_to(hi, (terms,) + hi.shape)]),
+                            axis=0)
+        s = p + k[:-1] + 1.0
+        term = coef[:-1] * powers[:-1] * (-np.expm1(-s * span) / s)
+        magnify = magnify_hi
+        # s grows down the rows: only the leading ones hold some s <= 0
+        mixed = int(np.count_nonzero(np.any(~(s > 0.0), axis=tuple(range(1, s.ndim)))))
+        if mixed:
+            low = np.cumprod(np.concatenate([np.broadcast_to(pow_lo, lo.shape)[None],
+                                             np.broadcast_to(lo, (mixed - 1,) + lo.shape)]), axis=0)
+            s_, c_ = s[:mixed], coef[:mixed]
+            term[:mixed] = np.where(s_ > 0.0, term[:mixed],
+                                    np.where(s_ < 0.0, c_ * low * (-np.expm1(s_ * span) / -s_),
+                                             c_ * span * (1.0 if unit else low)))
             magnify = np.where(s > 0.0, magnify_hi, magnify_lo)
-        if stops and k >= min(stops):
-            term = np.where(k < count, term, 0.0)
         size = np.abs(term)
-        value = value + term
-        mass = mass + size
-        err = err + size * (4.0 * k + 10.0 + abs(s) * magnify)
-        pow_lo, pow_hi = pow_lo * lo, pow_hi * hi
-        coef *= (k - q) / (k + 1.0)
-        if k + 1 in stops:
-            stop = k + 1 == count
-            stop_coef = np.where(stop, coef, stop_coef)
-            stop_pow = np.where(stop, pow_hi, stop_pow)
-    if stops:
-        coef, pow_hi = stop_coef, stop_pow
+        rows = np.broadcast_to(count, lo.shape)[None] - 1
+
+        def at(table, shift=0):
+            table = np.broadcast_to(table, table.shape[:1] + lo.shape)
+            return np.take_along_axis(table, rows + shift, axis=0)[0]
+
+        value, mass, err = (at(np.cumsum(x, axis=0)) + 0.0 for x in (
+            term, size, size * (4.0 * k[:-1] + 10.0 + np.abs(s) * magnify)))
+        coef, pow_hi = at(coef, 1), at(powers, 1)
+    else:
+        value = mass = err = 0.0
+        coef = 1.0
+        # with a count of each element: the counts at which elements stop,
+        # and the coefficient and power at each element's stop
+        stops = set(np.unique(count).tolist()) if np.ndim(count) else set()
+        stop_coef, stop_pow = np.zeros(lo.shape), np.zeros(lo.shape)
+        for k in range(terms):
+            s = p + k + 1.0
+            if (s > 0.0) if isinstance(s, float) else np.all(s > 0.0):
+                term = coef * pow_hi * (-np.expm1(-s * span) / s)
+                magnify = magnify_hi
+            else:
+                term = np.where(s > 0.0, coef * pow_hi * (-np.expm1(-s * span) / s),
+                                np.where(s < 0.0, coef * pow_lo * (-np.expm1(s * span) / -s),
+                                         coef * span * (1.0 if unit else pow_lo)))
+                magnify = np.where(s > 0.0, magnify_hi, magnify_lo)
+            if stops and k >= min(stops):
+                term = np.where(k < count, term, 0.0)
+            size = np.abs(term)
+            value = value + term
+            mass = mass + size
+            err = err + size * (4.0 * k + 10.0 + abs(s) * magnify)
+            pow_lo, pow_hi = pow_lo * lo, pow_hi * hi
+            coef *= (k - q) / (k + 1.0)
+            if k + 1 in stops:
+                stop = k + 1 == count
+                stop_coef = np.where(stop, coef, stop_coef)
+                stop_pow = np.where(stop, pow_hi, stop_pow)
+        if stops:
+            coef, pow_hi = stop_coef, stop_pow
     # the terms left out, from the first one on, shrink geometrically by at
     # most rho (count >= q, and s > 0 from count >= -p - 1 on)
     rho = hi * np.maximum(1.0, (count - q) / (count + 1.0))
@@ -886,8 +929,8 @@ def _incomplete_pieces(a, e, lo, lo_c, hi, hi_c):
 def _series_pieces(a, e, lo, hi):
     """The series elements of ``beta_pieces``, as (value, bound, level):
     the part below h in t, relative to ref**(a+1), and the part above h in
-    1 - t, one series of each element either way (a part outside the
-    piece is empty), in one ``_binomial_series`` call."""
+    1 - t, in one ``_binomial_series`` call for the parts that are not
+    empty (a part outside the piece is 0)."""
     h = _split(e)
     key = np.ceil(-a)
     count = np.zeros(a.shape, dtype=int)
@@ -901,12 +944,17 @@ def _series_pieces(a, e, lo, hi):
     below_lo, below_hi = np.minimum(lo, math.log(h)), np.minimum(hi, math.log(h))
     top = np.minimum(np.abs(np.expm1(lo)), 1.0 - h)
     bottom = np.minimum(np.abs(np.expm1(hi)), top)
-    sums, bounds = _binomial_series(
-        np.concatenate([a, np.full(a.size, e)]), np.concatenate([np.full(a.size, e), a]),
-        np.concatenate([np.exp(below_lo), bottom]), np.concatenate([np.exp(below_hi), top]),
-        np.concatenate([count, count]),
-        logs=(np.concatenate([below_lo, np.log(bottom)]), np.concatenate([below_hi, np.log(top)]),
-              np.concatenate([ref, np.zeros(a.size)])))
+    lows, highs = np.concatenate([below_lo, np.log(bottom)]), np.concatenate([below_hi, np.log(top)])
+    live = highs > lows
+    sums, bounds = np.zeros(lows.size), np.zeros(lows.size)
+    if np.any(live):
+        sums[live], bounds[live] = _binomial_series(
+            *(x[live] for x in (np.concatenate([a, np.full(a.size, e)]),
+                                np.concatenate([np.full(a.size, e), a]),
+                                np.concatenate([np.exp(below_lo), bottom]),
+                                np.concatenate([np.exp(below_hi), top]),
+                                np.concatenate([count, count]))),
+            logs=(lows[live], highs[live], np.concatenate([ref, np.zeros(a.size)])[live]))
     # the upper part is empty unless hi > ln h, where ref**-(a+1) is finite
     up = np.where(hi > math.log(h), np.exp(-(a + 1.0) * ref), 0.0)
     value, err = np.full(ok.shape, math.nan), np.full(ok.shape, math.inf)
