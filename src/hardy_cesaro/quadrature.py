@@ -26,10 +26,12 @@ series (the finite line from ln t0 to 0, ``_finite_line``) and the
 numeric shells of ``norms`` sum their pieces with ``piece_sums``; the
 operators' other pieces are incomplete Beta integrals
 (``beta_pieces``), and the operators and ``_finite_line`` take their
-results from ``_line_verdicts``.  ``tail_power_beta`` takes a <= -1 by
-binomial 2F1 series, except that -2 < a < -1 below the series' split
-point is lifted by one integration by parts onto the incomplete Beta of
-a + 1 wherever the bound of that allows.  The Gauss-Jacobi and Gauss-Laguerre
+results from ``_line_verdicts``.  ``tail_power_beta`` and ``beta_pieces``
+take a <= -1 by binomial 2F1 series, except that -2 < a < -1 (for a tail,
+below the series' split point) is lifted by one integration by parts onto
+the incomplete Beta of a + 1 (``_by_parts``, one piece of t, of which a
+tail is the one that ends at t = 1) wherever the bound of that allows.
+The Gauss-Jacobi and Gauss-Laguerre
 rules come from their three-term recurrences (``_golub_welsch``, no
 eigenvectors), so a rule of a new order costs well under a millisecond.
 
@@ -266,6 +268,15 @@ _HEAD_DECAY = 40.0   # the head starts where e^{-max(rate, decay) |v|} <= e^-40
 _RATE_SPAN = 40.0    # e^{rate v} falls by at most e^-40 across the Jacobi piece
 
 
+def _fsum(x: list) -> float:
+    """math.fsum, or the float sum (inf, or NaN) where fsum's partial sums
+    leave the float range."""
+    try:
+        return fsum(x)
+    except OverflowError:
+        return sum(x)
+
+
 def _line_verdicts(values: np.ndarray, errors: np.ndarray, sizes: np.ndarray,
                    tol: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(value, abs_error, converged) arrays, one element per row of pieces,
@@ -282,8 +293,11 @@ def _line_verdicts(values: np.ndarray, errors: np.ndarray, sizes: np.ndarray,
     sizes = np.asarray(sizes, dtype=int)
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    pieces = values.tolist()
-    value = np.array([fsum(pieces[a:b]) for a, b in zip(starts.tolist(), ends.tolist())])
+    pieces, slices = values.tolist(), list(zip(starts.tolist(), ends.tolist()))
+    try:
+        value = np.array([fsum(pieces[a:b]) for a, b in slices])
+    except OverflowError:
+        value = np.array([_fsum(pieces[a:b]) for a, b in slices])
     bound, magnitude = np.zeros(sizes.size), np.zeros(sizes.size)
     rows = sizes > 0
     if np.any(rows):
@@ -338,8 +352,8 @@ def _bisected(values: Callable, lo: np.ndarray, hi: np.ndarray, order: float, to
             miss = 0.5 * np.abs(parent - fine[:parent.size] - fine[parent.size:])
             bound = np.maximum(bound, np.tile(miss, 2))
         pieces = np.concatenate([pieces, [lo, hi, fine, bound]], axis=1)
-        value, err = fsum(pieces[2].tolist()), fsum(pieces[3].tolist())
-        rounding = ROUNDING * fsum(np.abs(pieces[2]).tolist())
+        value, err = _fsum(pieces[2].tolist()), _fsum(pieces[3].tolist())
+        rounding = ROUNDING * _fsum(np.abs(pieces[2]).tolist())
         room = tol * max(1.0, abs(value)) - mass
         if not (math.isfinite(value) and room >= 0.0):
             break
@@ -473,12 +487,18 @@ def beta_closed_form(a: float, e: float) -> IntegralResult:
     log-Gamma terms cancel: its error is 4 eps (1 + |lnG(a+1)| + |lnG(e+1)|
     + |lnG(a+e+2)|) of the value (about 1.7e3 at B(201, 1.3), where the
     value is 2.5e-13 off), plus the smallest subnormal for a value that
-    leaves the normal range.
+    leaves the normal range.  betaln is NaN where x = a + 1 and y = e + 1
+    are both huge (x + y overflows, or log-Gamma does: both beyond about
+    1e77, one beyond 1e305); B(x, y) <= 1/(z (z + 1)), z the larger, lies
+    below the smallest subnormal there, and the value is 0.
     """
     if a <= -1.0 or e <= -1.0:
         return _divergent()
     x, y = a + 1.0, e + 1.0
-    value = float(math.exp(betaln(x, y)))
+    log_beta = betaln(x, y)
+    if math.isnan(log_beta) and not math.isnan(x + y):
+        log_beta = -math.inf
+    value = float(math.exp(log_beta))
     # math.lgamma overflows from about 2.5e305 on, and a bound from 1e300
     # on is no bound anyway
     magnitude = 1.0 + fsum(abs(math.lgamma(min(z, 1e300))) for z in (x, y, x + y))
@@ -553,16 +573,18 @@ def log_beta_tail(c: float, e: float, t: np.ndarray, u: np.ndarray) -> np.ndarra
 # integrates numerically instead; 2000 terms serve e up to about 150 and
 # a down to about -560.
 _MAX_TERMS = 2000
-# Most terms x elements that _binomial_series sums as one table.  Its fixed
-# cost is a few dozen array operations against about 25 per term for the
-# loop; but numpy's cumulative sums and products run at a few ns an
-# element, so from about 2**15 cells the loop's row-at-a-time sums win.
-_SERIES_CELLS = 2 ** 14
+# Most terms x elements that _binomial_series sums as one table.  The table
+# costs a few dozen array operations where the loop costs about 25 a term,
+# but numpy's cumulative sums and products take a few ns an element: on
+# calls of a t31_sampled round it took 0.26 ms against 1.13 at 1,100 cells
+# and 1.26 against 1.95 at 23,560, and the loop was as fast from about
+# 30,000 on (2.42 and 2.46 ms at 31,500) and faster beyond.
+_SERIES_CELLS = 24_000
 # Largest error bound, relative to the value, accepted from the series.
 _SERIES_RTOL = 1e-10
 # Bound, relative to the value, above which an incomplete Beta value (a
-# difference in beta_pieces, a lifted tail in tail_power_beta) is taken
-# again by the series.
+# difference in beta_pieces, a lifted piece or tail) is taken again by the
+# series.
 _CANCELLATION = 1e-13
 _LOG2_EPS = math.log2(_EPS)
 
@@ -774,7 +796,8 @@ def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralRes
         lift = np.flatnonzero(inside & (t < h))
         if lift.size:
             with np.errstate(all="ignore"):
-                lifted, bound = _by_parts(a, e, t.flat[lift], scaled)
+                x = t.flat[lift]
+                lifted, bound = _by_parts(a, e, x, 1.0 - x, 1.0, 0.0, scaled)
                 take = np.isfinite(bound) & (bound <= _CANCELLATION * np.abs(lifted))
             lift = lift[take]
             value.flat[lift], err.flat[lift] = lifted[take], bound[take]
@@ -810,49 +833,67 @@ def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralRes
     return IntegralResult(_unwrap(value), _unwrap(err), status, evaluations)
 
 
-def _by_parts(a: float, e: float, t: np.ndarray, scaled: bool):
-    """int_t^1 x**a (1-x)**e dx for -2 < a < -1, e > -1 and 0 < t < 1/2,
-    elementwise, with an error bound (times t**d with ``scaled``), by one
-    integration by parts (DLMF 8.17(iv)): with d = -(a+1),
+def _by_parts(a, e: float, t, u, y, w, scaled: bool = False):
+    """int_t^y x**a (1-x)**e dx for -2 < a < -1, e > -1 and 0 < t <= y <= 1,
+    elementwise, given u = 1 - t and w = 1 - y (a tail is the piece
+    y = 1), with an error bound (times t**d with ``scaled``), by one
+    integration by parts (DLMF 8.17(iv)): with d = -(a+1) and
+    F(x) = x**(a+1) (1-x)**(e+1) / d,
 
-        J(a) = t**(a+1) (1-t)**(e+1) / d - (a+e+2) / d * J(a+1),
+        J(a) = F(t) - F(y) - (a+e+2) / d * J(a+1),
 
-    and J(a+1) = B(a+2, e+1) (1 - I_t(a+2, e+1)).  The bound counts, in eps
+    and J(a+1) = B(a+2, e+1) (C_t - C_y), C_x = 1 - I_x(a+2, e+1) taken
+    from the side where x is exact: I_{1-x}(e+1, a+2) above x = 1/2, and
+    below it 1 - I_x, which loses the digits of I_x as I_x nears 1 (the
+    subtraction magnifies that), so from I_x = 1/8 on the complement
+    betaincc (about 7 times slower) keeps them.  The bound counts, in eps
     of the magnitude each multiplies: 2 + d |ln t| for the power of t (its
     pow, and an ulp of its exponent magnified by the logarithm, as the
     series count it); e + 5 for (1-t)**(e+1), where 1 - t rounds, the
-    division by d and the subtraction; 2 for the product with the
-    coefficient and the subtraction; (|a| + |e| + 2) / d of J(a+1) for
-    the rounding of the coefficient; and the coefficient times
-    16 eps B(a+2, e+1), the allowance of ``beta_tail``.  All in magnitudes:
-    a + e + 2 may have either sign.
+    division by d and the subtraction; e + 9 + d (|ln y| + |ln t|) for
+    F(y) likewise; 2 for the product with the coefficient and the
+    subtraction; (|a| + |e| + 2) / d of J(a+1) for the rounding of the
+    coefficient; and the coefficient times 16 eps B(a+2, e+1), the
+    allowance of ``beta_tail``, of 1 for each end up to 1/2 and of C_x for
+    each end above.  All in magnitudes: a + e + 2 may have either sign.
     """
+    t, u, y, w = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (t, u, y, w)))
     d = -(a + 1.0)      # exact for -2 < a < -1
     coef = (a + e + 2.0) / d
-    u = 1.0 - t
-    # 1 - I_t, as beta_tail takes it, loses the digits of I_t as I_t nears
-    # 1, and the subtraction below magnifies that; from I_t = 1/8 on the
-    # complement betaincc (about 7 times slower) keeps them
-    beta = beta_closed_form(a + 1.0, e).value
-    below = betainc(a + 2.0, e + 1.0, t)
-    rest = 1.0 - below
-    near = below > 0.125
-    rest[near] = betaincc(a + 2.0, e + 1.0, t[near])
-    tail = beta * rest
-    tail_err = 16.0 * _EPS * beta
+    # B(a+2, e+1) as beta_closed_form takes it (math.exp) for a number a
+    beta = beta_closed_form(a + 1.0, e).value if np.ndim(a) == 0 else np.exp(
+        betaln(a + 2.0, e + 1.0))
+
+    def at(m):
+        return (a[m] if np.ndim(a) else a) + 2.0
+
+    below, rest, mass = np.zeros((2,) + t.shape), np.zeros((2,) + t.shape), np.ones((2,) + t.shape)
+    for end, (x, ux) in enumerate(((t, u), (y, w))):
+        upper = x > 0.5
+        lower = ~upper
+        below[end, lower] = betainc(at(lower), e + 1.0, x[lower])
+        rest[end, lower] = 1.0 - below[end, lower]
+        near = lower & (below[end] > 0.125)
+        rest[end, near] = betaincc(at(near), e + 1.0, x[near])
+        rest[end, upper] = mass[end, upper] = betainc(e + 1.0, at(upper), ux[upper])
+    inside = (t <= 0.5) & (y <= 0.5)
+    tail = beta * np.where(inside, below[1] - below[0], rest[0] - rest[1])
+    tail_err = 16.0 * _EPS * beta * np.where(inside, below[0] + below[1], mass[0] + mass[1])
     power = t ** (d if scaled else a + 1.0)
     top = u ** (e + 1.0) / d
+    bottom = w ** (e + 1.0) / d * y ** (a + 1.0)
     if scaled:
-        tail, tail_err = tail * power, tail_err * power
+        tail, tail_err, bottom = tail * power, tail_err * power, bottom * power
     else:
         top = top * power
     second = coef * tail
-    value = top - second
+    value = top - bottom - second
     powered = np.abs(second) if scaled else np.abs(top)
     err = abs(coef) * tail_err + _EPS * (
-        (e + 5.0) * np.abs(top) + 2.0 * np.abs(second) + (abs(a) + abs(e) + 2.0) / d * tail
+        (e + 5.0) * np.abs(top) + 2.0 * np.abs(second) + (abs(a) + abs(e) + 2.0) / d * np.abs(tail)
         + (2.0 + d * np.abs(np.log(t))) * powered)
-    return value, err
+    return value, err + _EPS * (e + 9.0 + d * (np.abs(np.log(y)) + np.abs(np.log(t)))) * np.abs(
+        bottom)
 
 
 def beta_pieces(a, e: float, lo, hi):
@@ -869,6 +910,9 @@ def beta_pieces(a, e: float, lo, hi):
       as in ``beta_tail``: I_t(a+1, e+1) up to t = 1/2, and
       1 - I_{1-t}(e+1, a+1) above.  The bound is 16 eps of every value the
       difference takes, so a difference that cancels shows in it.
+    - -2 < a < -1 and e > -1, where exp(lo) and exp(hi) are normal floats
+      and exp(lo)**(a+1) is at most 2**_FAR: level 0, one integration by
+      parts onto the incomplete Beta of a + 1 (``_by_parts``).
     - otherwise the binomial series of ``_binomial_series``, in t up to
       h = ``_split(e)`` and in 1 - t above (as in ``tail_power_beta``),
       every element with the terms ``_term_count`` asks for at -ceil(-a),
@@ -879,20 +923,26 @@ def beta_pieces(a, e: float, lo, hi):
       count that rounding) and the value stays near 1 where the integral
       itself leaves the float range.  NaN, with an infinite bound, where
       that is more than _MAX_TERMS terms.  The series also takes the
-      elements with lo > -inf whose incomplete Beta difference cancels
-      beyond _CANCELLATION of its value (a just above -1, or a narrow
-      piece), where its own bound is the smaller one.
+      elements with lo > -inf whose incomplete Beta difference or lift
+      cancels beyond _CANCELLATION of its value (a near -1 or -2, or a
+      narrow piece), where its own bound is the smaller one.
     """
     a, lo, hi = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (a, lo, hi)))
     value, err = np.full(a.shape, math.nan), np.full(a.shape, math.inf)
     level = np.zeros(a.shape)
     with np.errstate(all="ignore"):
-        done = ((a > -1.0) & (e > -1.0) & ((lo == -np.inf) | (lo >= _LOG_TINY))
-                & (hi >= _LOG_TINY) & ((a + 1.0) * hi >= -_FAR * LN2))
-        if np.any(done):
-            # -expm1(0) is -0.0
-            ends = [f(x[done]) for x in (lo, hi) for f in (np.exp, lambda v: np.abs(np.expm1(v)))]
-            value[done], err[done] = _incomplete_pieces(a[done], e, *ends)
+        normal = (hi >= _LOG_TINY) & (e > -1.0)
+        beta = normal & (a > -1.0) & ((lo == -np.inf) | (lo >= _LOG_TINY)) & (
+            (a + 1.0) * hi >= -_FAR * LN2)
+        lift = normal & (-2.0 < a) & (a < -1.0) & (lo >= _LOG_TINY) & (
+            (a + 1.0) * lo <= _FAR * LN2)
+        for done, method in ((beta, _incomplete_pieces), (lift, _by_parts)):
+            if np.any(done):
+                # -expm1(0) is -0.0
+                ends = [f(x[done]) for x in (lo, hi)
+                        for f in (np.exp, lambda v: np.abs(np.expm1(v)))]
+                value[done], err[done] = method(a[done], e, *ends)
+        done = beta | lift
         part = ~done | ((lo > -np.inf) & ~(err <= _CANCELLATION * np.abs(value)))
         if np.any(part):
             series, bound, scale = _series_pieces(a[part], e, lo[part], hi[part])

@@ -337,7 +337,9 @@ def test_tail_power_beta_array_matches_scalar_calls():
                 assert tail_power_beta(a, e, float(x), scaled).value == v, (a, e, x, scaled)
             if -2.0 < a < -1.0:
                 below = t < h
-                lifted = whole[below] == quadrature._by_parts(a, e, t[below], scaled)[0]
+                x = t[below]
+                lifted = whole[below] == quadrature._by_parts(a, e, x, 1.0 - x, 1.0, 0.0,
+                                                              scaled)[0]
                 lifts.append((a, scaled, lifted.sum(), (~lifted).sum()))
     assert all(n > 0 for a, _, n, _ in lifts if a < -1.1)
     assert all(n == 0 for a, _, n, _ in lifts if a > -1.1)
@@ -376,7 +378,8 @@ def test_tail_power_beta_lifted_tails_mpmath_oracle():
             miss = abs(res.value - ref)
             assert miss <= res.abs_error, (a, e, t0, scaled)
             assert miss <= 1e-12 * ref, (a, e, t0, scaled)
-            lifted += res.value == quadrature._by_parts(a, e, np.array([t0]), scaled)[0][0]
+            lifted += res.value == quadrature._by_parts(a, e, t0, 1.0 - t0, 1.0, 0.0,
+                                                        scaled)[0]
     assert lifted >= 0.6 * 2 * len(draws)
 
 
@@ -760,6 +763,17 @@ def test_graded_support_that_starts_deep_inside(profile, a, b, r, want):
     res = operators._graded(spec, [SampledProfile(*profile)], (), r, tol)
     assert res.status is IntegralStatus.CONVERGED
     assert abs(res.value - want) <= min(res.abs_error, tol * max(1.0, want))
+
+
+def test_value_beyond_the_float_range_is_inf_and_not_converged():
+    # the pieces of the radius are finite but sum beyond the float range:
+    # math.fsum raised OverflowError from the line's and the graded
+    # integrator's sums
+    spec = OperatorSpec(1, 1, KernelSpec(1, PowerBeta(0.0, 0.0, 1.5), (PowerCurve(1.0),)))
+    profile = SampledProfile((-3, -2, -1, 0, 1), (1e308, 1.7e308, 1.7e308, 1.7e308, 1e308))
+    with np.errstate(all="ignore"):
+        res = apply_hardy_cesaro(spec, [profile], 1.0)
+    assert res.value == math.inf and res.status is not IntegralStatus.CONVERGED
 
 
 @pytest.mark.parametrize("k", [100, 200])

@@ -140,6 +140,22 @@ def test_beta_closed_form_within_its_bound(a, e):
     assert miss <= res.abs_error
 
 
+def test_beta_closed_form_where_its_arguments_sum_beyond_the_floats():
+    # betaln(x, y) is NaN where x + y or log-Gamma overflows; B has
+    # underflowed to 0 there, and NaN came back converged
+    k = KernelSpec(1, PowerBeta(1e308, 1e308), (PowerCurve(1.0),))
+    for a, e, res in ((9e307, 9e307, beta_closed_form(9e307, 9e307)),
+                      (1.7e308, 2e292, beta_closed_form(1.7e308, 2e292)),
+                      (1e306, 2e77, beta_closed_form(1e306, 2e77)),
+                      (1e308, 1e308, kernel_power_integral(k, [0.0]))):
+        # mpmath's log-Gamma terms cancel across about 300 digits here
+        with mpmath.workdps(400):
+            want = mpmath.beta(mpmath.mpf(a) + 1, mpmath.mpf(e) + 1)
+            assert want < mpmath.mpf("1e-400")
+        assert res.status is IntegralStatus.CONVERGED and res.value == 0.0
+        assert abs(res.value - want) <= res.abs_error
+
+
 def test_kernel_power_integral_examples():
     k = KernelSpec(1, PowerBeta(0.0, 0.0), (PowerCurve(1.0),))
     assert kernel_power_integral(k, [-0.5]).value == pytest.approx(2.0, rel=1e-12)
@@ -661,3 +677,168 @@ def test_beta_pieces_where_the_integral_leaves_the_float_range():
                                      [x + (y - x) * k / 64 for k in range(65)]))
             assert abs(got - want) <= bound
             assert abs(got - want) <= 1e-13 * want
+
+
+def _loop_binomial_series(p, q, lo, hi, count, scaled=False, logs=None):
+    """``quadrature._binomial_series`` as it summed every call, one term at
+    a time: the reference its table must equal bit for bit."""
+    eps = np.finfo(float).eps
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if logs is None:
+        span = np.where(hi > lo, np.log1p((hi - lo) / lo), 0.0)
+        log_lo, log_hi = np.log(lo), np.log(hi)
+        pow_lo, pow_hi = lo ** (p + 1.0), hi ** (p + 1.0)
+        if scaled:
+            pow_lo, pow_hi = np.ones(lo.shape), pow_hi * lo ** -(p + 1.0)
+    else:
+        log_lo, log_hi, log_ref = logs
+        span = np.where(log_hi > log_lo, log_hi - log_lo, 0.0)
+        pow_lo = np.exp((p + 1.0) * (log_lo - log_ref))
+        pow_hi = np.exp((p + 1.0) * (log_hi - log_ref))
+    finite_span = np.where(np.isfinite(span), span, 0.0)
+    magnify_lo = np.abs(log_lo) + finite_span
+    magnify_hi = np.abs(log_hi) + finite_span
+    value = mass = err = 0.0
+    coef = 1.0
+    stops = set(np.unique(count).tolist()) if np.ndim(count) else set()
+    stop_coef, stop_pow = np.zeros(lo.shape), np.zeros(lo.shape)
+    for k in range(int(np.max(count))):
+        s = p + k + 1.0
+        if (s > 0.0) if isinstance(s, float) else np.all(s > 0.0):
+            term = coef * pow_hi * (-np.expm1(-s * span) / s)
+            magnify = magnify_hi
+        else:
+            term = np.where(s > 0.0, coef * pow_hi * (-np.expm1(-s * span) / s),
+                            np.where(s < 0.0, coef * pow_lo * (-np.expm1(s * span) / -s),
+                                     coef * span * (1.0 if logs is None and not scaled
+                                                    else pow_lo)))
+            magnify = np.where(s > 0.0, magnify_hi, magnify_lo)
+        if stops and k >= min(stops):
+            term = np.where(k < count, term, 0.0)
+        size = np.abs(term)
+        value = value + term
+        mass = mass + size
+        err = err + size * (4.0 * k + 10.0 + abs(s) * magnify)
+        pow_lo, pow_hi = pow_lo * lo, pow_hi * hi
+        coef *= (k - q) / (k + 1.0)
+        if k + 1 in stops:
+            stop = k + 1 == count
+            stop_coef = np.where(stop, coef, stop_coef)
+            stop_pow = np.where(stop, pow_hi, stop_pow)
+    if stops:
+        coef, pow_hi = stop_coef, stop_pow
+    rho = hi * np.maximum(1.0, (count - q) / (count + 1.0))
+    s = p + count + 1.0
+    rest = np.abs(coef) * pow_hi * (-np.expm1(-s * span) / s) / (1.0 - rho)
+    return value, eps * (err + count * mass) + rest
+
+
+def _bits(x):
+    """The bits of each element, any NaN as one value."""
+    x = np.asarray(x, dtype=float)
+    return np.where(np.isnan(x), 0x7FF8 << 48, x.view(np.int64)).tolist()
+
+
+@st.composite
+def _series_calls(draw):
+    """Arguments of _binomial_series: p and q numbers or arrays, with
+    leading terms s = p + k + 1 <= 0 (integer p among them); one count or
+    one per element; plain, ``scaled`` or ``logs`` limits."""
+    n = draw(st.integers(1, 6))
+    floats = st.floats(-6.0, 4.0) | st.integers(-5, 3).map(float)
+    p = draw(floats if draw(st.booleans()) else st.lists(floats, min_size=n, max_size=n).map(
+        np.array))
+    q = draw(st.floats(-3.0, 6.0) if draw(st.booleans()) else st.lists(
+        st.floats(-3.0, 6.0), min_size=n, max_size=n).map(np.array))
+    count = draw(st.integers(1, 40) if draw(st.booleans()) else st.lists(
+        st.integers(1, 40), min_size=n, max_size=n).map(np.array))
+    log_lo = np.array(draw(st.lists(st.floats(-60.0, -0.05), min_size=n, max_size=n)))
+    log_hi = np.minimum(log_lo + np.array(draw(st.lists(st.floats(0.0, 8.0), min_size=n,
+                                                          max_size=n))), -0.05)
+    lo, hi = np.exp(log_lo), np.exp(log_hi)
+    mode = draw(st.sampled_from(["plain", "scaled", "logs"]))
+    if mode == "plain" and draw(st.booleans()):
+        # a series from t = 0, where it converges
+        lo = np.where((np.arange(n) % 2 == 0) & (np.broadcast_to(p, (n,)) > -1.0), 0.0, lo)
+    logs = (log_lo, log_hi, np.where(np.asarray(p) < -1.0, log_lo, log_hi)) if mode == "logs" \
+        else None
+    return p, q, lo, hi, count, mode == "scaled", logs
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series_calls())
+def test_binomial_series_table_matches_the_term_loop(call):
+    # the table (cumulative products and sums down each column) adds in the
+    # loop's order, so both forms give its bits, whichever a call takes
+    with np.errstate(all="ignore"):
+        want = _loop_binomial_series(*call)
+        for cells in (0, 10 ** 9):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(quadrature, "_SERIES_CELLS", cells)
+                got = quadrature._binomial_series(*call)
+            assert [_bits(x) for x in got] == [_bits(x) for x in want], cells
+
+
+def test_series_pieces_pass_no_empty_part():
+    # pieces wholly below h = _split(e) have no part in 1 - t, pieces wholly
+    # above h none in t; each such part summed to exactly 0
+    e, h = 0.3, quadrature._split(0.3)
+    cut = math.log(h)
+    a = np.array([-2.5, -3.2, -2.5, -3.2, -2.5, -4.0])
+    lo = np.array([-5.0, cut - 1.0, cut - 0.5, cut + 0.05, -0.3, cut - 2e-3])
+    hi = np.array([-4.0, cut, cut + 0.5, -0.2, 0.0, cut + 1e-3])
+    seen = []
+    series = quadrature._binomial_series
+
+    def spy(p, q, lo, hi, count, scaled=False, logs=None):
+        seen.append(logs)
+        return series(p, q, lo, hi, count, scaled, logs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "_binomial_series", spy)
+        quadrature.beta_pieces(a, e, lo, hi)
+    (log_lo, log_hi, _), = seen
+    assert np.all(log_hi > log_lo)
+    # a part for each piece that meets (0, h) and for each that meets (h, 1)
+    assert log_lo.size == np.count_nonzero(lo < cut) + np.count_nonzero(hi > cut)
+
+
+def test_lifted_pieces_within_their_bound():
+    # -2 < A < -1 pieces of beta_pieces go by parts onto the incomplete Beta
+    # of A + 1 (_by_parts): tails (hi = 0), narrow and wide pieces, pieces
+    # above t = 1/2 and deep ones, against mpmath at dps 50; A within 1e-7
+    # of -1 or -2 cancels beyond _CANCELLATION, and the series takes those
+    rng = np.random.default_rng(18)
+    edges = [(-1.0 - 1e-7, 0.3, -2.0, -1.0), (-2.0 + 1e-7, 0.3, -2.0, -1.0),
+             (-1.0 - 1e-7, 5.0, -40.0, 0.0), (-2.0 + 1e-7, -0.5, -3.0, -0.01)]
+    rows = []
+    for i in range(200):
+        a = float(rng.uniform(-2.0, -1.0))
+        e = float(rng.uniform(-0.99, 2.0) if i // 4 % 2 else rng.uniform(-0.99, 30.0))
+        lo = -float(10.0 ** rng.uniform(-3.0, 2.8))
+        hi = {0: 0.0, 1: lo * (1.0 - float(10.0 ** rng.uniform(-3.0, -0.5))),
+              2: lo * float(rng.uniform(0.0, 1.0)), 3: -float(rng.uniform(0.0, 0.6))}[i % 4]
+        if i % 4 == 3:
+            lo = -float(rng.uniform(-hi, 0.69))
+        rows.append((a, e, lo, hi))
+    lifted = 0
+    for i, (a, e, lo, hi) in enumerate(edges + rows):
+        piece = [np.array([x]) for x in (a, lo, hi)]
+        with np.errstate(all="ignore"):
+            (lift,), (bound,) = quadrature._by_parts(piece[0], e, *(f(x) for x in piece[1:] for f in (
+                np.exp, lambda v: np.abs(np.expm1(v)))))
+            (value,), _, (level,) = quadrature.beta_pieces(piece[0], e, *piece[1:])
+            (series,), (rival,), (scale,) = quadrature._series_pieces(piece[0], e, *piece[1:])
+        # beta_pieces takes the lift where its bound passes _CANCELLATION,
+        # else the one of lift and series with the smaller bound; and never
+        # where t**(A+1) exceeds 2**_FAR, outside the lift's level 0
+        taken = (a + 1.0) * lo <= quadrature._FAR * math.log(2.0) and (
+            bound <= quadrature._CANCELLATION * abs(lift) or bound <= rival * 2.0 ** scale)
+        assert (value, level) == ((lift, 0.0) if taken else (series, scale))
+        assert not (taken and i < len(edges)), (a, e, lo, hi)
+        if taken:
+            lifted += 1
+            with mpmath.workdps(50):
+                want = mpmath.betainc(a + 1, e + 1, mpmath.exp(lo), mpmath.exp(hi))
+                assert abs(lift - want) <= bound, (a, e, lo, hi)
+    assert lifted >= 0.4 * len(rows)
