@@ -670,8 +670,8 @@ def _binomial_series(p, q, lo, hi, count, scaled: bool = False, logs=None):
         k = np.arange(terms + 1.0).reshape((-1,) + (1,) * lo.ndim)
         factor = (k[:-1] - q) / (k[:-1] + 1.0)
         coef = np.cumprod(np.concatenate([np.ones_like(factor[:1]), factor]), axis=0)
-        powers = np.cumprod(np.concatenate([pow_hi[None], np.broadcast_to(hi, (terms,) + hi.shape)]),
-                            axis=0)
+        powers = np.cumprod(np.concatenate([pow_hi[None],
+                                            np.broadcast_to(hi, (terms,) + hi.shape)]), axis=0)
         s = p + k[:-1] + 1.0
         term = coef[:-1] * powers[:-1] * (-np.expm1(-s * span) / s)
         magnify = magnify_hi
@@ -835,9 +835,9 @@ def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralRes
 
 def _by_parts(a, e: float, t, u, y, w, scaled: bool = False):
     """int_t^y x**a (1-x)**e dx for -2 < a < -1, e > -1 and 0 < t <= y <= 1,
-    elementwise, given u = 1 - t and w = 1 - y (a tail is the piece
-    y = 1), with an error bound (times t**d with ``scaled``), by one
-    integration by parts (DLMF 8.17(iv)): with d = -(a+1) and
+    elementwise, given arrays t and u = 1 - t, and y and w = 1 - y (a tail
+    is the piece y = 1), with an error bound (times t**d with ``scaled``),
+    by one integration by parts (DLMF 8.17(iv)): with d = -(a+1) and
     F(x) = x**(a+1) (1-x)**(e+1) / d,
 
         J(a) = F(t) - F(y) - (a+e+2) / d * J(a+1),
@@ -857,7 +857,7 @@ def _by_parts(a, e: float, t, u, y, w, scaled: bool = False):
     allowance of ``beta_tail``, of 1 for each end up to 1/2 and of C_x for
     each end above.  All in magnitudes: a + e + 2 may have either sign.
     """
-    t, u, y, w = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in (t, u, y, w)))
+    t, u = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(u, dtype=float))
     d = -(a + 1.0)      # exact for -2 < a < -1
     coef = (a + e + 2.0) / d
     # B(a+2, e+1) as beta_closed_form takes it (math.exp) for a number a
@@ -867,21 +867,33 @@ def _by_parts(a, e: float, t, u, y, w, scaled: bool = False):
     def at(m):
         return (a[m] if np.ndim(a) else a) + 2.0
 
-    below, rest, mass = np.zeros((2,) + t.shape), np.zeros((2,) + t.shape), np.ones((2,) + t.shape)
-    for end, (x, ux) in enumerate(((t, u), (y, w))):
+    def complement(x, ux):
+        """C_x, the mass its bound counts, and I_x up to x = 1/2 (else 0)."""
         upper = x > 0.5
         lower = ~upper
-        below[end, lower] = betainc(at(lower), e + 1.0, x[lower])
-        rest[end, lower] = 1.0 - below[end, lower]
-        near = lower & (below[end] > 0.125)
-        rest[end, near] = betaincc(at(near), e + 1.0, x[near])
-        rest[end, upper] = mass[end, upper] = betainc(e + 1.0, at(upper), ux[upper])
-    inside = (t <= 0.5) & (y <= 0.5)
-    tail = beta * np.where(inside, below[1] - below[0], rest[0] - rest[1])
-    tail_err = 16.0 * _EPS * beta * np.where(inside, below[0] + below[1], mass[0] + mass[1])
+        below = np.zeros(x.shape)
+        below[lower] = betainc(at(lower), e + 1.0, x[lower])
+        rest = 1.0 - below
+        near = lower & (below > 0.125)
+        rest[near] = betaincc(at(near), e + 1.0, x[near])
+        rest[upper] = betainc(e + 1.0, at(upper), ux[upper])
+        return rest, np.where(upper, rest, 1.0), below
+
+    rest, mass, below = complement(t, u)
+    bottom = bottom_err = 0.0       # F(y) and its rounding: none for a tail
+    if np.any(w > 0.0):
+        y, w = np.broadcast_to(y, t.shape), np.broadcast_to(w, t.shape)
+        rest_y, mass_y, below_y = complement(y, w)
+        # up to 1/2, I_y - I_t keeps the digits that 1 - I loses
+        inside = y <= 0.5
+        rest = np.where(inside, below_y - below, rest - rest_y)
+        mass = np.where(inside, below + below_y, mass + mass_y)
+        bottom = w ** (e + 1.0) / d * y ** (a + 1.0)
+        bottom_err = e + 9.0 + d * (np.abs(np.log(y)) + np.abs(np.log(t)))
+    tail = beta * rest
+    tail_err = 16.0 * _EPS * beta * mass
     power = t ** (d if scaled else a + 1.0)
     top = u ** (e + 1.0) / d
-    bottom = w ** (e + 1.0) / d * y ** (a + 1.0)
     if scaled:
         tail, tail_err, bottom = tail * power, tail_err * power, bottom * power
     else:
@@ -892,8 +904,7 @@ def _by_parts(a, e: float, t, u, y, w, scaled: bool = False):
     err = abs(coef) * tail_err + _EPS * (
         (e + 5.0) * np.abs(top) + 2.0 * np.abs(second) + (abs(a) + abs(e) + 2.0) / d * np.abs(tail)
         + (2.0 + d * np.abs(np.log(t))) * powered)
-    return value, err + _EPS * (e + 9.0 + d * (np.abs(np.log(y)) + np.abs(np.log(t)))) * np.abs(
-        bottom)
+    return value, err + _EPS * bottom_err * np.abs(bottom)
 
 
 def beta_pieces(a, e: float, lo, hi):
@@ -931,18 +942,18 @@ def beta_pieces(a, e: float, lo, hi):
     value, err = np.full(a.shape, math.nan), np.full(a.shape, math.inf)
     level = np.zeros(a.shape)
     with np.errstate(all="ignore"):
-        normal = (hi >= _LOG_TINY) & (e > -1.0)
-        beta = normal & (a > -1.0) & ((lo == -np.inf) | (lo >= _LOG_TINY)) & (
+        closed = (hi >= _LOG_TINY) & (e > -1.0)
+        incomplete = closed & (a > -1.0) & ((lo == -np.inf) | (lo >= _LOG_TINY)) & (
             (a + 1.0) * hi >= -_FAR * LN2)
-        lift = normal & (-2.0 < a) & (a < -1.0) & (lo >= _LOG_TINY) & (
+        lift = closed & (-2.0 < a) & (a < -1.0) & (lo >= _LOG_TINY) & (
             (a + 1.0) * lo <= _FAR * LN2)
-        for done, method in ((beta, _incomplete_pieces), (lift, _by_parts)):
+        for done, method in ((incomplete, _incomplete_pieces), (lift, _by_parts)):
             if np.any(done):
                 # -expm1(0) is -0.0
                 ends = [f(x[done]) for x in (lo, hi)
                         for f in (np.exp, lambda v: np.abs(np.expm1(v)))]
                 value[done], err[done] = method(a[done], e, *ends)
-        done = beta | lift
+        done = incomplete | lift
         part = ~done | ((lo > -np.inf) & ~(err <= _CANCELLATION * np.abs(value)))
         if np.any(part):
             series, bound, scale = _series_pieces(a[part], e, lo[part], hi[part])
@@ -994,7 +1005,8 @@ def _series_pieces(a, e, lo, hi):
     below_lo, below_hi = np.minimum(lo, math.log(h)), np.minimum(hi, math.log(h))
     top = np.minimum(np.abs(np.expm1(lo)), 1.0 - h)
     bottom = np.minimum(np.abs(np.expm1(hi)), top)
-    lows, highs = np.concatenate([below_lo, np.log(bottom)]), np.concatenate([below_hi, np.log(top)])
+    lows = np.concatenate([below_lo, np.log(bottom)])
+    highs = np.concatenate([below_hi, np.log(top)])
     live = highs > lows
     sums, bounds = np.zeros(lows.size), np.zeros(lows.size)
     if np.any(live):

@@ -378,8 +378,8 @@ def test_tail_power_beta_lifted_tails_mpmath_oracle():
             miss = abs(res.value - ref)
             assert miss <= res.abs_error, (a, e, t0, scaled)
             assert miss <= 1e-12 * ref, (a, e, t0, scaled)
-            lifted += res.value == quadrature._by_parts(a, e, t0, 1.0 - t0, 1.0, 0.0,
-                                                        scaled)[0]
+            x = np.array([t0])
+            lifted += res.value == quadrature._by_parts(a, e, x, 1.0 - x, 1.0, 0.0, scaled)[0][0]
     assert lifted >= 0.6 * 2 * len(draws)
 
 

@@ -825,8 +825,8 @@ def test_lifted_pieces_within_their_bound():
     for i, (a, e, lo, hi) in enumerate(edges + rows):
         piece = [np.array([x]) for x in (a, lo, hi)]
         with np.errstate(all="ignore"):
-            (lift,), (bound,) = quadrature._by_parts(piece[0], e, *(f(x) for x in piece[1:] for f in (
-                np.exp, lambda v: np.abs(np.expm1(v)))))
+            (lift,), (bound,) = quadrature._by_parts(piece[0], e, *(
+                f(x) for x in piece[1:] for f in (np.exp, lambda v: np.abs(np.expm1(v)))))
             (value,), _, (level,) = quadrature.beta_pieces(piece[0], e, *piece[1:])
             (series,), (rival,), (scale,) = quadrature._series_pieces(piece[0], e, *piece[1:])
         # beta_pieces takes the lift where its bound passes _CANCELLATION,
