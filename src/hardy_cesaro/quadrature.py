@@ -575,10 +575,10 @@ def log_beta_tail(c: float, e: float, t: np.ndarray, u: np.ndarray) -> np.ndarra
 _MAX_TERMS = 2000
 # Most terms x elements that _binomial_series sums as one table.  The table
 # costs a few dozen array operations where the loop costs about 25 a term,
-# but numpy's cumulative sums and products take a few ns an element: on
-# calls of a t31_sampled round it took 0.26 ms against 1.13 at 1,100 cells
-# and 1.26 against 1.95 at 23,560, and the loop was as fast from about
-# 30,000 on (2.42 and 2.46 ms at 31,500) and faster beyond.
+# but numpy's cumulative sums and products take a few ns an element: on the
+# calls of a t31_sampled round (2-core x86-64, numpy 2.4) it took 0.26 ms
+# against 1.13 at 1,100 cells and 1.26 against 1.95 at 23,560, and the loop
+# was as fast from about 30,000 on (2.42 and 2.46 ms at 31,500).
 _SERIES_CELLS = 24_000
 # Largest error bound, relative to the value, accepted from the series.
 _SERIES_RTOL = 1e-10
