@@ -17,11 +17,10 @@ Power-shaped instances are evaluated in closed form: pure power-law
 inputs with PowerBeta/PowerCurve kernels produce exact power-law outputs
 (Beta-function coefficients), and truncated power laws reduce to tail
 integrals int_{t0}^1 t^a (1-t)^e dt, given by the incomplete Beta
-function for a > -1 and by hypergeometric series for a <= -1
-(``quadrature.tail_power_beta``, with a finite Gauss line in ln t beyond
-the series' range, and -2 < a < -1 lifted onto the incomplete Beta of
-a + 1 by one integration by parts where t0 lies below the series' split
-point); a whole log2-radius grid is one array pass per term.
+function for a > -1 and for a <= -1 by the piece [ln t0, 0] of
+``quadrature.beta_pieces`` (``quadrature.tail_power_beta``, with a finite
+Gauss line in ln t beyond the series' range); a whole log2-radius grid is
+one array pass per term.
 
 Sampled and sum inputs (every built-in profile, with PowerBeta/PowerCurve
 kernels) are taken piece by piece between the inputs' breakpoints, for

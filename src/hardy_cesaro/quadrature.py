@@ -26,11 +26,11 @@ series (the finite line from ln t0 to 0, ``_finite_line``) and the
 numeric shells of ``norms`` sum their pieces with ``piece_sums``; the
 operators' other pieces are incomplete Beta integrals
 (``beta_pieces``), and the operators and ``_finite_line`` take their
-results from ``_line_verdicts``.  ``tail_power_beta`` and ``beta_pieces``
-take a <= -1 by binomial 2F1 series, except that -2 < a < -1 (for a tail,
-below the series' split point) is lifted by one integration by parts onto
-the incomplete Beta of a + 1 (``_by_parts``, one piece of t, of which a
-tail is the one that ends at t = 1) wherever the bound of that allows.
+results from ``_line_verdicts``.  ``beta_pieces`` is the one place that
+integrates t**a (1-t)**e with a <= -1: by binomial 2F1 series, except
+that -2 < a < -1 is lifted by one integration by parts onto the
+incomplete Beta of a + 1 (``_by_parts``) wherever the bound of that
+allows; an a <= -1 tail of ``tail_power_beta`` is its piece [ln t0, 0].
 The Gauss-Jacobi and Gauss-Laguerre
 rules come from their three-term recurrences (``_golub_welsch``, no
 eigenvectors), so a rule of a new order costs well under a millisecond.
@@ -346,6 +346,7 @@ def _bisected(values: Callable, lo: np.ndarray, hi: np.ndarray, order: float, to
             lo, hi, head = np.append(lo, -np.inf), np.append(hi, head[0]), None
         evaluations += 3 * PIECE_RULE * lo.size
         bound = np.abs(fine - coarse)
+        bound[np.isnan(bound)] = math.inf     # two infinite sums bound nothing
         if parent.size:
             # the halves of a bisected piece share the miss of its fine sum,
             # which shows a jump that lies beyond both rules' outermost nodes
@@ -583,14 +584,14 @@ _SERIES_CELLS = 24_000
 # Largest error bound, relative to the value, accepted from the series.
 _SERIES_RTOL = 1e-10
 # Bound, relative to the value, above which an incomplete Beta value (a
-# difference in beta_pieces, a lifted piece or tail) is taken again by the
+# difference in beta_pieces, or a lifted piece) is taken again by the
 # series.
 _CANCELLATION = 1e-13
 _LOG2_EPS = math.log2(_EPS)
 
 
 def _split(e: float) -> float:
-    """Split point h of the a <= -1 tail: on [t0, h] the binomial series of
+    """Split point h of the binomial series: on [t, h] the series of
     (1-t)**e cancels by at most ((1+h)/(1-h))**e <= 2**8; h = 1/2 for
     e <= 5."""
     return 0.5 if e <= 0.0 else min(0.5, math.tanh(4.0 * LN2 / e))
@@ -619,14 +620,13 @@ def _term_count(p: float, q: float, hi: float) -> Optional[int]:
     return None
 
 
-def _binomial_series(p, q, lo, hi, count, scaled: bool = False, logs=None):
-    """int_lo^hi t**p (1-t)**q dt for 0 <= lo <= hi < 1, with an error bound;
-    with ``scaled``, divided by lo**(p+1) (lo > 0), which keeps the sum
-    finite where that power overflows.  ``logs``, if given, is (ln lo,
-    ln hi, ln ref): the sum is divided by ref**(p+1) and its powers are
-    taken from the logarithms, so limits below the float range (where lo
-    and hi round to 0) keep their place.  ``p``, ``q`` and ``count`` are
-    numbers, or arrays that broadcast with the limits.
+def _binomial_series(p, q, lo, hi, count, logs):
+    """int_lo^hi t**p (1-t)**q dt for 0 <= lo <= hi < 1, divided by
+    ref**(p+1), with an error bound, given ``logs`` = (ln lo, ln hi,
+    ln ref): the powers are taken from the logarithms, so limits below the
+    float range (where lo and hi round to 0, or ln lo = -inf) keep their
+    place.  ``p``, ``q`` and ``count`` are numbers, or arrays that
+    broadcast with the limits.
 
     The binomial series of (1-t)**q integrated term by term,
 
@@ -643,17 +643,10 @@ def _binomial_series(p, q, lo, hi, count, scaled: bool = False, logs=None):
     so they give the same bits.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if logs is None:
-        span = np.where(hi > lo, np.log1p((hi - lo) / lo), 0.0)   # log(hi/lo); inf at lo = 0
-        log_lo, log_hi = np.log(lo), np.log(hi)
-        pow_lo, pow_hi = lo ** (p + 1.0), hi ** (p + 1.0)
-        if scaled:
-            pow_lo, pow_hi = np.ones(lo.shape), pow_hi * lo ** -(p + 1.0)
-    else:
-        log_lo, log_hi, log_ref = logs
-        span = np.where(log_hi > log_lo, log_hi - log_lo, 0.0)
-        pow_lo = np.exp((p + 1.0) * (log_lo - log_ref))
-        pow_hi = np.exp((p + 1.0) * (log_hi - log_ref))
+    log_lo, log_hi, log_ref = logs
+    span = np.where(log_hi > log_lo, log_hi - log_lo, 0.0)
+    pow_lo = np.exp((p + 1.0) * (log_lo - log_ref))
+    pow_hi = np.exp((p + 1.0) * (log_hi - log_ref))
     finite_span = np.where(np.isfinite(span), span, 0.0)
     # per-term relative error, in eps: 3 roundings per step of the
     # coefficient recursion and 1 of the power recursion, 10 for the term
@@ -661,7 +654,6 @@ def _binomial_series(p, q, lo, hi, count, scaled: bool = False, logs=None):
     # it multiplies
     magnify_lo = np.abs(log_lo) + finite_span
     magnify_hi = np.abs(log_hi) + finite_span
-    unit = logs is None and not scaled     # the power a term with s = 0 takes is 1
     terms = int(np.max(count))
     if (terms + 1) * lo.size <= _SERIES_CELLS:
         # row k holds term k (and the coefficient and power that start it);
@@ -683,7 +675,7 @@ def _binomial_series(p, q, lo, hi, count, scaled: bool = False, logs=None):
             s_, c_ = s[:mixed], coef[:mixed]
             term[:mixed] = np.where(s_ > 0.0, term[:mixed],
                                     np.where(s_ < 0.0, c_ * low * (-np.expm1(s_ * span) / -s_),
-                                             c_ * span * (1.0 if unit else low)))
+                                             c_ * span * low))
             magnify = np.where(s > 0.0, magnify_hi, magnify_lo)
         size = np.abs(term)
         rows = np.broadcast_to(count, lo.shape)[None] - 1
@@ -710,7 +702,7 @@ def _binomial_series(p, q, lo, hi, count, scaled: bool = False, logs=None):
             else:
                 term = np.where(s > 0.0, coef * pow_hi * (-np.expm1(-s * span) / s),
                                 np.where(s < 0.0, coef * pow_lo * (-np.expm1(s * span) / -s),
-                                         coef * span * (1.0 if unit else pow_lo)))
+                                         coef * span * pow_lo))
                 magnify = np.where(s > 0.0, magnify_hi, magnify_lo)
             if stops and k >= min(stops):
                 term = np.where(k < count, term, 0.0)
@@ -747,32 +739,21 @@ def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralRes
     - t0 = 0 is the complete Beta function; t0 > 0 with a > -1 uses the
       regularized incomplete Beta, from the t = 1 side (in 1 - t0) above
       t0 = 1/2.
-    - a <= -1 with t0 > 0 (DLMF 8.17.7 and 15.8), with h = ``_split(e)``:
-      for t0 > h the integral is
-      x**(e+1)/(e+1) * 2F1(-a, e+1; e+2; x) with x = 1 - t0 (exact in
-      floating point); for t0 <= h it is that value at x = 1 - h plus
-      int_{t0}^{h}, the difference of
-      t**(a+1)/(a+1) * 2F1(a+1, -e; a+2; t) between the limits, which
-      stays finite where a is an integer (a = -1 is the log case).
-      Both are summed term by term in ``_binomial_series``; abs_error
-      bounds the rounding and the truncation of those sums.
-    - -2 < a < -1 with t0 < h is lifted instead by one integration by
-      parts onto the incomplete Beta of a + 1 (``_by_parts``), unless its
-      bound exceeds _CANCELLATION of the value (a near -1 or -2, t0 near h
-      with large e), when the element keeps the series.  Above h the lift
-      would cancel by about (e+1)/d, d = -(a+1), as t0 -> 1, so it is not
-      tried there: the series there is the upper one alone.
-    - Where the series would need more than _MAX_TERMS terms (e above
-      about 150, a below about -560), or its bound exceeds _SERIES_RTOL of
-      a finite value, that element is integrated numerically instead, on
-      the finite line int_{ln t0}^0 e^{(a+1) v} (-expm1 v)**e dv
+    - a <= -1 with 0 < t0 < 1 is the piece [ln t0, 0] of ``beta_pieces``:
+      the lift by parts at level 0, or the series relative to t0**(a+1),
+      which is multiplied by that power.  With ``scaled``, value and
+      abs_error are multiplied by t0**-(a+1): the series are taken as they
+      come and the lift is multiplied by that power, so the value stays
+      finite where t0**(a+1) overflows.  Where the unscaled value
+      overflows, the element is inf with an infinite abs_error, and the
+      result is inconclusive.
+    - Where the piece's bound exceeds _SERIES_RTOL of a finite value (the
+      series would need more than _MAX_TERMS terms: e above about 150, a
+      below about -560), that element is integrated numerically instead,
+      on the finite line int_{ln t0}^0 e^{(a+1) v} (-expm1 v)**e dv
       (``_finite_line``), and the result is inconclusive if one of those
       elements is.
     - Divergent when e <= -1, or a <= -1 and t0 = 0.
-    - With ``scaled`` and a <= -1, value and abs_error are multiplied by
-      t0**-(a+1) (t0 > 0): the lower series is summed divided by that
-      power, and the lift multiplied through by it, so the value stays
-      finite where t0**(a+1) overflows.
     """
     t = np.clip(np.asarray(t0, dtype=float), 0.0, 1.0)
     inside = t < 1.0
@@ -789,42 +770,23 @@ def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralRes
         return IntegralResult(_unwrap(value), 16.0 * _EPS * beta_closed_form(a, e).value,
                               IntegralStatus.CONVERGED, 0)
 
-    h = _split(e)
     value, err = np.zeros(t.shape), np.zeros(t.shape)
-    series = np.array(inside)   # writable where t0 is a number too
-    if -2.0 < a < -1.0:
-        lift = np.flatnonzero(inside & (t < h))
-        if lift.size:
-            with np.errstate(all="ignore"):
-                x = t.flat[lift]
-                lifted, bound = _by_parts(a, e, x, 1.0 - x, 1.0, 0.0, scaled)
-                take = np.isfinite(bound) & (bound <= _CANCELLATION * np.abs(lifted))
-            lift = lift[take]
-            value.flat[lift], err.flat[lift] = lifted[take], bound[take]
-            series.flat[lift] = False
-    series = np.flatnonzero(series)
-    upper_terms, lower_terms = _term_count(e, a, 1.0 - h), _term_count(a, e, h)
-    if upper_terms is None or lower_terms is None:
-        value.flat[series], err.flat[series] = math.nan, math.inf
-    elif series.size:
-        x = t.flat[series]
-        below = x < h
-        with np.errstate(all="ignore"):
-            upper, upper_err = _binomial_series(e, a, 0.0, np.where(below, 1.0 - h, 1.0 - x),
-                                                upper_terms)
-            if scaled:
-                upper, upper_err = upper * x ** -(a + 1.0), upper_err * x ** -(a + 1.0)
-            # above h the lower part is empty
-            if np.any(below):
-                lower, lower_err = _binomial_series(a, e, x[below], h, lower_terms, scaled)
-                upper[below] += lower
-                upper_err[below] += lower_err
-            value.flat[series] = upper
-            err.flat[series] = upper_err + _EPS * np.abs(upper)
-    with np.errstate(invalid="ignore"):
-        settled = np.isfinite(value) & (err <= _SERIES_RTOL * np.abs(value))
-    numeric = np.flatnonzero(inside & ~settled)
+    live = np.flatnonzero(inside)
+    x = t.flat[live]
+    with np.errstate(all="ignore"):
+        piece, bound, level = beta_pieces(a, e, np.log(x), 0.0)
+        settled = np.isfinite(piece) & (bound <= _SERIES_RTOL * np.abs(piece))
+        # t0**(a+1) for an unscaled series, t0**-(a+1) for a scaled lift;
+        # each of pow and the product rounds by at most an ulp
+        power = x ** ((a + 1.0) * ((level != 0.0) - float(scaled)))
+        value.flat[live] = piece * power
+        err.flat[live] = bound * power + 2.0 * _EPS * value.flat[live]
     status, evaluations = IntegralStatus.CONVERGED, 0
+    overflows = live[settled & ~np.isfinite(value.flat[live])]
+    if overflows.size:
+        value.flat[overflows], err.flat[overflows] = math.inf, math.inf
+        status = IntegralStatus.INCONCLUSIVE
+    numeric = live[~settled]
     if numeric.size:
         value.flat[numeric], err.flat[numeric], converged, evaluations = _finite_line(
             a, e, t.flat[numeric], scaled)
@@ -833,11 +795,11 @@ def tail_power_beta(a: float, e: float, t0, scaled: bool = False) -> IntegralRes
     return IntegralResult(_unwrap(value), _unwrap(err), status, evaluations)
 
 
-def _by_parts(a, e: float, t, u, y, w, scaled: bool = False):
+def _by_parts(a, e: float, t, u, y, w):
     """int_t^y x**a (1-x)**e dx for -2 < a < -1, e > -1 and 0 < t <= y <= 1,
-    elementwise, given arrays t and u = 1 - t, and y and w = 1 - y (a tail
-    is the piece y = 1), with an error bound (times t**d with ``scaled``),
-    by one integration by parts (DLMF 8.17(iv)): with d = -(a+1) and
+    elementwise, given arrays a, t and u = 1 - t, and y and w = 1 - y (a
+    tail is the piece y = 1), with an error bound, by one integration by
+    parts (DLMF 8.17(iv)): with d = -(a+1) and
     F(x) = x**(a+1) (1-x)**(e+1) / d,
 
         J(a) = F(t) - F(y) - (a+e+2) / d * J(a+1),
@@ -857,32 +819,25 @@ def _by_parts(a, e: float, t, u, y, w, scaled: bool = False):
     allowance of ``beta_tail``, of 1 for each end up to 1/2 and of C_x for
     each end above.  All in magnitudes: a + e + 2 may have either sign.
     """
-    t, u = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(u, dtype=float))
     d = -(a + 1.0)      # exact for -2 < a < -1
     coef = (a + e + 2.0) / d
-    # B(a+2, e+1) as beta_closed_form takes it (math.exp) for a number a
-    beta = beta_closed_form(a + 1.0, e).value if np.ndim(a) == 0 else np.exp(
-        betaln(a + 2.0, e + 1.0))
-
-    def at(m):
-        return (a[m] if np.ndim(a) else a) + 2.0
+    beta = np.exp(betaln(a + 2.0, e + 1.0))
 
     def complement(x, ux):
         """C_x, the mass its bound counts, and I_x up to x = 1/2 (else 0)."""
         upper = x > 0.5
         lower = ~upper
         below = np.zeros(x.shape)
-        below[lower] = betainc(at(lower), e + 1.0, x[lower])
+        below[lower] = betainc(a[lower] + 2.0, e + 1.0, x[lower])
         rest = 1.0 - below
         near = lower & (below > 0.125)
-        rest[near] = betaincc(at(near), e + 1.0, x[near])
-        rest[upper] = betainc(e + 1.0, at(upper), ux[upper])
+        rest[near] = betaincc(a[near] + 2.0, e + 1.0, x[near])
+        rest[upper] = betainc(e + 1.0, a[upper] + 2.0, ux[upper])
         return rest, np.where(upper, rest, 1.0), below
 
     rest, mass, below = complement(t, u)
     bottom = bottom_err = 0.0       # F(y) and its rounding: none for a tail
     if np.any(w > 0.0):
-        y, w = np.broadcast_to(y, t.shape), np.broadcast_to(w, t.shape)
         rest_y, mass_y, below_y = complement(y, w)
         # up to 1/2, I_y - I_t keeps the digits that 1 - I loses
         inside = y <= 0.5
@@ -892,18 +847,12 @@ def _by_parts(a, e: float, t, u, y, w, scaled: bool = False):
         bottom_err = e + 9.0 + d * (np.abs(np.log(y)) + np.abs(np.log(t)))
     tail = beta * rest
     tail_err = 16.0 * _EPS * beta * mass
-    power = t ** (d if scaled else a + 1.0)
-    top = u ** (e + 1.0) / d
-    if scaled:
-        tail, tail_err, bottom = tail * power, tail_err * power, bottom * power
-    else:
-        top = top * power
+    top = u ** (e + 1.0) / d * t ** (a + 1.0)
     second = coef * tail
     value = top - bottom - second
-    powered = np.abs(second) if scaled else np.abs(top)
     err = abs(coef) * tail_err + _EPS * (
         (e + 5.0) * np.abs(top) + 2.0 * np.abs(second) + (abs(a) + abs(e) + 2.0) / d * np.abs(tail)
-        + (2.0 + d * np.abs(np.log(t))) * powered)
+        + (2.0 + d * np.abs(np.log(t))) * np.abs(top))
     return value, err + _EPS * bottom_err * np.abs(bottom)
 
 
@@ -925,7 +874,8 @@ def beta_pieces(a, e: float, lo, hi):
       and exp(lo)**(a+1) is at most 2**_FAR: level 0, one integration by
       parts onto the incomplete Beta of a + 1 (``_by_parts``).
     - otherwise the binomial series of ``_binomial_series``, in t up to
-      h = ``_split(e)`` and in 1 - t above (as in ``tail_power_beta``),
+      h = ``_split(e)`` and in 1 - t above (``_series_pieces``; the a <= -1
+      tails of ``tail_power_beta`` are the pieces [ln t0, 0]),
       every element with the terms ``_term_count`` asks for at -ceil(-a),
       so that its value does not depend on the array it arrives in.  It is
       taken relative to ref**(a+1), ref = exp(lo) for a < -1 and exp(hi)
@@ -990,9 +940,15 @@ def _incomplete_pieces(a, e, lo, lo_c, hi, hi_c):
 def _series_pieces(a, e, lo, hi):
     """The series elements of ``beta_pieces``, as (value, bound, level):
     the part below h in t, relative to ref**(a+1), and the part above h in
-    1 - t, in one ``_binomial_series`` call for the parts that are not
-    empty (a part outside the piece is 0)."""
+    y = 1 - t, in one ``_binomial_series`` call for the parts that are not
+    empty (a part outside the piece is 0).  The parts meet at one point:
+    the part in t ends at exp(ln h) and the part in y starts at
+    -expm1(ln h), ln h as it rounds.  The ends of the part in y are
+    |expm1 v| and their logarithms, each rounded by an ulp, so the bound
+    adds eps (1 + |ln y|) times the integrand in ln y at each end (on a
+    narrow piece, 1/span of its value)."""
     h = _split(e)
+    cut = math.log(h)
     key = np.ceil(-a)
     count = np.zeros(a.shape, dtype=int)
     for j in np.unique(key).tolist():
@@ -1002,8 +958,8 @@ def _series_pieces(a, e, lo, hi):
     a, lo, hi, count = (x[ok] for x in (a, lo, hi, count))
     ref = np.where(a < -1.0, lo, hi)
     # the lower part in ln t, the upper in y = 1 - t
-    below_lo, below_hi = np.minimum(lo, math.log(h)), np.minimum(hi, math.log(h))
-    top = np.minimum(np.abs(np.expm1(lo)), 1.0 - h)
+    below_lo, below_hi = np.minimum(lo, cut), np.minimum(hi, cut)
+    top = np.minimum(np.abs(np.expm1(lo)), -math.expm1(cut))
     bottom = np.minimum(np.abs(np.expm1(hi)), top)
     lows = np.concatenate([below_lo, np.log(bottom)])
     highs = np.concatenate([below_hi, np.log(top)])
@@ -1018,11 +974,18 @@ def _series_pieces(a, e, lo, hi):
                                 np.concatenate([count, count]))),
             logs=(lows[live], highs[live], np.concatenate([ref, np.zeros(a.size)])[live]))
     # the upper part is empty unless hi > ln h, where ref**-(a+1) is finite
-    up = np.where(hi > math.log(h), np.exp(-(a + 1.0) * ref), 0.0)
+    upper = hi > cut
+    up = np.where(upper, np.exp(-(a + 1.0) * ref), 0.0)
+    # the integrand in ln y over ref**(a+1), y**(e+1) t**a / ref**(a+1), at
+    # each end of the upper part
+    ends = sum(np.where(upper & (y > 0.0), _EPS * (1.0 + np.abs(w)) * np.exp(
+        (e + 1.0) * w + a * v - (a + 1.0) * ref), 0.0)
+               for v, y, w in ((np.maximum(lo, cut), top, highs[a.size:]),
+                               (np.maximum(hi, cut), bottom, lows[a.size:])))
     value, err = np.full(ok.shape, math.nan), np.full(ok.shape, math.inf)
     level = np.zeros(ok.shape)
     value[ok] = sums[:a.size] + up * sums[a.size:]
-    err[ok] = bounds[:a.size] + up * bounds[a.size:] + _EPS * np.abs(value[ok])
+    err[ok] = bounds[:a.size] + up * bounds[a.size:] + ends + _EPS * np.abs(value[ok])
     level[ok] = (a + 1.0) * ref / LN2
     return value, err, level
 

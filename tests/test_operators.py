@@ -310,6 +310,61 @@ def test_tail_beyond_the_series_within_its_error(a, e, t0):
         assert abs(res.value - ref) <= res.abs_error, (scaled, res, float(ref))
 
 
+@pytest.mark.parametrize("a, e, t0", [(-3.0, 0.5, 1e-160), (-3.0, 1.9455, 5.69e-282)])
+def test_tail_beyond_the_float_range_is_inf_and_not_converged(a, e, t0):
+    # about 5.0e319 and 1.5e562: the piece of beta_pieces is settled and
+    # only its power of t0 overflows; the finite line spent 17,712 and
+    # 31,968 evaluations on them and returned abs_error NaN
+    res = tail_power_beta(a, e, t0)
+    assert res.value == math.inf and res.abs_error == math.inf
+    assert res.status is IntegralStatus.INCONCLUSIVE and res.evaluations == 0
+    scaled = tail_power_beta(a, e, t0, scaled=True)
+    with mpmath.workdps(40):
+        want = mpmath.betainc(a + 1, e + 1, mpmath.mpf(t0), 1) * mpmath.mpf(t0) ** -(a + 1)
+    assert scaled.status is IntegralStatus.CONVERGED and scaled.evaluations == 0
+    assert abs(scaled.value - want) <= scaled.abs_error
+
+
+def _tail_draws(rng, count):
+    """(a, e, t0) for a <= -1 tails: a = -1, -2, -3, a <= -2 and
+    -2 < a < -1; t0 from 1e-300 to h = _split(e), and from h to
+    1 - 1e-12 where (1 - t0)**(e+1) stays above 1e-250."""
+    draws = []
+    for i in range(count):
+        a = ((-1.0, -2.0, -3.0)[i // 4 % 3] if i % 4 == 0 else float(rng.uniform(-7.0, -2.0))
+             if i % 4 < 3 else float(rng.uniform(-2.0, -1.0)))
+        e = float(rng.uniform(-0.99, 3.0) if i % 3 else rng.uniform(-0.99, 40.0))
+        h = quadrature._split(e)
+        if i % 2:
+            t0 = float(10.0 ** rng.uniform(-300.0, math.log10(h)))
+        else:
+            t0 = 1.0 - float(10.0 ** rng.uniform(max(-12.0, -250.0 / (e + 1.0)),
+                                                 math.log10(1.0 - h)))
+        draws.append((a, e, t0))
+    return draws
+
+
+def test_tail_power_beta_below_minus_one_mpmath_oracle():
+    # each a <= -1 tail, as the piece [ln t0, 0] of beta_pieces, scaled
+    # (times t0**-(a+1)) and unscaled, within its bound of mpmath at dps 40;
+    # unscaled, inf and inconclusive where the value leaves the float range
+    for a, e, t0 in _tail_draws(np.random.default_rng(19), 240):
+        with mpmath.workdps(40):
+            x = mpmath.mpf(t0)
+            want = (mpmath.betainc(e + 1, a + 1, 0, 1 - x) if t0 > 0.5
+                    else mpmath.betainc(a + 1, e + 1, x, 1))
+            wants = {False: want, True: want * x ** -(a + 1)}
+        for scaled, want in wants.items():
+            res = tail_power_beta(a, e, t0, scaled)
+            assert res.evaluations == 0, (a, e, t0, scaled)
+            if want > np.finfo(float).max:
+                assert res.value == math.inf and res.status is IntegralStatus.INCONCLUSIVE
+                continue
+            assert res.status is IntegralStatus.CONVERGED, (a, e, t0, scaled)
+            assert abs(res.value - want) <= res.abs_error, (a, e, t0, scaled)
+            assert abs(res.value - want) <= 1e-12 * want, (a, e, t0, scaled)
+
+
 def test_tail_power_beta_checks_the_series_bound(monkeypatch):
     # split at 1/2 whatever e: at (-1.5, 40, 0.45) the series then loses
     # every digit, its bound says so, and the finite line takes over; the
@@ -322,11 +377,29 @@ def test_tail_power_beta_checks_the_series_bound(monkeypatch):
     assert res.value == pytest.approx(float(_tail_quad(-1.5, 40.0, 0.45)), rel=1e-8)
 
 
+def _power(t0, exponent):
+    """t0**exponent by pow, as ``tail_power_beta`` scales: with a number
+    exponent of 0.5, numpy takes sqrt, which rounds differently."""
+    return t0 ** np.broadcast_to(exponent, np.shape(t0))
+
+
+def _lifted_tail(a, e, t0, scaled):
+    """The lift by parts of the a <= -1 tails from t0, in the convention of
+    ``tail_power_beta``: the piece [ln t0, 0] of ``beta_pieces``, whose
+    ends are t = exp(v) and 1 - t = |expm1 v|, multiplied by t0**-(a+1)
+    where scaled."""
+    x = np.asarray(t0, dtype=float)
+    v = np.log(x)
+    lifted = quadrature._by_parts(np.full(x.shape, a), e, np.exp(v), np.abs(np.expm1(v)),
+                                  1.0, 0.0)[0]
+    return lifted * _power(x, -(a + 1.0) if scaled else 0.0)
+
+
 def test_tail_power_beta_array_matches_scalar_calls():
     t0 = np.concatenate([[0.0, 1.0], np.geomspace(1e-25, 0.999, 40)])
-    # with -2 < a < -1 an element below h = _split(e) is lifted onto
-    # beta_tail unless the lift cancels (just below h at e = 47); the others,
-    # a = -1 - 1e-12 and a = -2 throughout, keep the series
+    # with -2 < a < -1 an element is lifted onto the incomplete Beta of
+    # a + 1 unless the lift cancels (near h = _split(e) at e = 47); the
+    # others, a = -1 - 1e-12 and a = -2 throughout, keep the series
     lifts = []
     for a, e in ((-1.2, 0.1), (-2.0, 0.5), (0.3, -0.4), (-1.0 - 1e-12, 0.5), (-1.97, 47.0)):
         h = quadrature._split(e)
@@ -336,10 +409,9 @@ def test_tail_power_beta_array_matches_scalar_calls():
             for x, v in zip(t, whole):
                 assert tail_power_beta(a, e, float(x), scaled).value == v, (a, e, x, scaled)
             if -2.0 < a < -1.0:
-                below = t < h
-                x = t[below]
-                lifted = whole[below] == quadrature._by_parts(a, e, x, 1.0 - x, 1.0, 0.0,
-                                                              scaled)[0]
+                x = t[t < 1.0]
+                with np.errstate(all="ignore"):
+                    lifted = whole[t < 1.0] == _lifted_tail(a, e, x, scaled)
                 lifts.append((a, scaled, lifted.sum(), (~lifted).sum()))
     assert all(n > 0 for a, _, n, _ in lifts if a < -1.1)
     assert all(n == 0 for a, _, n, _ in lifts if a > -1.1)
@@ -349,10 +421,37 @@ def test_tail_power_beta_array_matches_scalar_calls():
     assert np.isinf(out.value[0])
 
 
+@pytest.mark.parametrize("a, e", [(-1.5, 0.3), (-1.0, 0.7), (-2.0, 0.5), (-3.3, 2.0),
+                                  (-1.97, 47.0), (-1.2, -0.6)])
+def test_tail_power_beta_is_the_piece_of_beta_pieces(a, e):
+    # an a <= -1 tail is beta_pieces(a, e, ln t0, 0): its series (level
+    # != 0) times t0**(a+1) unscaled, its lift (level 0) times t0**-(a+1)
+    # scaled, and the other one as it comes; t0 down to where t0**(a+1)
+    # nears the float range unscaled, and below it scaled
+    t0 = np.concatenate([np.geomspace(1e-300, 0.999, 90), 1.0 - np.geomspace(1e-12, 1e-4, 5)])
+    with np.errstate(all="ignore"):
+        piece, bound, level = quadrature.beta_pieces(np.full(t0.shape, a), e, np.log(t0), 0.0)
+    series = level != 0.0
+    for scaled in (False, True):
+        near = scaled | ((a + 1.0) * np.log(t0) < 700.0)
+        res = tail_power_beta(a, e, t0[near], scaled)
+        assert res.status is IntegralStatus.CONVERGED and res.evaluations == 0
+        power = _power(t0[near], (a + 1.0) * (series[near] - float(scaled)))
+        assert _bits(res.value) == _bits(piece[near] * power), scaled
+        assert np.all(res.abs_error >= bound[near] * power)
+    # -2 < a < -1 is lifted where that does not cancel, down to
+    # t0**(a+1) = 2**512; a = -1 is a series at level 0
+    assert np.all(series) == (a <= -2.0)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
 def test_tail_power_beta_lifted_tails_mpmath_oracle():
     # -2 < a < -1 with t0 below h = _split(e): t0**(a+1) (1-t0)**(e+1) / d
     # - (a+e+2) / d * beta_tail(a+1, e, t0), d = -(a+1), where its bound is
-    # within 1e-13 of the value, else the series
+    # within 1e-13 of the value and t0**(a+1) <= 2**512, else the series
     rng = np.random.default_rng(15)
     draws = [(-1.999, 50.0, 1e-300), (-1.001, -0.999, 0.4999), (-1.5, 0.0, 1e-300),
              (-1.077, 0.078, 0.254), (-1.9999, 2.0, 1e-150), (-1.0001, 30.0, 1e-3)]
@@ -378,8 +477,8 @@ def test_tail_power_beta_lifted_tails_mpmath_oracle():
             miss = abs(res.value - ref)
             assert miss <= res.abs_error, (a, e, t0, scaled)
             assert miss <= 1e-12 * ref, (a, e, t0, scaled)
-            x = np.array([t0])
-            lifted += res.value == quadrature._by_parts(a, e, x, 1.0 - x, 1.0, 0.0, scaled)[0][0]
+            with np.errstate(all="ignore"):
+                lifted += res.value == _lifted_tail(a, e, np.array([t0]), scaled)[0]
     assert lifted >= 0.6 * 2 * len(draws)
 
 
@@ -774,6 +873,7 @@ def test_value_beyond_the_float_range_is_inf_and_not_converged():
     with np.errstate(all="ignore"):
         res = apply_hardy_cesaro(spec, [profile], 1.0)
     assert res.value == math.inf and res.status is not IntegralStatus.CONVERGED
+    assert res.abs_error == math.inf
 
 
 @pytest.mark.parametrize("k", [100, 200])
