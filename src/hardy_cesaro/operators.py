@@ -30,7 +30,13 @@ a piece with no ramp is a sum of incomplete Beta integrals
 (``quadrature.beta_pieces``; from t = 0 where the inputs do not vanish
 near 0, divergent where a term has A <= -1 there; powers of two that
 leave the float range at extreme radii are kept apart), and a piece with
-a ramp is integrated in v = ln t by a fixed Gauss rule at two orders.  What
+a ramp is integrated in v = ln t by a fixed Gauss rule at two orders.
+Where every curve has the same exponent b, the inputs' breakpoints cut
+one partition for all radii, and the closed pieces that lie wholly below
+t = h (the split point of the binomial series) come from prefix sums of
+per-piece series constants, built once per call (``_far_tables``): a
+radius enumerates only its far ramp pieces and its near pieces, from the
+last partition edge at or below the cut up to t = 1.  What
 remains (callback kernels, reduced min-power kernels, profiles that define
 only ``evaluate``, integrands with no integrable order at t = 1, and radii
 whose verdict is not certified) goes through the graded integrator on
@@ -52,7 +58,7 @@ from .numerics import LN2
 from .profiles import (PowerLaw, RadialProfile, SampledProfile, ScaledProfile,
                        TruncatedPowerLaw)
 from .quadrature import (PIECE_RULE, _MAX_PIECES, IntegralResult, IntegralStatus, KernelSpec,
-                         PowerBeta, PowerCurve, _line_verdicts, _unwrap,
+                         PowerBeta, PowerCurve, _line_verdicts, _split, _term_count, _unwrap,
                          beta_closed_form, beta_pieces, integrate_unit_cube, min_reduction,
                          piece_sums, tail_power_beta)
 
@@ -255,9 +261,9 @@ _PIECE_WIDTH = 1.0       # widest Gauss piece in v = ln t
 _STATES = (IntegralStatus.CONVERGED, IntegralStatus.INCONCLUSIVE, IntegralStatus.DIVERGENT)
 _CONVERGED, _INCONCLUSIVE, _DIVERGENT = range(3)
 # elements of the temporary arrays: pieces x terms in a block of radii,
-# and nodes x pieces, _BLOCK_PIECES Gauss pieces at a time, in the sums
+# and nodes x pieces, _BLOCK_PIECES Gauss sub-pieces at a time, in the sums
 _BLOCK = 2 ** 13
-_BLOCK_PIECES = _BLOCK // (3 * PIECE_RULE)
+_BLOCK_PIECES = 2 ** 15 // (3 * PIECE_RULE)
 
 
 def _piecewise_setup(spec: OperatorSpec, profiles, symbols) -> Optional[dict]:
@@ -273,7 +279,7 @@ def _piecewise_setup(spec: OperatorSpec, profiles, symbols) -> Optional[dict]:
     order = kernel.psi.e + len(symbols)
     if not order > -1.0 or None in terms:
         return None
-    return {
+    setup = {
         "c": kernel.psi.c, "e": kernel.psi.e, "scale": kernel.psi.scale,
         "order": order, "bs": [s.b for s in kernel.curves],
         "starts": [f.support_start() for f in profiles],
@@ -282,22 +288,255 @@ def _piecewise_setup(spec: OperatorSpec, profiles, symbols) -> Optional[dict]:
         # terms of the expansion of a piece with no ramp
         "terms": math.prod(len(t) for t in terms) * 2 ** len(symbols),
     }
+    setup["far"] = _far_tables(setup)
+    return setup
+
+
+def _margin(floor):
+    """How far below the largest support start breakpoints still count."""
+    return 1e-9 * (1.0 + np.abs(floor))
+
+
+# --------------------------------------------------------------------------
+# far pieces by prefix sums
+#
+# Where every curve is t**b with one b, the inputs are functions of
+# x = log2(t**b r) = u + b log2 t alone, so their breakpoints cut x into one
+# partition for every radius: piece 0 from x = -inf (t = 0) to the first
+# edge X_0, piece j >= 1 from X_{j-1} to X_j.  On a piece with no ramp the
+# integrand is a sum of terms 2**L (t / T_j)**(A - c) t**c (1-t)**e, L the
+# log2 of the term at X_j and T_j = 2**((X_j - u) / b) (a symbol subset S
+# multiplies a term by -coef 2**(beta_S x): it adds beta_S X_j to L and
+# beta_S b to A; the other symbols give coef r**beta).  Below t = h =
+# ``quadrature._split(e)`` the binomial series of (1-t)**e (DLMF 15.2.1)
+# integrates such a piece to
+#
+#     2**L sum_k gamma_k T_j**(c+k+1) q_jk,   gamma_k = (-e)_k / k!,
+#     q_jk = -expm1(-D_j s) / s,  s = A + k + 1,  D_j = (X_j - X_{j-1}) ln 2 / b,
+#
+# (D_j at s = 0, and 1/s on piece 0), so the J pieces below a radius's
+# cut sum to sum_k gamma_k T_{J-1}**(c+k+1) R_k(J) with the radius-free
+# prefix sums R_k(J+1) = R_k(J) 2**(-(X_J - X_{J-1})(c+k+1)/b) + sum 2**L q_Jk.
+# Each R_k(J) is kept relative to an integer power of two 2**lambda_J, so
+# that no table leaves the float range where the inputs do not; every
+# term it adds is positive for a positive input, and R_k(J) <= R_0(J).
+
+# most pieces x terms x series terms of the prefix tables (2 MB an array);
+# larger setups take their far pieces one by one
+_FAR_CELLS = 2 ** 18
+
+
+def _far_tables(setup: dict) -> Optional[dict]:
+    """Prefix tables of the far pieces (see above), or None where they do
+    not apply: curves with different b, a zero psi scale or symbol
+    coefficient, more than _MAX_TERMS series terms, or a table beyond the
+    float range.  Built from the inputs and the kernel alone, so that every
+    radius's value depends on that radius only.
+
+    The tables hold, for every J and every symbol subset S (a group), the
+    sums R (relative to 2**lam), their relative error bound ``rel`` in eps
+    (the largest bound of an added term, plus, for every step since, the
+    multiplication, the addition, and the ulp of the step's power of two
+    and the rounding of its exponent), and for the radii the term count K of
+    ``quadrature._term_count`` at h for the partition's least exponent, the
+    ramp pieces above piece 0, and whether piece 0 diverges or is a ramp."""
+    bs, symbols = setup["bs"], setup["symbols"]
+    b, c, e = bs[0], setup["c"], setup["e"]
+    if (any(x != b for x in bs) or setup["scale"] == 0.0
+            or any(sym.coefficient == 0.0 for sym in symbols)):
+        return None
+    starts = [a for a in setup["starts"] if a is not None]
+    edges = np.unique(np.concatenate(setup["breaks"]))
+    if starts:
+        floor = max(starts)
+        edges = edges[edges >= floor - _margin(floor)]
+    if edges.size == 0:
+        return None
+    width = np.concatenate([[np.inf], np.diff(edges)])
+    at = np.concatenate([[edges[0] - 1.0], 0.5 * (edges[:-1] + edges[1:])])
+    terms = [f.log2_terms(edges, at) for f in setup["profiles"]]
+    nonzero = np.all([np.any([(L > -np.inf) | r for L, _, r in parts], axis=0)
+                      for parts in terms], axis=0)
+    ramp = nonzero & np.any([r for parts in terms for _, _, r in parts], axis=0)
+
+    subsets = list(itertools.product((0, 1), repeat=len(symbols)))
+    levels, powers, sizes, counts, groups = [], [], [], [], []
+    for choice in itertools.product(*terms):
+        level = sum(L for L, _, _ in choice)
+        size = sum(np.abs(L) for L, _, _ in choice)
+        power = c + sum(a * b for _, a, _ in choice)
+        for g, subset in enumerate(subsets):
+            shift = fsum(sym.beta for sym, bit in zip(symbols, subset) if bit)
+            levels.append(level + shift * edges)
+            sizes.append(size + abs(shift) * np.abs(edges))
+            powers.append(power + fsum(sym.beta * b for sym, bit in zip(symbols, subset) if bit))
+            counts.append(len(choice) + sum(subset))
+            groups.append(g)
+    level, power = np.array(levels).T, np.array(powers).T    # pieces x entries
+    live = (level > -np.inf) & (nonzero & ~ramp)[:, None]
+    diverges = bool(np.any(live[0] & (power[0] <= -1.0)))
+    live[0] &= power[0] > -1.0
+    least = np.min(power[live]) if np.any(live) else 0.0
+    count = _term_count(-math.ceil(-least), e, _split(e))
+    if count is None or edges.size * len(groups) * count > _FAR_CELLS:
+        return None
+    k = np.arange(count, dtype=float)
+
+    with np.errstate(all="ignore"):
+        s = power[:, :, None] + (k + 1.0)
+        span = width * (LN2 / b)
+        y = span[:, None, None] * s
+        q = np.where(s == 0.0, span[:, None, None], -np.expm1(-y) / s)
+        q[0] = 1.0 / s[0]
+        q = np.where(live[:, :, None], q, 0.0)
+        # in eps: s, the product, expm1 and the division, and the rounding
+        # of s and of span magnified by |y| (-d ln q / d ln s <= |y|)
+        q_err = 3.0 + 3.0 * np.maximum(1.0, np.abs(y))
+        q_err[0] = 2.0
+        # group maxima of the levels, the sums over each group's terms
+        group = np.array(groups)
+        top = np.stack([np.max(np.where(live[:, group == g], level[:, group == g], -np.inf), axis=1)
+                        for g in range(len(subsets))], axis=1)
+        diff = np.where(live, level - top[:, group], 0.0)
+        weight = np.where(live, np.exp2(diff), 0.0)
+        term_err = np.where(live[:, :, None], q_err + 2.0 + LN2 * (
+            np.abs(diff) + (np.array(counts) + 2.0) * np.array(sizes).T)[:, :, None], 0.0)
+        adds = np.zeros((edges.size, len(subsets), count))
+        add_err = np.zeros(adds.shape)
+        for n, g in enumerate(groups):
+            adds[:, g] += weight[:, n, None] * q[:, n]
+            add_err[:, g] = np.maximum(add_err[:, g], term_err[:, n])
+        add_err += len(groups)
+        # lam[J] for R(J): the integer part of the largest term in it at
+        # k = 0, max_{p < J} (top_p - (c+1)/b (X_{J-1} - X_p)), or 0 where
+        # R(J) is empty
+        decay = np.concatenate([[0.0], width[1:] * ((c + 1.0) / b)])
+        reach = np.cumsum(decay)
+        lam = np.floor(np.maximum.accumulate(top + reach[:, None], axis=0) - reach[:, None])
+        held = np.isfinite(lam)
+        lam = np.concatenate([np.zeros((1, len(subsets))), np.where(held, lam, 0.0)])
+        exponent = -(width[:, None] * (c + k + 1.0)) / b
+        shift = (lam[:-1] - lam[1:])[:, :, None] + exponent[:, None, :]
+        # the step from R(J) to R(J+1) multiplies only an R(J) with a term
+        held = np.concatenate([np.zeros((1, len(subsets)), dtype=bool), held[:-1]])[:, :, None]
+        mult = np.where(held, np.exp2(shift), 0.0)
+        mult_err = np.where(held, 3.0 + LN2 * (2.0 * np.abs(exponent[:, None, :])
+                                                + np.abs(shift)), 0.0)
+        raise_ = np.exp2(np.where(np.isfinite(top), top - lam[1:], -np.inf))
+        adds *= raise_[:, :, None]
+        add_err += 2.0 + LN2 * np.abs(np.where(np.isfinite(top), top - lam[1:], 0.0))[:, :, None]
+    sums = np.zeros((edges.size + 1, len(subsets), count))
+    rows = list(sums)
+    for before, after, step, add in zip(rows, rows[1:], list(mult), list(adds)):
+        np.multiply(before, step, out=after)
+        after += add
+    if not (np.all(np.isfinite(sums)) and np.all(np.isfinite(mult)) and np.all(np.isfinite(adds))):
+        return None
+    rel = np.zeros(sums.shape)
+    rel[1:] = np.maximum.accumulate(add_err, axis=0) + np.cumsum(mult_err, axis=0) + 1.0
+    gamma = np.cumprod(np.concatenate([[1.0], (k - e) / (k + 1.0)]))
+    return {
+        "b": b, "edges": edges, "cut": b * math.log2(_split(e)), "sums": sums, "rel": rel,
+        "lam": lam, "gamma": gamma, "count": count, "subsets": subsets,
+        "ramps": np.flatnonzero(ramp[1:]) + 1, "bottom_ramp": bool(ramp[0]),
+        "diverges": diverges,
+    }
+
+
+def _far_count(far: dict, u: np.ndarray) -> np.ndarray:
+    """J of each log2 radius u: its pieces 0..J-1 end at or below t = h."""
+    return np.searchsorted(far["edges"], u + far["cut"], side="right")
+
+
+def _pow2_scaled(level: np.ndarray):
+    """x -> 2**level x elementwise, where 2**level alone may overflow or
+    underflow: the powers of two join x by frexp and ldexp."""
+    whole = np.floor(level)
+    weight, shift = np.exp2(level - whole), np.clip(whole, -2 ** 20, 2 ** 20).astype(int)
+
+    def scaled(x):
+        mantissa, exponent = np.frexp(x)
+        return np.ldexp(weight * mantissa, exponent + shift)
+    return scaled
+
+
+def _far_values(setup: dict, u: np.ndarray, J: np.ndarray):
+    """(value, error, row) of the far pieces of the log2 radii u with J >= 1
+    far pieces each (``_far_count``), one per symbol subset with a term
+    there: sign 2**G sum_k gamma_k T**k R_k(J), T = T_{J-1}, in the order
+    of k (a cumulative sum along each row), G = log2 |psi scale, symbol
+    coefficients| + beta_out u + lam + (c+1) log2 T, beta_out the betas of
+    the symbols outside the subset.
+
+    The bound counts, in eps of each |term|, R_k(J)'s own bound, 3k for
+    gamma_k, k (2 + ln2 |log2 T|) for T**k, the product and the sum of K
+    terms; the terms left out, at most |R_0| sum_{k >= K} |gamma_k| T**k
+    <= |R_0 gamma_K| T**K / (1 - rho T) with rho = max(1, (K - e) / (K + 1))
+    as in ``quadrature._binomial_series``; _TINY; and the rounding of G as
+    ``_closed_sums`` counts it."""
+    far, symbols = setup["far"], setup["symbols"]
+    b, c, e, count = far["b"], setup["c"], setup["e"], far["count"]
+    row = np.flatnonzero(J > 0)
+    u, J = u[row], J[row]
+    arg = (far["edges"][J - 1] - u) / b         # log2 T
+    T = np.exp2(arg)
+    k = np.arange(count, dtype=float)
+    powers = np.cumprod(np.concatenate([np.ones((u.size, 1)),
+                                        np.broadcast_to(T[:, None], (u.size, count - 1))],
+                                       axis=1), axis=1)
+    gamma = far["gamma"]
+    rho = max(1.0, (count - e) / (count + 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rest = np.where(rho * T < 1.0, abs(gamma[count]) * T ** count / (1.0 - rho * T), np.inf)
+    steps = [math.log2(abs(setup["scale"]))] + [math.log2(abs(sym.coefficient)) for sym in symbols]
+    base, sign = sum(steps), math.copysign(1.0, setup["scale"]) * math.prod(
+        math.copysign(1.0, sym.coefficient) for sym in symbols)
+    values, errors, rows = [], [], []
+    for g, subset in enumerate(far["subsets"]):
+        sums, rel = far["sums"][J, g], far["rel"][J, g]
+        outer = fsum(sym.beta for sym, bit in zip(symbols, subset) if not bit) * u
+        lam = far["lam"][J, g]
+        level = base + outer + lam + (c + 1.0) * arg
+        size = sum(abs(x) for x in steps) + np.abs(outer) + np.abs(lam) + np.abs((c + 1.0) * arg)
+        terms = gamma[:count] * powers * sums
+        magnitude = np.abs(terms) * (rel + 4.0 * k + 3.0 + count + k * LN2 * np.abs(arg)[:, None])
+        total = np.cumsum(terms, axis=1)[:, -1]
+        bound = (_EPS * np.cumsum(magnitude, axis=1)[:, -1]
+                 + np.abs(sums[:, 0]) * (1.0 + _EPS * (rel[:, 0] + 1.0)) * rest)
+        scaled = _pow2_scaled(level)
+        with np.errstate(over="ignore"):
+            value = (-sign if sum(subset) % 2 else sign) * scaled(total)
+            error = (scaled(bound + _TINY) + _EPS * (4.0 + LN2 * (len(steps) + 5.0) * size)
+                     * np.abs(value))
+        some = sums[:, 0] != 0.0
+        values.append(value[some])
+        errors.append(error[some])
+        rows.append(row[some])
+    return np.concatenate(values), np.concatenate(errors), np.concatenate(rows)
 
 
 def _breakpoint_ranges(setup: dict, u: np.ndarray):
     """For each input, the index ranges [first, last) of its breakpoints
     that can cut the pieces at the log2 radii u: below u, and not below
-    the largest support start (less a margin; pieces below it vanish)."""
+    the largest support start (less a margin; pieces below it vanish),
+    nor, where ``setup["far"]`` holds the far pieces, below the top edge
+    X_{J-1} of a radius's J >= 1 far pieces (``_far_count``)."""
     low = np.full(u.shape, -np.inf)     # log2 t of the largest support start
     for a, b in zip(setup["starts"], setup["bs"]):
         if a is not None:
             low = np.maximum(low, (a - u) / b)
+    far = setup["far"]
+    if far is not None:
+        J = _far_count(far, u)
+        lowest = far["edges"][np.maximum(J - 1, 0)]
     ranges = []
     for rho, b in zip(setup["breaks"], setup["bs"]):
         floor = u + b * low
         last = np.searchsorted(rho, u)
-        ranges.append((np.minimum(np.searchsorted(rho, floor - 1e-9 * (1.0 + np.abs(floor))),
-                                  last), last))
+        first = np.searchsorted(rho, floor - _margin(floor))
+        if far is not None:
+            first = np.where(J > 0, np.maximum(first, np.searchsorted(rho, lowest)), first)
+        ranges.append((np.minimum(first, last), last))
     return ranges
 
 
@@ -380,15 +619,7 @@ def _closed_sums(setup: dict, terms, log2_radius: np.ndarray, lo: np.ndarray,
     live &= ~diverges
     piece = np.broadcast_to(np.arange(lo.size), level.shape)[live]
     integral, bound, scale = beta_pieces(power[live], setup["e"], lo[piece], hi[piece])
-    total = level[live] + scale
-    whole = np.floor(total)
-    weight, shift = np.exp2(total - whole), np.clip(whole, -2 ** 20, 2 ** 20).astype(int)
-
-    def scaled(x):
-        # 2**G x, where 2**G alone may overflow or underflow
-        mantissa, exponent = np.frexp(x)
-        return np.ldexp(weight * mantissa, exponent + shift)
-
+    scaled = _pow2_scaled(level[live] + scale)
     term, err = np.zeros(level.shape), np.zeros(level.shape)
     with np.errstate(over="ignore"):
         term[live] = np.repeat(signs, live.sum(axis=1)) * scaled(integral)
@@ -463,22 +694,28 @@ def _gauss_pieces(lo: np.ndarray, hi: np.ndarray, plan):
 
 def _gauss_sums(setup: dict, lo: np.ndarray, hi: np.ndarray, log2_radius: np.ndarray, plan):
     """(fine sum, |fine - coarse|, piece) of every Gauss sub-piece of the
-    pieces [lo, hi] cut as ``plan`` says, about _BLOCK_PIECES sub-pieces at a
+    pieces [lo, hi] cut as ``plan`` says, _BLOCK_PIECES sub-pieces at a
     time; ``piece`` indexes the piece a sub-piece belongs to."""
-    ends = np.cumsum(plan[2])
-    fine, diff, owner = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, dtype=int)]
-    a = 0
-    while a < lo.size:
-        b = max(a + 1, int(np.searchsorted(ends, (ends[a - 1] if a else 0) + _BLOCK_PIECES,
-                                           side="right")))
-        sub_lo, sub_hi, counts = _gauss_pieces(lo[a:b], hi[a:b], [x[a:b] for x in plan])
-        owner.append(np.repeat(np.arange(a, b), counts))
-        coarse, sums = _piece_sums(setup, sub_lo, sub_hi, sub_hi == 0.0,
-                                   log2_radius[owner[-1]])
+    sub_lo, sub_hi, counts = _gauss_pieces(lo, hi, plan)
+    owner = np.repeat(np.arange(lo.size), counts)
+    fine, diff = [np.zeros(0)], [np.zeros(0)]
+    for a in range(0, owner.size, _BLOCK_PIECES):
+        part = slice(a, a + _BLOCK_PIECES)
+        coarse, sums = _piece_sums(setup, sub_lo[part], sub_hi[part], sub_hi[part] == 0.0,
+                                   log2_radius[owner[part]])
         fine.append(sums)
         diff.append(np.abs(sums - coarse))
-        a = b
-    return np.concatenate(fine), np.concatenate(diff), np.concatenate(owner)
+    return np.concatenate(fine), np.concatenate(diff), owner
+
+
+def _far_ramps(far: dict, u: np.ndarray, J: np.ndarray):
+    """(lo, hi, row): the far ramp pieces [X_{j-1}, X_j], 1 <= j < J, of
+    the log2 radii u, in v = ln t at their radius."""
+    count = np.searchsorted(far["ramps"], J)
+    row = np.repeat(np.arange(u.size), count)
+    j = far["ramps"][np.arange(row.size) - np.repeat(np.cumsum(count) - count, count)]
+    scale = LN2 / far["b"]
+    return (far["edges"][j - 1] - u[row]) * scale, (far["edges"][j] - u[row]) * scale, row
 
 
 def _block_values(setup: dict, u: np.ndarray, ranges, tol: float):
@@ -487,9 +724,28 @@ def _block_values(setup: dict, u: np.ndarray, ranges, tol: float):
     piece from t = 0 diverges; inconclusive for a radius this path leaves
     to the graded integrator (its line verdict is not converged, or a ramp
     reaches t = 0, or it has more than _MAX_PIECES Gauss pieces, or a piece
-    whose value or bound is not finite, which then counts no evaluations)."""
+    whose value or bound is not finite, which then counts no evaluations).
+
+    Where ``setup["far"]`` holds the far pieces, a radius with J >= 1 of
+    them (``_far_count``) takes its lowest block piece, [-inf, X_{J-1}] in
+    x, from the prefix tables (``_far_values``) and its far ramp pieces
+    as Gauss pieces; the rest is the same for every radius."""
+    far = setup["far"]
     lo, hi, sizes = _block_edges(setup, u, ranges)
     row = np.repeat(np.arange(u.size), sizes)
+    unsettled = np.zeros(u.size, dtype=bool)
+    divergent = np.zeros(u.size, dtype=bool)
+    if far is not None:
+        J = _far_count(far, u)
+        near = np.isfinite(lo) | (J[row] == 0)
+        lo, hi, row = lo[near], hi[near], row[near]
+        far_values, far_errors, far_rows = _far_values(setup, u, J)
+        far_lo, far_hi, far_ramp_rows = _far_ramps(far, u, J)
+        unsettled[J > 0] = far["bottom_ramp"]
+        divergent[J > 0] = far["diverges"]
+    else:
+        far_values = far_errors = far_lo = far_hi = np.zeros(0)
+        far_rows = far_ramp_rows = np.zeros(0, dtype=int)
     mid = np.where(np.isfinite(lo), 0.5 * (lo + hi), hi - 1.0)
     terms = [f.log2_terms(u[row], u[row] + (b / LN2) * mid)
              for f, b in zip(setup["profiles"], setup["bs"])]
@@ -498,26 +754,27 @@ def _block_values(setup: dict, u: np.ndarray, ranges, tol: float):
     ramp = nonzero & (np.any([r for parts in terms for _, _, r in parts], axis=0)
                       | ((hi == 0.0) & (setup["e"] <= -1.0)))
 
-    unsettled = np.zeros(u.size, dtype=bool)
     unsettled[row[ramp & ~np.isfinite(lo)]] = True
-    ramps = np.flatnonzero(ramp & np.isfinite(lo))
-    plan = _gauss_plan(lo[ramps], hi[ramps])
-    unsettled |= np.bincount(row[ramps], plan[2], minlength=u.size) > _MAX_PIECES
-    keep = ~unsettled[row[ramps]]
-    ramps, plan = ramps[keep], [x[keep] for x in plan]
-    fine, diff, piece = _gauss_sums(setup, lo[ramps], hi[ramps], u[row[ramps]], plan)
-    gauss = np.bincount(row[ramps[piece]], minlength=u.size)
+    ramps = ramp & np.isfinite(lo)
+    ramp_lo, ramp_hi = np.concatenate([lo[ramps], far_lo]), np.concatenate([hi[ramps], far_hi])
+    ramp_row = np.concatenate([row[ramps], far_ramp_rows])
+    plan = _gauss_plan(ramp_lo, ramp_hi)
+    unsettled |= np.bincount(ramp_row, plan[2], minlength=u.size) > _MAX_PIECES
+    keep = ~unsettled[ramp_row]
+    fine, diff, piece = _gauss_sums(setup, ramp_lo[keep], ramp_hi[keep], u[ramp_row[keep]],
+                                    [x[keep] for x in plan])
+    gauss_row = ramp_row[keep][piece]
 
     closed = np.flatnonzero(nonzero & ~ramp)
     values, errors, diverges = _closed_sums(
         setup, [[(L[closed], a[closed]) for L, a, _ in parts] for parts in terms],
         u[row[closed]], lo[closed], hi[closed])
-    divergent = np.zeros(u.size, dtype=bool)
     divergent[row[closed[diverges]]] = True
 
-    owner = np.concatenate([row[closed], row[ramps[piece]]])
+    owner = np.concatenate([far_rows, row[closed], gauss_row])
     order = np.argsort(owner, kind="stable")
-    values, errors = np.concatenate([values, fine])[order], np.concatenate([errors, diff])[order]
+    values = np.concatenate([far_values, values, fine])[order]
+    errors = np.concatenate([far_errors, errors, diff])[order]
     # a piece beyond the float range leaves its radius to the graded integrator
     finite = np.isfinite(values) & np.isfinite(errors)
     unsettled[owner[order][~finite]] = True
@@ -528,6 +785,7 @@ def _block_values(setup: dict, u: np.ndarray, ranges, tol: float):
     state = np.where(converged & ~unsettled, _CONVERGED, _INCONCLUSIVE)
     state[divergent] = _DIVERGENT
     value[divergent], error[divergent] = math.inf, math.inf
+    gauss = np.bincount(gauss_row, minlength=u.size)
     return value, error, np.where(unsettled | divergent, 0, 3 * PIECE_RULE * gauss), state
 
 
@@ -536,16 +794,19 @@ def _piecewise_values(spec: OperatorSpec, setup: dict, radii: np.ndarray, tol: f
     ``state`` indexing _STATES.
 
     A radius takes the fsum of its closed pieces, whose errors are the
-    bounds of their special-function values, and of its Gauss pieces, each
+    bounds of their special-function values, of its far pieces from the
+    prefix tables where ``setup["far"]`` holds them (one value per symbol
+    subset), and of its Gauss pieces, each
     summed with the PIECE_RULE- and the 2 * PIECE_RULE-point rule, and its
     verdict from ``quadrature._line_verdicts``: converged under the test of
     the line, and inconclusive otherwise; divergent where a piece from
     t = 0 diverges.  A radius that is inconclusive, or that
     ``_block_values`` leaves aside, is integrated by the graded integrator
     instead, its evaluations added to the line's.  The radii go in blocks of
-    about _BLOCK pieces times terms; the pieces of a radius depend on that
-    radius alone, so a value does not depend on the grid or the block it
-    arrives in.
+    about _BLOCK near pieces times terms; the pieces of a radius depend on
+    that radius alone, and the prefix tables on the inputs and the kernel
+    alone, so a value does not depend on the grid or the block it arrives
+    in.
     """
     u = np.log2(radii)
     ranges = _breakpoint_ranges(setup, u)

@@ -279,7 +279,8 @@ class SampledProfile(RadialProfile):
         linear in the distance y from that node, and the piece is a multiple
         of int y**q e**(kappa y) dy (``_ramp``); where both are zero it
         vanishes.  Each interval is the ``math.fsum`` of its pieces in
-        order.  Values beyond the float range come back as inf or 0.
+        order (none for an interval whose pieces are all 0).  Values beyond
+        the float range come back as inf or 0.
         """
         u, v, w = self._u, self._v, self._w
         edges = np.asarray(edges, dtype=float)
@@ -305,8 +306,10 @@ class SampledProfile(RadialProfile):
         first = np.searchsorted(a, edges)   # interval i holds pieces first[i]:first[i + 1]
         out = np.zeros(edges.size - 1)
         out[np.searchsorted(edges, a, side="right") - 1] = pieces
+        # an interval whose pieces are all 0 is 0 already
+        live = np.concatenate([[0], np.cumsum(pieces != 0.0)])[first]
         starts, pieces = first.tolist(), pieces.tolist()
-        for i in np.flatnonzero(np.diff(first) > 1).tolist():
+        for i in np.flatnonzero((np.diff(first) > 1) & (np.diff(live) > 0)).tolist():
             out[i] = math.fsum(pieces[starts[i]:starts[i + 1]])
         return out
 

@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 
 import mpmath
@@ -745,10 +746,16 @@ def _sampled_case():
     return spec, profiles, [PowerSymbol(0.4, 1.1), PowerSymbol(0.7, -0.8)]
 
 
-@pytest.mark.parametrize("with_symbols", [False, True])
-def test_piecewise_values_independent_of_grid_and_pointwise(with_symbols):
+@pytest.mark.parametrize("with_symbols, equal_b", [(False, False), (True, False),
+                                                   (False, True), (True, True)],
+                         ids=["False", "True", "False-equal-b", "True-equal-b"])
+def test_piecewise_values_independent_of_grid_and_pointwise(with_symbols, equal_b):
+    # with equal b the far pieces come from the prefix tables
     spec, profiles, symbols = _sampled_case()
+    if equal_b:
+        spec = OperatorSpec(2, 1, KernelSpec(1, spec.kernel.psi, (PowerCurve(0.8),) * 2))
     symbols = symbols if with_symbols else []
+    assert (operators._piecewise_setup(spec, profiles, symbols)["far"] is not None) == equal_b
 
     def sample(grid):
         if symbols:
@@ -1144,3 +1151,173 @@ def test_dilation_covariance(m, data):
                        apply_commutator(spec, scaled, dilated, r))):
         assert far.status is near.status is IntegralStatus.CONVERGED
         assert abs(far.value - near.value) <= far.abs_error + near.abs_error
+
+
+# --------------------------------------------------------------------------
+# far pieces by prefix sums: curves with one exponent b
+
+
+def _mp_piece_terms(profile, x):
+    """[(C, a)] with the input 2**y -> sum C 2**(a y) on its smooth piece
+    around the log2 radius x, in mpmath from the nodes; None on a ramp."""
+    if isinstance(profile, SumProfile):
+        parts = [_mp_piece_terms(p, x) for p in profile.terms]
+        return None if None in parts else [t for part in parts for t in part]
+    if isinstance(profile, TruncatedPowerLaw):
+        inside = x > math.log2(profile.inner_radius)
+        return [(mpmath.mpf(profile.coefficient), mpmath.mpf(profile.exponent))] if inside else []
+    u, v = profile.log2_radii, profile.values
+    i = min(max(bisect.bisect_right(u, x) - 1, 0), len(u) - 2)
+    if v[i] > 0 and v[i + 1] > 0:
+        w0, w1 = mpmath.log(v[i], 2), mpmath.log(v[i + 1], 2)
+        a = (w1 - w0) / (mpmath.mpf(u[i + 1]) - u[i])
+        return [(2 ** (w0 - a * u[i]), a)]
+    return [] if v[i] == v[i + 1] == 0 else None
+
+
+def _mp_far(psi, b, profiles, symbols, subset, u, edges):
+    """The symbol subset's term of the operator over the pieces with no
+    ramp between the ``edges`` (log2 radii of the inputs' argument), the
+    first from t = 0: psi scale t**c (1-t)**e times the inputs' products
+    and the subset's symbol factors, each piece a sum of incomplete Beta
+    integrals at dps 50."""
+    with mpmath.workdps(50):
+        c, e, scale = (mpmath.mpf(x) for x in psi)
+        b, u = mpmath.mpf(b), mpmath.mpf(u)
+        total = mpmath.mpf(0)
+        for j, top in enumerate(edges):
+            mid = edges[0] - 1.0 if j == 0 else 0.5 * (edges[j - 1] + top)
+            parts = [_mp_piece_terms(p, mid) for p in profiles]
+            if None in parts:
+                continue
+            low = 0 if j == 0 else 2 ** ((edges[j - 1] - u) / b)
+            for choice in itertools.product(*parts):
+                coef = scale * mpmath.fprod(C for C, _ in choice)
+                a = mpmath.fsum(a for _, a in choice)
+                for sym, bit in zip(symbols, subset):
+                    coef *= -sym.coefficient if bit else sym.coefficient * 2 ** (sym.beta * u)
+                    a += sym.beta if bit else 0
+                total += coef * 2 ** (a * u) * mpmath.betainc(c + a * b + 1, e + 1, low,
+                                                              2 ** ((top - u) / b))
+        return total
+
+
+def _octaves(count, step, slope=-0.3, start=-2.0, vanishing=True):
+    """A sampled input with ``count`` nodes ``step`` octaves apart: 1.3
+    2**(slope x) (1 + 0.2 sin x), 0 at its first node when ``vanishing``."""
+    x = start + step * np.arange(count)
+    v = 1.3 * np.exp2(slope * x) * (1.0 + 0.2 * np.sin(x))
+    if vanishing:
+        v[0] = 0.0
+    return SampledProfile(tuple(x.tolist()), tuple(v.tolist()))
+
+
+# (psi, b, inputs, symbols, log2 radii)
+_FAR_CASES = {
+    "401-nodes": ((0.3, 0.2, 1.0), 1.0, [_octaves(401, 0.125)], [], (2.0, 7.5, 15.25, 21.0)),
+    "octave-nodes": ((0.3, 0.2, 1.0), 1.0, [_octaves(25, 1.0)], [], (2.0, 7.5, 15.25, 21.0)),
+    "sum": ((0.3, 0.2, 1.5), 0.8, [SumProfile((_octaves(9, 1.0),
+                                               TruncatedPowerLaw(-0.6, 0.9, 2.0 ** 0.4)))],
+            [], (3.0, 6.5, 12.0)),
+    "commutator": ((0.3, -0.4, 1.2), 0.8, [_octaves(9, 0.75)], [PowerSymbol(0.4, 1.1)],
+                   (3.0, 6.5, 12.0)),
+    "commutator-m2": ((0.3, -0.4, 1.2), 0.8,
+                      [_octaves(9, 0.75), SumProfile((_octaves(5, 1.0, slope=0.2),
+                                                      TruncatedPowerLaw(-0.7, 0.9, 2.0 ** 0.4)))],
+                      [PowerSymbol(0.4, 1.1), PowerSymbol(0.7, -0.8)], (3.0, 6.5, 12.0)),
+    "m2": ((0.3, 0.2, 1.0), 1.3, [_octaves(9, 1.0), _octaves(7, 0.6, slope=0.1)], [],
+           (3.0, 6.5, 12.0)),
+    "e-negative": ((0.3, -0.6, 1.0), 1.0, [_octaves(33, 0.5)], [], (3.0, 6.5, 12.0)),
+    "e-above-5": ((0.3, 7.0, 1.0), 1.0, [_octaves(33, 0.5)], [], (3.0, 6.5, 12.0)),
+    # c + b a = -1 on every segment: s = 0 exactly, and within 3e-10 of it
+    "s-zero": ((0.0, 0.2, 1.0), 1.0, [SampledProfile(tuple(range(-2, 12)),
+                                                     (0.0,) + tuple(2.0 ** -k for k in range(-1, 12)))],
+               [], (4.0, 9.5, 14.0)),
+    "s-near-zero": ((3e-10, 0.2, 1.0), 1.0, [SampledProfile(tuple(range(-2, 12)),
+                                                            (0.0,) + tuple(2.0 ** -k for k in range(-1, 12)))],
+                    [], (4.0, 9.5, 14.0)),
+    # from log2 radius -0.75 on, piece 0 from t = 0 alone
+    "not-vanishing": ((0.3, 0.5, 1.0), 1.0, [_octaves(33, 0.5, slope=0.2, vanishing=False)], [],
+                      (-0.75, 3.0, 6.5, 12.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FAR_CASES))
+def test_far_values_match_mpmath(name):
+    psi, b, profiles, symbols, radii = _FAR_CASES[name]
+    m = len(profiles)
+    spec = OperatorSpec(m, 1, KernelSpec(1, PowerBeta(*psi), (PowerCurve(b),) * m))
+    setup = operators._piecewise_setup(spec, profiles, symbols)
+    far = setup["far"]
+    assert far is not None
+    u = np.array(radii)
+    J = operators._far_count(far, u)
+    assert np.all(J > 0)
+    values, errors, rows = operators._far_values(setup, u, J)
+    # one value per radius and symbol subset, subset after subset
+    assert rows.tolist() == list(range(u.size)) * len(far["subsets"])
+    for value, error, row, subset in zip(values, errors, rows, np.repeat(far["subsets"], u.size,
+                                                                         axis=0)):
+        edges = far["edges"][:J[row]].tolist()
+        # every piece below the cut ends at or below t = h
+        assert 2.0 ** ((edges[-1] - u[row]) / b) <= quadrature._split(psi[1])
+        want = _mp_far(psi, b, profiles, symbols, subset, u[row], edges)
+        assert abs(value - want) <= error
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_far_pieces_leave_beta_pieces_the_near_pieces(monkeypatch):
+    # a 401-node input an eighth of an octave apart: beta_pieces sees at
+    # most the pieces from the last edge at or below the cut t = 1/2 up
+    # to t = 1, times the terms of a piece, of each radius
+    profile = _octaves(401, 0.125)
+    spec = OperatorSpec(1, 1, KernelSpec(1, PowerBeta(0.3, 0.2), (PowerCurve(1.0),)))
+    grid = log2_grid(-24.0, 25.0)
+    seen = []
+
+    def counting(a, e, lo, hi):
+        seen.append(np.broadcast(a, lo, hi).size)
+        return quadrature.beta_pieces(a, e, lo, hi)
+
+    monkeypatch.setattr(operators, "beta_pieces", counting)
+    apply_to_profile(spec, [profile], grid)
+    edges = np.array(profile.log2_radii)
+    near = 0
+    for u in grid:
+        below = edges[edges <= u - 1.0]
+        near += np.count_nonzero((edges >= below[-1]) & (edges < u)) if below.size else (
+            np.count_nonzero(edges < u) + 1)
+    assert 0 < sum(seen) <= near
+
+
+def test_distinct_curve_exponents_take_no_prefix_path(monkeypatch):
+    spec, profiles, symbols = _sampled_case()
+    assert operators._piecewise_setup(spec, profiles, symbols)["far"] is None
+    want = commutator_to_profile(spec, profiles, symbols, log2_grid(-25, 25))
+
+    def no_far(*args):
+        raise AssertionError("far pieces on a setup with distinct b")
+
+    monkeypatch.setattr(operators, "_far_values", no_far)
+    monkeypatch.setattr(operators, "_far_ramps", no_far)
+    got = commutator_to_profile(spec, profiles, symbols, log2_grid(-25, 25))
+    assert got.values == want.values
+
+
+def test_gauss_sums_in_one_pass_or_many(monkeypatch):
+    spec, profiles, symbols = _sampled_case()
+    grid = log2_grid(-25, 25)
+    calls = []
+    counting = operators._piece_sums
+
+    def spy(setup, lo, *args):
+        calls.append(lo.size)
+        return counting(setup, lo, *args)
+
+    monkeypatch.setattr(operators, "_piece_sums", spy)
+    one = commutator_to_profile(spec, profiles, symbols, grid)
+    passes = len(calls)
+    monkeypatch.setattr(operators, "_BLOCK_PIECES", 7)
+    many = commutator_to_profile(spec, profiles, symbols, grid)
+    assert len(calls) - passes > 2 * passes and max(calls[passes:]) <= 7
+    assert one.values == many.values
