@@ -422,15 +422,15 @@ def _far_tables(setup: dict) -> Optional[dict]:
         mult = np.where(held, np.exp2(shift), 0.0)
         mult_err = np.where(held, 3.0 + LN2 * (2.0 * np.abs(exponent[:, None, :])
                                                 + np.abs(shift)), 0.0)
-        raise_ = np.exp2(np.where(np.isfinite(top), top - lam[1:], -np.inf))
-        adds *= raise_[:, :, None]
-        add_err += 2.0 + LN2 * np.abs(np.where(np.isfinite(top), top - lam[1:], 0.0))[:, :, None]
+        rise = np.where(np.isfinite(top), top - lam[1:], -np.inf)
+        adds *= np.exp2(rise)[:, :, None]
+        add_err += 2.0 + LN2 * np.abs(np.where(np.isfinite(rise), rise, 0.0))[:, :, None]
     sums = np.zeros((edges.size + 1, len(subsets), count))
     rows = list(sums)
     for before, after, step, add in zip(rows, rows[1:], list(mult), list(adds)):
         np.multiply(before, step, out=after)
         after += add
-    if not (np.all(np.isfinite(sums)) and np.all(np.isfinite(mult)) and np.all(np.isfinite(adds))):
+    if not np.all(np.isfinite(sums)):
         return None
     rel = np.zeros(sums.shape)
     rel[1:] = np.maximum.accumulate(add_err, axis=0) + np.cumsum(mult_err, axis=0) + 1.0

@@ -749,7 +749,7 @@ def _sampled_case():
 @pytest.mark.parametrize("with_symbols, equal_b", [(False, False), (True, False),
                                                    (False, True), (True, True)],
                          ids=["False", "True", "False-equal-b", "True-equal-b"])
-def test_piecewise_values_independent_of_grid_and_pointwise(with_symbols, equal_b):
+def test_piecewise_values_independent_of_grid_and_pointwise(monkeypatch, with_symbols, equal_b):
     # with equal b the far pieces come from the prefix tables
     spec, profiles, symbols = _sampled_case()
     if equal_b:
@@ -773,6 +773,9 @@ def test_piecewise_values_independent_of_grid_and_pointwise(with_symbols, equal_
         else:
             res = apply_hardy_cesaro(spec, profiles, r)
         assert abs(res.value) == v
+    # blocks of a few radii each
+    monkeypatch.setattr(operators, "_BLOCK", 2 ** 7)
+    assert sample(log2_grid(-25, 25)).values == narrow.values
 
 
 def test_piecewise_grid_keeps_its_results_in_arrays(monkeypatch):
